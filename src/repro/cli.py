@@ -655,8 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend",
             choices=sorted(BACKENDS),
             default=None,
-            help="scheduling core: flat (integer kernels, default), vector "
-            "(numpy kernels + rotation memos; needs numpy), views "
+            help="scheduling core: flat (memoized integer kernels, default), "
+            "vector (flat + numpy kernels for large graphs; needs numpy), views "
             "(dict engine), naive (recompute everything); all bit-identical",
         )
         p.add_argument(

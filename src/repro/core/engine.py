@@ -57,8 +57,9 @@ _INCREMENTAL_PRIORITIES = {"descendants", "height", "combined"}
 _STRUCTURAL_PRIORITIES = {"descendants", "height", "combined", "mobility"}
 
 #: Selectable acceleration backends, fastest first.  ``flat`` = integer
-#: kernels over CSR snapshots (repro.core.flat), ``vector`` = numpy kernels
-#: + rotation transition memos (repro.core.vector; needs numpy), ``views`` =
+#: kernels + rotation transition memos over CSR snapshots
+#: (repro.core.flat), ``vector`` = flat with numpy kernels for graphs past
+#: the scalar threshold (repro.core.vector; needs numpy), ``views`` =
 #: the dict-based incremental engine below, ``naive`` = recompute everything
 #: (no engine).  ``flat`` stays the default: it has no third-party imports.
 BACKENDS = ("flat", "vector", "views", "naive")

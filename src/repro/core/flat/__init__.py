@@ -28,14 +28,13 @@ from repro.core.flat.kernels import (
     seed_grid,
     zero_delay_lists,
 )
-from repro.core.flat.engine import FlatEngine, FlatView
+from repro.core.flat.engine import FlatEngine
 
 __all__ = [
     "FlatEngine",
     "FlatGraph",
     "FlatGrid",
     "FlatModel",
-    "FlatView",
     "flat_heights",
     "flat_latest_fit",
     "flat_list_schedule",

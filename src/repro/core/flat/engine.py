@@ -1,21 +1,32 @@
-"""The flat rotation engine: the incremental engine over integer arrays.
+"""The flat rotation engine: memoized rotations over integer arrays.
 
 :class:`FlatEngine` is drop-in compatible with
 :class:`repro.core.engine.RotationEngine` (same constructor shape, same
 ``initial_state`` / ``down_rotate`` / ``compatible_with`` / ``stats``
 surface, same :class:`~repro.core.engine.EngineStats` counters) but keeps
-*all* per-rotation state in the flat domain: retimings become dense
-``rv`` vectors, the ``dr`` map becomes a per-edge-position list, zero-delay
-adjacency becomes index lists, priorities become precompiled sort keys, and
-the occupancy grid stores instance bitmasks.  Node ids only reappear at the
-boundary — error messages, ``Retiming`` updates, and the final
-:class:`~repro.schedule.schedule.Schedule` built through the trusted
-constructor.
+*all* per-rotation state in the flat domain: every state it produces is a
+tuple record — normalized starts, unit instances, per-edge ``dr``, dense
+retiming vector — keyed by the state's ``engine_token``, zero-delay
+adjacency becomes index lists, priorities become precompiled sort keys,
+and the occupancy grid stores instance bitmasks.  Node ids only reappear
+at the boundary — error messages and the lazily materialized
+:class:`~repro.schedule.schedule.Schedule` / ``Retiming`` dicts.
 
-It additionally accelerates two paths the dict engine leaves naive:
-``up_rotate`` (latest-fit rescheduling over the same flat grid) and
-``wrap_state`` (the period search of :func:`repro.core.wrapping.wrap`,
-reading the chain tip's start vector directly).
+The optimization that pays on the paper-sized graphs is that *rotation
+outcomes are pure functions of* ``(starts, units, dr, size)``.  The
+placement kernels are deterministic given the occupancy and the sort keys
+(a function of ``dr``), and rotation-count vectors only shift the key
+space (``rv`` enters through ``dr``, never directly), so a rotation seen
+once replays as a tuple lookup.  Heuristic 2 revisits the same few
+hundred transitions thousands of times (about 85% of the down-rotations
+on the elliptic filter at 3A 2M repeat a prior key), and the same
+argument memoizes the wrap-period search (a function of ``(starts, dr)``),
+the re-seeding initial schedules (a function of ``dr`` alone) and depth
+reduction's realizing retimings (a function of ``(starts, period)``).
+
+Schedules and retimings are materialized lazily (:class:`_LazySchedule`,
+:class:`_LazyRetiming`): the hot loop only ever needs the tuple records,
+so the per-node dicts are built when a winner is actually inspected.
 
 The golden parity suite pins this engine bit-identical to both the dict
 engine and the naive path.
@@ -23,8 +34,7 @@ engine and the naive path.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dfg.graph import DFG
 from repro.dfg.retiming import Retiming
@@ -50,26 +60,174 @@ from repro.obs import tracer as _obs
 from repro.obs.metrics import engine_metrics
 
 
-class FlatView:
-    """Flat analogue of :class:`repro.core.engine.GraphView` — caches of one
-    retimed graph ``G_R``, indexed by node/edge position."""
+class _LazyRetiming(Retiming):
+    """A retiming backed by a dense ``rv`` tuple, materialized on demand.
 
-    __slots__ = ("r", "rv", "dr", "zsucc", "zpred", "order", "skey", "reach", "heights")
+    Equality, hashing, ``bumped`` — the whole :class:`Retiming` surface —
+    work through the inherited code the moment ``_values`` is first
+    touched; until then the object is three shared references.  ``rv``
+    covers the graph's nodes in flat order; ``phantom`` carries any
+    non-graph entries of a user-supplied initial retiming so the
+    materialized mapping matches the scalar engines' ``bumped`` chains
+    exactly.
+    """
 
-    def __init__(self, r, rv, dr, zsucc, zpred, order, skey, reach, heights):
-        self.r: Retiming = r
-        self.rv: List[int] = rv
-        self.dr: List[int] = dr
+    __slots__ = ("_lz_nodes", "_lz_rv", "_lz_phantom")
+
+    def __init__(self, nodes, rv, phantom):
+        # No super().__init__: _values/_hash stay unset until __getattr__.
+        self._lz_nodes = nodes
+        self._lz_rv = rv
+        self._lz_phantom = phantom
+
+    def __getattr__(self, name):
+        if name == "_values":
+            values = {v: k for v, k in zip(self._lz_nodes, self._lz_rv) if k}
+            if self._lz_phantom:
+                values.update(self._lz_phantom)
+            self._values = values
+            return values
+        if name == "_hash":
+            self._hash = None
+            return None
+        raise AttributeError(name)
+
+
+class _LazySchedule(Schedule):
+    """A complete schedule backed by flat vectors, materialized on demand.
+
+    Span endpoints are preset (the record knows them), so ``length`` /
+    ``normalized()`` — the only things the rotation loop reads — never
+    build the per-node dicts; any other access materializes them through
+    ``__getattr__`` and proceeds on the inherited code.
+    """
+
+    @classmethod
+    def from_vectors(cls, graph, model, nodes, starts, units, last) -> "_LazySchedule":
+        self = cls.__new__(cls)
+        d = self.__dict__
+        d["graph"] = graph
+        d["model"] = model
+        d["_first"] = 0
+        d["_last"] = last
+        d["_lz_nodes"] = nodes
+        d["_lz_starts"] = starts
+        d["_lz_units"] = units
+        return self
+
+    def __getattr__(self, name):
+        if name == "_start":
+            value = dict(zip(self._lz_nodes, self._lz_starts))
+        elif name == "_units":
+            value = dict(zip(self._lz_nodes, self._lz_units))
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = value
+        return value
+
+
+def _mk_wrapped(sched, r, period) -> WrappedSchedule:
+    """Build a WrappedSchedule without the frozen-dataclass ``__init__``
+    (three ``object.__setattr__`` round-trips per offer add up)."""
+    w = WrappedSchedule.__new__(WrappedSchedule)
+    d = w.__dict__
+    d["schedule"] = sched
+    d["retiming"] = r
+    d["period"] = period
+    return w
+
+
+_ROT_CLASSES = None
+
+
+def _rot_classes():
+    """Cached ``(RotationState, RotationStep)``.
+
+    ``repro.core.rotation`` imports the engines, so the import cannot live
+    at module scope; caching it here spares the ``sys.modules`` hop the
+    in-function ``import`` statement pays on every single rotation."""
+    global _ROT_CLASSES
+    if _ROT_CLASSES is None:
+        from repro.core.rotation import RotationState, RotationStep
+
+        _ROT_CLASSES = (RotationState, RotationStep)
+    return _ROT_CLASSES
+
+
+class _Key:
+    """Memo-key tuple with its hash computed once.
+
+    The rotation and wrap memos key on large int tuples; plain tuple keys
+    re-hash every element on every lookup *and* every insert.  Records
+    cache one ``_Key`` per memo and the dicts hash it in O(1) afterwards
+    (bucket collisions still compare the underlying tuples, which is
+    cheap: memo hits share the element tuples, so equality short-circuits
+    on identity).
+    """
+
+    __slots__ = ("t", "h")
+
+    def __init__(self, t):
+        self.t = t
+        self.h = hash(t)
+
+    def __hash__(self):
+        return self.h
+
+    def __eq__(self, other):
+        return self.t == other.t
+
+
+class _VecState:
+    """Tuple record of one engine-produced state (all normalized).
+
+    ``hk`` / ``wk`` lazily cache the rotation-memo and wrap-memo keys
+    (see :class:`_Key`).
+    """
+
+    __slots__ = ("starts", "units", "dr", "rv", "last", "phantom", "hk", "wk")
+
+    def __init__(self, starts, units, dr, rv, last, phantom):
+        self.starts: Tuple[int, ...] = starts
+        self.units: Tuple[int, ...] = units
+        self.dr: Tuple[int, ...] = dr
+        self.rv: Tuple[int, ...] = rv
+        self.last: int = last
+        self.phantom: dict = phantom
+        self.hk = None
+        self.wk = None
+
+
+class _StructView:
+    """Caches of one retimed structure, keyed by its ``dr`` tuple.
+
+    Keyed by what the placement actually depends on — the ``dr`` vector —
+    instead of the retiming, so every rotation-count shift of the same
+    structure shares one entry.
+    """
+
+    __slots__ = ("zsucc", "zpred", "skey", "reach", "heights")
+
+    def __init__(self, zsucc, zpred, skey, reach=None, heights=None):
         self.zsucc: List[List[int]] = zsucc
         self.zpred: List[List[int]] = zpred
-        self.order: Optional[List[int]] = order
         self.skey: List[Tuple[int, ...]] = skey
+        # Priority columns (kept by the scalar build path) so rotation
+        # misses can derive the child view incrementally; ``None`` means
+        # "derive must rebuild from scratch".
         self.reach: Optional[List[int]] = reach
         self.heights: Optional[List[int]] = heights
 
 
+# Backstop bound for the per-engine memos.  A single solve stays far
+# below it (a few hundred distinct transitions); only a very long-lived
+# session could accumulate enough to matter, and clearing is always safe —
+# any state rebuilds cold from its schedule.
+_MEMO_LIMIT = 1 << 17
+
+
 class FlatEngine:
-    """Array-backed rotation engine (``backend="flat"``).
+    """Array-backed, transition-memoized rotation engine (``backend="flat"``).
 
     One engine serves one ``(graph, model, priority)`` triple; the graph is
     snapshotted once into a :class:`FlatGraph` and the snapshot's epoch is
@@ -77,6 +235,11 @@ class FlatEngine:
     epoch, falling back to the naive path after unsynchronized in-place
     mutation).  :meth:`apply_delta` resynchronizes the snapshot after
     mutation — the MutableSchedulingSession path.
+
+    Args:
+        precompiled: optional ``(FlatGraph, FlatModel)`` pair compiled
+            elsewhere (the batched solver compiles whole cohorts in one
+            pass and hands each engine its pair ready-made).
     """
 
     backend_name = "flat"
@@ -91,8 +254,8 @@ class FlatEngine:
     ):
         if priority not in _STRUCTURAL_PRIORITIES:
             raise ValueError(
-                f"flat backend supports priorities {sorted(_STRUCTURAL_PRIORITIES)}, "
-                f"got {priority!r}"
+                f"{self.backend_name} backend supports priorities "
+                f"{sorted(_STRUCTURAL_PRIORITIES)}, got {priority!r}"
             )
         self.graph = graph
         self.model = model
@@ -100,8 +263,6 @@ class FlatEngine:
         self.max_views = max_views
         self._stats = EngineStats()
         if precompiled is not None:
-            # Batched solving compiles whole cohorts in one pass and hands
-            # each engine its (FlatGraph, FlatModel) pair ready-made.
             self.fg, self.fm = precompiled
         else:
             self.fg = FlatGraph(graph)
@@ -109,44 +270,53 @@ class FlatEngine:
         # Graph epoch the snapshot was compiled/patched at; apply_delta
         # resynchronizes it after in-place mutation (session path).
         self._epoch = graph.epoch
-        self._views: Dict[Retiming, FlatView] = {}
-        # Chain tip: the grid + start/unit vectors of the most recently
-        # produced schedule (see RotationEngine's token protocol).
-        self._grid: Optional[FlatGrid] = None
-        self._grid_token: Optional[int] = None
-        self._start_list: List[int] = []
-        self._unit_list: List[int] = []
         self._next_token = 0
-        # The tip state's view, addressable without hashing its Retiming
-        # (states whose engine_token matches _grid_token were built with it).
-        self._tip_view: Optional[FlatView] = None
-        # Dirty-walk admission control: consecutive aborted repair walks.
-        # Past the threshold _derive stops attempting the walk (retrying
-        # one in every 32 derives in case the rotation pattern changed) —
-        # on deep graphs the walk aborts nearly every time and its
-        # bookkeeping is pure overhead before the inevitable rebuild.
-        self._walk_misses = 0
-        self._derive_seq = 0
-        # Flat-backend-specific counters, reported as ``extras`` in the
-        # unified metrics schema (repro.obs.metrics) — they have no
-        # counterpart in the shared EngineStats semantics.
-        self._extras: Dict[str, int] = {
-            "chain_tip_reuses": 0,
-            "wrap_interval_collapses": 0,
-            "dirty_walk_aborts": 0,
-        }
+        # Backend-specific counters, reported as ``extras`` in the unified
+        # metrics schema (repro.obs.metrics) — they have no counterpart in
+        # the shared EngineStats semantics.
+        self._extras: Dict[str, int] = dict.fromkeys((
+            "chain_tip_reuses", "wrap_interval_collapses", "rotation_memo_hits",
+            "rotation_memo_misses", "wrap_memo_hits", "initial_memo_hits",
+            "struct_view_builds", "struct_view_derives",
+        ), 0)
+        self._reset_caches()
+
+    def _reset_caches(self) -> None:
+        # Engine-owned node-list snapshot handed to lazy schedules and
+        # retimings.  fg.nodes is mutated *in place* by apply_delta, so
+        # lazies must hold a list that is replaced (never mutated) when
+        # the graph changes — outstanding lazies then still materialize
+        # against the node order they were minted under.
+        self._node_list: List = list(self.fg.nodes)
+        # dr tuple -> _StructView.
+        self._svs: Dict[Tuple[int, ...], _StructView] = {}
+        # engine_token -> _VecState for every state this engine produced.
+        self._vstates: Dict[int, _VecState] = {}
+        # Transition memos (see module docstring for the purity argument).
+        self._rot_memo: Dict[tuple, tuple] = {}
+        self._wrap_memo: Dict[_Key, int] = {}
+        self._init_memo: Dict[tuple, tuple] = {}
+        self._realize_memo: Dict[tuple, Retiming] = {}
+        # Live chain-tip occupancy grid: a rotation miss whose parent is
+        # the last-placed state frees the moved slots and O(1)-shifts
+        # instead of reseeding from scratch.
+        self._tip_grid: Optional[FlatGrid] = None
+        self._tip_gtoken: Optional[int] = None
+        self._pending_tip: Optional[FlatGrid] = None
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
         """Snapshot of the instrumentation counters as a plain dict."""
-        return asdict(self._stats)
+        # EngineStats holds only ints: a shallow copy equals asdict()
+        # without its per-field recursion, which every session repair pays.
+        return dict(vars(self._stats))
 
     def metrics(self) -> Dict[str, object]:
         """The :data:`repro.obs.metrics.METRICS_SCHEMA` snapshot: the shared
-        engine counters plus the flat backend's extras (chain-tip reuse,
-        wrap-interval collapses, dirty-walk aborts)."""
+        engine counters plus this backend's extras (memo hits, struct-view
+        builds/derives, chain-tip reuse, wrap-interval collapses)."""
         return engine_metrics(
-            self.stats(), self.backend_name, "repro.core.flat.engine",
+            self.stats(), self.backend_name, type(self).__module__,
             extras=dict(self._extras),
         )
 
@@ -167,10 +337,10 @@ class FlatEngine:
         since this engine's epoch (``None`` — log truncated — forces a full
         recompile); ``model`` optionally replaces the resource model.  The
         FlatGraph snapshot is patched in place when the damage is local and
-        recompiled otherwise; the FlatModel, all cached views, the chain
-        tip, and the walk-admission counters are always rebuilt/cleared —
-        they are cheap relative to a solve and depend on both graph and
-        model.  Returns ``{"patched": 0|1, "recompiled": 0|1}``.
+        recompiled otherwise; the FlatModel, the struct views, the state
+        records, every memo and the chain tip are always rebuilt/cleared —
+        they depend on both graph and model.  Returns
+        ``{"patched": 0|1, "recompiled": 0|1}``.
         """
         if model is not None:
             self.model = model
@@ -185,112 +355,132 @@ class FlatEngine:
                 self.fg = FlatGraph(self.graph)
                 recompiled = True
         self.fm = FlatModel(self.fg, self.model)
-        self._views.clear()
-        self._grid = None
-        self._grid_token = None
-        self._start_list = []
-        self._unit_list = []
-        self._tip_view = None
-        self._walk_misses = 0
+        self._reset_caches()
         self._epoch = self.graph.epoch
         return {"patched": int(patched), "recompiled": int(recompiled)}
 
-    def repair(self, fixed_start, fixed_units, todo, r: Retiming):
-        """Re-place ``todo`` against fixed placements under retiming ``r``.
-
-        The session's post-edit repair primitive: behaviorally identical to
-        the naive ``_list_schedule`` call with the same arguments (pinned
-        bit-for-bit by the incremental-parity oracle), run over the flat
-        columns with a reseeded grid.  Returns a chain-tip
-        :class:`RotationState` so follow-up rotations get the delta path.
-        """
-        from repro.core.rotation import RotationState
-
-        view = self._get_view(r)
-        fg, fm = self.fg, self.fm
-        start: List[Optional[int]] = [None] * fg.n
-        units: List[Optional[int]] = [None] * fg.n
-        index = fg.index
-        for v, cs in fixed_start.items():
-            i = index[v]
-            start[i] = cs
-            units[i] = fixed_units.get(v)
-        todo_idx = sorted(index[v] for v in todo)
-        grid = seed_grid(fg, fm, start, units)
-        self._stats.grid_reseeds += 1
-        tr = _obs.active
-        if tr.enabled:
-            tr.begin("kernel.list_schedule", todo=len(todo_idx))
-            try:
-                flat_list_schedule(
-                    fg, fm, view.zsucc, view.zpred, view.skey,
-                    start, units, todo_idx, 0, grid,
-                )
-            finally:
-                tr.end()
-        else:
-            flat_list_schedule(
-                fg, fm, view.zsucc, view.zpred, view.skey,
-                start, units, todo_idx, 0, grid,
-            )
-        token, sched = self._finish(start, units, grid)
-        self._tip_view = view
-        return RotationState(
-            self.graph, self.model, r, sched,
-            self.priority, engine=self, engine_token=token,
-        )
-
-    # -- view cache ----------------------------------------------------
-    def _get_view(self, r: Retiming) -> FlatView:
-        view = self._views.get(r)
-        if view is not None:
-            self._stats.view_hits += 1
-            return view
-        view = self._build(r)
-        self._store(r, view)
-        return view
-
-    def _advance(self, base: FlatView, moved_idx: Sequence[int], new_r: Retiming, step: int) -> FlatView:
-        view = self._views.get(new_r)
-        if view is not None:
-            self._stats.view_hits += 1
-            return view
-        view = self._derive(base, moved_idx, new_r, step)
-        self._stats.view_derives += 1
-        self._store(new_r, view)
-        return view
-
-    def _store(self, r: Retiming, view: FlatView) -> None:
-        if len(self._views) >= self.max_views:
-            self._views.clear()
-            self._stats.view_evictions += 1
-        self._views[r] = view
-
-    def _build(self, r: Retiming) -> FlatView:
+    # -- records -------------------------------------------------------
+    def _rv_phantom(self, r: Retiming) -> Tuple[Tuple[int, ...], dict]:
+        """Dense rotation counts + non-graph entries of a retiming."""
+        if type(r) is _LazyRetiming and r._lz_nodes is self._node_list:
+            return r._lz_rv, r._lz_phantom
         fg = self.fg
+        rv = tuple(fg.rvec(r))
+        index = fg.index
+        phantom = {v: r[v] for v in r if v not in index}
+        return rv, phantom
+
+    def _dr_of(self, rv) -> Tuple[int, ...]:
+        """``dr`` tuple of a dense rotation vector."""
+        return tuple(retimed_delays(self.fg, rv))
+
+    def _rec_for(self, state) -> _VecState:
+        """The tuple record of a state — tracked, or rebuilt cold.
+
+        States minted by this engine resolve by token; anything else
+        (rebound or unpickled states) is reconstructed from its normalized
+        schedule and retiming.
+        """
+        token = state.engine_token
+        if token is not None:
+            rec = self._vstates.get(token)
+            if rec is not None:
+                return rec
+        fg = self.fg
+        sched = state.schedule.normalized()
+        rv, phantom = self._rv_phantom(state.retiming)
+        dr = self._dr_of(rv)
+        if isinstance(sched, _LazySchedule) and sched.__dict__.get("_lz_nodes") is self._node_list:
+            starts = sched.__dict__["_lz_starts"]
+            units = sched.__dict__["_lz_units"]
+            last = sched.__dict__["_last"]
+        else:
+            starts = tuple(sched.start(v) for v in fg.nodes)
+            units = tuple(sched.unit_index(v) for v in fg.nodes)
+            last = sched.last_cs
+        return _VecState(starts, units, dr, rv, last, phantom)
+
+    def _mint(self, starts, units, dr, rv, last, phantom, r, state, step):
+        """Register a fresh record and wrap it as a RotationState.
+
+        The state is built through ``__new__`` + direct ``__dict__`` fill:
+        ``RotationState`` is a frozen dataclass with no ``__post_init__``,
+        so this is identical to calling the constructor minus eight
+        ``object.__setattr__`` round-trips per rotation.
+        """
+        RotationState = _rot_classes()[0]
+        self._next_token += 1
+        token = self._next_token
+        if len(self._vstates) > _MEMO_LIMIT:  # pragma: no cover - backstop
+            self._vstates.clear()
+        tip = self._pending_tip
+        if tip is not None:
+            self._pending_tip = None
+            self._tip_grid = tip
+            self._tip_gtoken = token
+        self._vstates[token] = _VecState(starts, units, dr, rv, last, phantom)
+        sched = _LazySchedule.from_vectors(
+            self.graph, self.model, self._node_list, starts, units, last
+        )
+        st = RotationState.__new__(RotationState)
+        d = st.__dict__
+        d["graph"] = self.graph
+        d["model"] = self.model
+        d["retiming"] = r
+        d["schedule"] = sched
+        d["priority"] = state.priority if state is not None else self.priority
+        d["trace"] = state.trace + (step,) if step is not None else ()
+        d["engine"] = self
+        d["engine_token"] = token
+        return st
+
+    def _settle(self, start: List[int], units: List[int], grid: FlatGrid):
+        """Normalize a placed start vector and queue ``grid`` (shifted to
+        match) as the chain tip of the state about to be minted.
+
+        Returns ``(starts, units, last)`` as tuples/int.
+        """
+        lo = min(start)
+        if lo:
+            start = [s - lo for s in start]
+            grid.shift(-lo)
+        self._pending_tip = grid
+        lat = self.fm.node_latency
+        last = max([s + lat[i] for i, s in enumerate(start)]) - 1
+        return tuple(start), tuple(units), last
+
+    # -- struct views --------------------------------------------------
+    def _sv_store(self, dr_key: Tuple[int, ...], sv: _StructView) -> _StructView:
+        if len(self._svs) >= self.max_views:
+            self._svs.clear()
+            self._stats.view_evictions += 1
+        self._svs[dr_key] = sv
+        return sv
+
+    def _sv_for(self, dr_key: Tuple[int, ...], r_factory) -> _StructView:
+        """The struct view of a ``dr`` vector (built once per structure).
+
+        ``r_factory`` returns the retiming a zero-delay cycle is reported
+        against.
+        """
+        sv = self._svs.get(dr_key)
+        if sv is not None:
+            self._stats.view_hits += 1
+            return sv
         tr = _obs.active
         traced = tr.enabled
         if traced:
             tr.begin("flat.build")
         try:
             self._stats.view_builds += 1
-            self._stats.edges_rescanned += fg.m
-            rv = fg.rvec(r)
-            if traced:
-                tr.begin("kernel.retimed_delays")
-            dr = retimed_delays(fg, rv)
-            if traced:
-                tr.end()
-                tr.begin("kernel.zero_delay_lists")
-            zsucc, zpred = zero_delay_lists(fg, dr)
-            if traced:
-                tr.end()
-                tr.begin("kernel.topo_order")
+            self._stats.edges_rescanned += self.fg.m
+            self._extras["struct_view_builds"] += 1
+            zsucc, zpred = zero_delay_lists(self.fg, dr_key)
             order = flat_topological_order(zsucc)
-            if traced:
-                tr.end()
             if order is None:
-                raise ZeroDelayCycleError(_find_zero_delay_cycle(fg.graph, r))
+                raise ZeroDelayCycleError(
+                    _find_zero_delay_cycle(self.fg.graph, r_factory())
+                )
             if self.priority == "mobility":
                 self._stats.priority_full_rebuilds += 1
             if traced:
@@ -300,73 +490,82 @@ class FlatEngine:
             )
             if traced:
                 tr.end()
-            return FlatView(r, rv, dr, zsucc, zpred, order, skey, reach, heights)
         finally:
             if traced:
                 tr.end()
+        return self._sv_store(dr_key, _StructView(zsucc, zpred, skey, reach, heights))
 
-    def _derive(self, base: FlatView, moved_idx: Sequence[int], new_r: Retiming, step: int) -> FlatView:
-        """The view of ``new_r = base.r (+) step * moved`` in O(edges
-        incident to moved) plus a dirty-set priority repair (mirrors
-        ViewCache._derive)."""
+    def _sv_derive(
+        self,
+        parent_dr: Tuple[int, ...],
+        dr_key: Tuple[int, ...],
+        moved_idx: Tuple[int, ...],
+        r_factory,
+    ) -> _StructView:
+        """The struct view after a rotation, derived from the parent's.
+
+        Only edges incident to moved nodes can change zero-delay status,
+        so most rotations reuse the parent's adjacency and priority columns
+        outright (when no status flips, the child ``dr`` simply aliases the
+        parent view); otherwise only the dirty set — changed sources plus
+        their zero-delay ancestors — is re-derived.  Falls back to the full
+        :meth:`_sv_for` build when derivation has nothing to start from
+        (evicted or column-less parent, mobility).  Rotations preserve
+        legality, so no cycle check is needed on the repair path; the
+        parity suite pins this repair bit-for-bit against full rebuilds.
+        """
+        sv = self._svs.get(dr_key)
+        if sv is not None:
+            self._stats.view_hits += 1
+            return sv
+        parent = self._svs.get(parent_dr)
+        if (
+            self.priority == "mobility"
+            or parent is None
+            or (parent.reach is None and parent.heights is None)
+        ):
+            return self._sv_for(dr_key, r_factory)
         tr = _obs.active
         if tr.enabled:
             tr.begin("flat.derive", moved=len(moved_idx))
             try:
-                return self._derive_inner(base, moved_idx, new_r, step)
+                sv = self._sv_derive_inner(parent, parent_dr, dr_key, moved_idx)
             finally:
                 tr.end()
-        return self._derive_inner(base, moved_idx, new_r, step)
+        else:
+            sv = self._sv_derive_inner(parent, parent_dr, dr_key, moved_idx)
+        return self._sv_store(dr_key, sv)
 
-    def _derive_inner(
-        self, base: FlatView, moved_idx: Sequence[int], new_r: Retiming, step: int
-    ) -> FlatView:
+    def _sv_derive_inner(self, parent, parent_dr, dr_key, moved_idx) -> _StructView:
         fg = self.fg
-        # The retiming changes only at moved nodes — and a rotation bumps
-        # each by exactly ``step`` — so the dense vector updates without
-        # touching the Retiming mapping at all.
-        rv = list(base.rv)
-        for i in moved_idx:
-            rv[i] += step
-        dr = list(base.dr)
-        esrc, edst, edelay = fg.esrc, fg.edst, fg.edelay
+        self._stats.view_derives += 1
+        self._extras["struct_view_derives"] += 1
         inc_at = fg.inc_at
-        changed_src: Set[int] = set()
-        changed_dst: Set[int] = set()
-        seen = 0  # edge-position bitmask
+        esrc, edst = fg.esrc, fg.edst
+        changed_src: set = set()
+        changed_dst: set = set()
         scanned = 0
+        # An edge with both ends moved is visited twice; the status compare
+        # and set.add are idempotent, so no dedup mask is needed.
         for i in moved_idx:
-            for k in inc_at[i]:
-                bit = 1 << k
-                if seen & bit:
-                    continue
-                seen |= bit
-                scanned += 1
-                u, w = esrc[k], edst[k]
-                nd = edelay[k] + rv[u] - rv[w]
-                old = dr[k]
-                if nd == old:
-                    continue
-                dr[k] = nd
-                if (old == 0) != (nd == 0):
-                    changed_src.add(u)
-                    changed_dst.add(w)
+            inc = inc_at[i]
+            scanned += len(inc)
+            for k in inc:
+                if (parent_dr[k] == 0) != (dr_key[k] == 0):
+                    changed_src.add(esrc[k])
+                    changed_dst.add(edst[k])
         self._stats.edges_rescanned += scanned
 
         if not changed_src and not changed_dst:
             self._stats.priority_entries_reused += fg.n
-            return FlatView(
-                new_r, rv, dr, base.zsucc, base.zpred, base.order,
-                base.skey, base.reach, base.heights,
-            )
-
-        zsucc = list(base.zsucc)
-        zpred = list(base.zpred)
+            return parent  # identical structure: alias under the new key
+        zsucc = list(parent.zsucc)
+        zpred = list(parent.zpred)
         out_at, in_at = fg.out_at, fg.in_at
         for u in changed_src:
             lst: List[int] = []
             for k in out_at[u]:
-                if dr[k] == 0:
+                if dr_key[k] == 0:
                     w = edst[k]
                     if w not in lst:
                         lst.append(w)
@@ -374,65 +573,33 @@ class FlatEngine:
         for v in changed_dst:
             lst = []
             for k in in_at[v]:
-                if dr[k] == 0:
+                if dr_key[k] == 0:
                     u = esrc[k]
                     if u not in lst:
                         lst.append(u)
             zpred[v] = lst
 
         times = self.fm.node_time
-        if self.priority == "mobility":
-            order = flat_topological_order(zsucc)
-            if order is None:
-                raise ZeroDelayCycleError(_find_zero_delay_cycle(fg.graph, new_r))
-            _, _, skey = flat_priority_columns("mobility", times, zsucc, order)
-            self._stats.priority_full_rebuilds += 1
-            return FlatView(new_r, rv, dr, zsucc, zpred, order, skey, None, None)
-
-        # Dirty set: nodes whose successor list changed plus all their
-        # zero-delay ancestors in either the old or the new DAG.  On deep
-        # graphs a change near the sinks dirties almost every node, at
-        # which point the repair bookkeeping costs more than recomputing —
-        # abort the walk past half the graph and rebuild the priority
-        # columns wholesale instead.
-        limit = fg.n // 2
-        self._derive_seq += 1
-        skip_walk = self._walk_misses >= 12 and self._derive_seq & 31
-        stack: List[int] = []
-        dirty: Set[int] = set()
-        if not skip_walk:
-            dirty = set(changed_src)
-            stack = list(changed_src)
-            while stack and len(dirty) <= limit:
-                nidx = stack.pop()
-                for u in base.zpred[nidx]:
-                    if u not in dirty:
-                        dirty.add(u)
-                        stack.append(u)
-                for u in zpred[nidx]:
-                    if u not in dirty:
-                        dirty.add(u)
-                        stack.append(u)
-        if skip_walk or stack:
-            if stack:
-                self._walk_misses += 1
-            self._extras["dirty_walk_aborts"] += 1
-            order = flat_topological_order(zsucc)
-            if order is None:  # pragma: no cover - rotations preserve legality
-                raise ZeroDelayCycleError(_find_zero_delay_cycle(fg.graph, new_r))
-            reach, heights, skey = flat_priority_columns(
-                self.priority, times, zsucc, order
-            )
-            self._stats.priority_full_rebuilds += 1
-            return FlatView(new_r, rv, dr, zsucc, zpred, order, skey, reach, heights)
-        self._walk_misses = 0
+        # Dirty set: changed sources plus all their zero-delay ancestors in
+        # either DAG — every node whose priority inputs can have changed.
+        dirty = set(changed_src)
+        stack = list(changed_src)
+        while stack:
+            nidx = stack.pop()
+            for u in parent.zpred[nidx]:
+                if u not in dirty:
+                    dirty.add(u)
+                    stack.append(u)
+            for u in zpred[nidx]:
+                if u not in dirty:
+                    dirty.add(u)
+                    stack.append(u)
         self._stats.dirty_priority_nodes += len(dirty)
         self._stats.priority_entries_reused += fg.n - len(dirty)
-
         # Children-first walk of the dirty set (postorder DFS restricted to
         # dirty nodes of the acyclic zero-delay DAG).
         post: List[int] = []
-        visited: Set[int] = set()
+        visited: set = set()
         for root in dirty:
             if root in visited:
                 continue
@@ -450,17 +617,16 @@ class FlatEngine:
                 if not descended:
                     post.append(node)
                     dfs.pop()
-
         reach = heights = None
-        if base.reach is not None:
-            reach = list(base.reach)
+        if parent.reach is not None:
+            reach = list(parent.reach)
             for v in post:
                 acc = 0
                 for w in zsucc[v]:
                     acc |= (1 << w) | reach[w]
                 reach[v] = acc
-        if base.heights is not None:
-            heights = list(base.heights)
+        if parent.heights is not None:
+            heights = list(parent.heights)
             for v in post:
                 best = 0
                 for w in zsucc[v]:
@@ -468,7 +634,7 @@ class FlatEngine:
                     if hw > best:
                         best = hw
                 heights[v] = best + times[v]
-        skey = list(base.skey)
+        skey = list(parent.skey)
         priority = self.priority
         if priority == "descendants":
             for v in dirty:
@@ -479,296 +645,321 @@ class FlatEngine:
         else:  # combined
             for v in dirty:
                 skey[v] = (-heights[v], -reach[v].bit_count(), v)
-        return FlatView(new_r, rv, dr, zsucc, zpred, None, skey, reach, heights)
+        return _StructView(zsucc, zpred, skey, reach, heights)
 
-    # -- chain tip ------------------------------------------------------
-    def _finish(self, start: List[int], units: List[int], grid: FlatGrid) -> Tuple[int, Schedule]:
-        """Normalize the start vector, adopt the vectors as the live chain
-        tip, and build the resulting :class:`Schedule` — one fused pass.
-
-        Returns ``(token, schedule)``; the token marks states this engine
-        can delta-rotate without reseeding (see RotationEngine's protocol).
-        """
-        fg = self.fg
-        lat = self.fm.node_latency
-        lo = min(start)
-        last = 0
-        if lo:
-            grid.shift(-lo)
-            for i in range(fg.n):
-                s = start[i] - lo
-                start[i] = s
-                f = s + lat[i]
-                if f > last:
-                    last = f
-        else:
-            for i in range(fg.n):
-                f = start[i] + lat[i]
-                if f > last:
-                    last = f
-        self._next_token += 1
-        token = self._next_token
-        self._grid = grid
-        self._grid_token = token
-        self._start_list = start
-        self._unit_list = units
-        sched = Schedule.from_complete(
-            self.graph, self.model,
-            dict(zip(fg.nodes, start)), dict(zip(fg.nodes, units)),
-            first=0, last=last - 1,
-        )
-        return token, sched
-
-    def _tip_vectors(self, state, sched) -> Tuple[List[int], List[int]]:
-        """Current start/unit vectors: the chain tip's when the state is the
-        tip, otherwise rebuilt from the (normalized) schedule."""
-        if (
-            state.engine_token is not None
-            and state.engine_token == self._grid_token
-        ):
-            return self._start_list, self._unit_list
-        fg = self.fg
-        return (
-            [sched.start(v) for v in fg.nodes],
-            [sched.unit_index(v) for v in fg.nodes],
-        )
-
-    # -- engine-backed RotationState operations ------------------------
-    def initial_state(self, retiming: Optional[Retiming] = None):
-        """Engine-backed ``RotationState.initial``: FullSchedule(G_r)."""
-        from repro.core.rotation import RotationState
-
-        r = retiming if retiming is not None else Retiming.zero()
-        view = self._get_view(r)  # raises ZeroDelayCycleError like full_schedule
-        fg, fm = self.fg, self.fm
-        start: List[Optional[int]] = [None] * fg.n
-        units: List[Optional[int]] = [None] * fg.n
-        grid = FlatGrid(fm)
+    # -- placement kernels ---------------------------------------------
+    def _place(self, sv: _StructView, start, units, todo, grid: FlatGrid) -> None:
+        """Earliest-fit list scheduling of ``todo`` (traced)."""
         tr = _obs.active
         if tr.enabled:
-            tr.begin("kernel.list_schedule", todo=fg.n)
+            tr.begin("kernel.list_schedule", todo=len(todo))
             try:
                 flat_list_schedule(
-                    fg, fm, view.zsucc, view.zpred, view.skey,
-                    start, units, range(fg.n), 0, grid,
+                    self.fg, self.fm, sv.zsucc, sv.zpred, sv.skey,
+                    start, units, todo, 0, grid,
                 )
             finally:
                 tr.end()
         else:
             flat_list_schedule(
-                fg, fm, view.zsucc, view.zpred, view.skey,
-                start, units, range(fg.n), 0, grid,
-            )
-        token, sched = self._finish(start, units, grid)
-        self._tip_view = view
-        self._stats.initial_schedules += 1
-        return RotationState(
-            self.graph, self.model, r, sched,
-            self.priority, engine=self, engine_token=token,
-        )
-
-    def down_rotate(self, state, size: int):
-        """Engine-backed ``DownRotate(G, s, i)`` — behaviorally identical to
-        the naive and dict-engine paths, over flat vectors."""
-        from repro.core.rotation import RotationState, RotationStep
-
-        if size < 1:
-            raise RotationError(f"rotation size must be >= 1, got {size}")
-        if size >= state.length:
-            raise RotationError(
-                f"rotation of size {size} is illegal on a schedule of length {state.length}"
-            )
-        fg, fm = self.fg, self.fm
-        sched = state.schedule.normalized()
-        first = sched.first_cs
-        tip_match = (
-            state.engine_token is not None
-            and state.engine_token == self._grid_token
-        )
-        use_tip = tip_match and self._grid is not None
-        cur_start, cur_units = self._tip_vectors(state, sched)
-        hi = first + size - 1
-        moved_idx = [i for i, s in enumerate(cur_start) if first <= s <= hi]
-        moved_nodes = [fg.nodes[i] for i in moved_idx]
-        moved_set = set(moved_idx)
-
-        view = self._tip_view if tip_match else self._get_view(state.retiming)
-        dr = view.dr
-        esrc = fg.esrc
-        for i in moved_idx:
-            for k in fg.in_at[i]:
-                if dr[k] < 1 and esrc[k] not in moved_set:
-                    raise RotationError(
-                        f"schedule prefix {moved_nodes!r} is not down-rotatable — "
-                        "the current schedule is not a legal DAG schedule of G_R"
-                    )  # pragma: no cover - guarded by construction
-        new_r = state.retiming.bumped(moved_nodes)
-        self._stats.rotations += 1
-
-        if not moved_idx:  # pragma: no cover - impossible on a normalized schedule
-            new_sched = sched.shifted(-size).normalized()
-            step = RotationStep("down", size, (), sched.length, new_sched.length)
-            return RotationState(
-                self.graph, self.model, new_r, new_sched, state.priority,
-                state.trace + (step,), engine=self, engine_token=None,
+                self.fg, self.fm, sv.zsucc, sv.zpred, sv.skey,
+                start, units, todo, 0, grid,
             )
 
-        new_view = self._advance(view, moved_idx, new_r, 1)
-
-        start = [s - size for s in cur_start]
-        units = list(cur_units)
-        for i in moved_idx:
-            start[i] = None
-            units[i] = None
-        if use_tip:
-            # Delta path: free the rotated prefix, O(1)-shift the remainder.
-            grid = self._grid
-            self._grid = None  # the grid now belongs to this rotation
-            grid.release_many(moved_idx, cur_start, cur_units)
-            self._stats.grid_released_slots += len(moved_idx)
-            grid.shift(-size)
-            self._stats.grid_delta_rotations += 1
-            self._extras["chain_tip_reuses"] += 1
-        else:
-            grid = seed_grid(fg, fm, start, units)
-            self._stats.grid_reseeds += 1
-
+    def _place_latest(self, sv: _StructView, start, units, todo, ceiling, grid) -> None:
+        """Latest-fit rescheduling of ``todo`` below ``ceiling`` (traced)."""
         tr = _obs.active
         if tr.enabled:
-            tr.begin("kernel.list_schedule", todo=len(moved_idx))
-            try:
-                flat_list_schedule(
-                    fg, fm, new_view.zsucc, new_view.zpred, new_view.skey,
-                    start, units, moved_idx, 0, grid,
-                )
-            finally:
-                tr.end()
-        else:
-            flat_list_schedule(
-                fg, fm, new_view.zsucc, new_view.zpred, new_view.skey,
-                start, units, moved_idx, 0, grid,
-            )
-        token, new_sched = self._finish(start, units, grid)
-        self._tip_view = new_view
-        step = RotationStep("down", size, tuple(moved_nodes), sched.length, new_sched.length)
-        return RotationState(
-            self.graph, self.model, new_r, new_sched, state.priority,
-            state.trace + (step,), engine=self, engine_token=token,
-        )
-
-    def up_rotate(self, state, size: int):
-        """Engine-backed up-rotation (latest-fit) — behaviorally identical to
-        the naive ``RotationState.up_rotate`` path."""
-        from repro.core.rotation import RotationState, RotationStep
-
-        if size < 1:
-            raise RotationError(f"rotation size must be >= 1, got {size}")
-        if size >= state.length:
-            raise RotationError(
-                f"rotation of size {size} is illegal on a schedule of length {state.length}"
-            )
-        fg, fm = self.fg, self.fm
-        sched = state.schedule.normalized()
-        last = sched.last_cs
-        tip_match = (
-            state.engine_token is not None
-            and state.engine_token == self._grid_token
-        )
-        use_tip = tip_match and self._grid is not None
-        cur_start, cur_units = self._tip_vectors(state, sched)
-        lo = last - size + 1
-        moved_idx = [i for i, s in enumerate(cur_start) if lo <= s <= last]
-        moved_nodes = [fg.nodes[i] for i in moved_idx]
-        moved_set = set(moved_idx)
-
-        view = self._tip_view if tip_match else self._get_view(state.retiming)
-        dr = view.dr
-        edst = fg.edst
-        for i in moved_idx:
-            for k in fg.out_at[i]:
-                if dr[k] < 1 and edst[k] not in moved_set:
-                    raise RotationError(f"suffix {moved_nodes!r} is not up-rotatable")
-        new_r = state.retiming.bumped(moved_nodes, -1)
-        self._stats.rotations += 1
-
-        new_view = self._advance(view, moved_idx, new_r, -1)
-
-        start = list(cur_start)
-        units = list(cur_units)
-        for i in moved_idx:
-            start[i] = None
-            units[i] = None
-        if use_tip:
-            grid = self._grid
-            self._grid = None
-            grid.release_many(moved_idx, cur_start, cur_units)
-            self._stats.grid_released_slots += len(moved_idx)
-            self._stats.grid_delta_rotations += 1
-            self._extras["chain_tip_reuses"] += 1
-        else:
-            grid = seed_grid(fg, fm, start, units)
-            self._stats.grid_reseeds += 1
-
-        tr = _obs.active
-        if tr.enabled:
-            tr.begin("kernel.latest_fit", todo=len(moved_idx))
+            tr.begin("kernel.latest_fit", todo=len(todo))
             try:
                 flat_latest_fit(
-                    fg, fm, new_view.zsucc, new_view.zpred,
-                    start, units, moved_idx, last, grid,
+                    self.fg, self.fm, sv.zsucc, sv.zpred,
+                    start, units, todo, ceiling, grid,
                 )
             finally:
                 tr.end()
         else:
             flat_latest_fit(
-                fg, fm, new_view.zsucc, new_view.zpred,
-                start, units, moved_idx, last, grid,
+                self.fg, self.fm, sv.zsucc, sv.zpred,
+                start, units, todo, ceiling, grid,
             )
-        token, new_sched = self._finish(start, units, grid)
-        self._tip_view = new_view
-        step = RotationStep("up", size, tuple(moved_nodes), sched.length, new_sched.length)
-        return RotationState(
-            self.graph, self.model, new_r, new_sched, state.priority,
-            state.trace + (step,), engine=self, engine_token=token,
+
+    def _wrap_period(self, starts, dr) -> int:
+        return flat_wrap_period(self.fg, self.fm, starts, dr, self._extras)
+
+    def _rotated_dr(self, rec: _VecState, moved_idx, step: int, error) -> Tuple[int, ...]:
+        """``dr`` after bumping ``moved_idx`` by ``step``; raises
+        :class:`RotationError` (message from ``error()``) when an edge
+        would go negative.
+
+        Only edges incident to moved nodes can change; recomputing them
+        from the bumped dense rv is idempotent, so an edge with both ends
+        moved may be visited twice without a mask.
+        """
+        fg = self.fg
+        nrv = list(rec.rv)
+        for i in moved_idx:
+            nrv[i] += step
+        dr_l = list(rec.dr)
+        esrc, edst, edelay, inc_at = fg.esrc, fg.edst, fg.edelay, fg.inc_at
+        for i in moved_idx:
+            for k in inc_at[i]:
+                nd = edelay[k] + nrv[esrc[k]] - nrv[edst[k]]
+                if nd < 0:
+                    raise RotationError(error())
+                dr_l[k] = nd
+        return tuple(dr_l)
+
+    # -- engine-backed RotationState operations ------------------------
+    def initial_state(self, retiming: Optional[Retiming] = None):
+        """Engine-backed ``RotationState.initial`` — memoized on ``dr``."""
+        r = retiming if retiming is not None else Retiming.zero()
+        rv, phantom = self._rv_phantom(r)
+        dr = self._dr_of(rv)
+        self._stats.initial_schedules += 1
+        hit = self._init_memo.get(dr)
+        if hit is not None:
+            self._extras["initial_memo_hits"] += 1
+            starts, units, last = hit
+        else:
+            # Raises ZeroDelayCycleError like full_schedule.
+            sv = self._sv_for(dr, lambda: r)
+            n = self.fg.n
+            start: List[Optional[int]] = [None] * n
+            units_l: List[Optional[int]] = [None] * n
+            grid = FlatGrid(self.fm)
+            self._place(sv, start, units_l, range(n), grid)
+            starts, units, last = self._settle(start, units_l, grid)
+            if len(self._init_memo) > _MEMO_LIMIT:  # pragma: no cover - backstop
+                self._init_memo.clear()
+            self._init_memo[dr] = (starts, units, last)
+        return self._mint(starts, units, dr, rv, last, phantom, r, None, None)
+
+    def repair(self, fixed_start, fixed_units, todo, r: Retiming):
+        """Re-place ``todo`` against fixed placements under retiming ``r``.
+
+        The session's post-edit repair primitive: behaviorally identical to
+        the naive ``_list_schedule`` call with the same arguments (pinned
+        bit-for-bit by the incremental-parity oracle), run over the flat
+        columns with a reseeded grid.  Returns a minted chain-tip
+        :class:`RotationState`, so follow-up rotations start from its
+        record, struct view and grid.
+        """
+        rv, phantom = self._rv_phantom(r)
+        dr = self._dr_of(rv)
+        sv = self._sv_for(dr, lambda: r)
+        fg = self.fg
+        start: List[Optional[int]] = [None] * fg.n
+        units: List[Optional[int]] = [None] * fg.n
+        index = fg.index
+        for v, cs in fixed_start.items():
+            i = index[v]
+            start[i] = cs
+            units[i] = fixed_units.get(v)
+        todo_idx = sorted(index[v] for v in todo)
+        grid = seed_grid(fg, self.fm, start, units)
+        self._stats.grid_reseeds += 1
+        self._place(sv, start, units, todo_idx, grid)
+        starts, units_t, last = self._settle(start, units, grid)
+        return self._mint(starts, units_t, dr, rv, last, phantom, r, None, None)
+
+    def down_rotate(self, state, size: int):
+        """Engine-backed ``DownRotate(G, s, i)`` — one tuple lookup when the
+        transition has been seen before, flat placement when not."""
+        return self._rotate(state, size, 1)
+
+    def up_rotate(self, state, size: int):
+        """Engine-backed up-rotation (latest-fit), same memo discipline."""
+        return self._rotate(state, size, -1)
+
+    def _rotate(self, state, size: int, step: int):
+        """Rotate ``size`` control steps down (``step=1``: the prefix moves
+        to the end, earliest-fit) or up (``step=-1``: the suffix moves to
+        the front, latest-fit) — behaviorally identical to the naive
+        ``RotationState`` paths."""
+        if size < 1:
+            raise RotationError(f"rotation size must be >= 1, got {size}")
+        rec = self._rec_for(state)
+        if size > rec.last:
+            raise RotationError(
+                f"rotation of size {size} is illegal on a schedule of length {rec.last + 1}"
+            )
+        hk = rec.hk
+        if hk is None:
+            hk = rec.hk = _Key((rec.starts, rec.units, rec.dr))
+        key = (step, hk, size)
+        self._stats.rotations += 1
+        hit = self._rot_memo.get(key)
+        if hit is not None:
+            self._extras["rotation_memo_hits"] += 1
+            moved_idx, moved_nodes, starts, units, dr, last = hit
+        else:
+            self._extras["rotation_memo_misses"] += 1
+            fg = self.fg
+            down = step > 0
+            if down:
+                lo, hi = 0, size - 1
+            else:
+                lo, hi = rec.last - size + 1, rec.last
+            moved_idx = tuple([i for i, s in enumerate(rec.starts) if lo <= s <= hi])
+            moved_list = [fg.nodes[i] for i in moved_idx]
+            if down:
+                error = lambda: (
+                    f"schedule prefix {moved_list!r} is not down-rotatable — "
+                    "the current schedule is not a legal DAG schedule of G_R"
+                )
+            else:
+                error = lambda: f"suffix {moved_list!r} is not up-rotatable"
+            dr = self._rotated_dr(rec, moved_idx, step, error)
+            sv = self._sv_derive(
+                rec.dr, dr, moved_idx,
+                lambda: state.retiming.bumped(moved_list, step),
+            )
+            start: List[Optional[int]] = (
+                [s - size for s in rec.starts] if down else list(rec.starts)
+            )
+            units_l: List[Optional[int]] = list(rec.units)
+            for i in moved_idx:
+                start[i] = None
+                units_l[i] = None
+            if self._tip_grid is not None and state.engine_token == self._tip_gtoken:
+                # Delta path: free the rotated slots, O(1)-shift the rest.
+                grid = self._tip_grid
+                self._tip_grid = None
+                grid.release_many(moved_idx, rec.starts, rec.units)
+                self._stats.grid_released_slots += len(moved_idx)
+                if down:
+                    grid.shift(-size)
+                self._stats.grid_delta_rotations += 1
+                self._extras["chain_tip_reuses"] += 1
+            else:
+                grid = seed_grid(fg, self.fm, start, units_l)
+                self._stats.grid_reseeds += 1
+            if down:
+                self._place(sv, start, units_l, list(moved_idx), grid)
+            else:
+                self._place_latest(sv, start, units_l, list(moved_idx), hi, grid)
+            starts, units, last = self._settle(start, units_l, grid)
+            moved_nodes = tuple(moved_list)
+            if len(self._rot_memo) > _MEMO_LIMIT:  # pragma: no cover - backstop
+                self._rot_memo.clear()
+            self._rot_memo[key] = (moved_idx, moved_nodes, starts, units, dr, last)
+        new_rv = list(rec.rv)
+        for i in moved_idx:
+            new_rv[i] += step
+        rv = tuple(new_rv)
+        new_r = _LazyRetiming(self._node_list, rv, rec.phantom)
+        rstep = _rot_classes()[1](
+            "down" if step > 0 else "up", size, moved_nodes, rec.last + 1, last + 1
         )
+        return self._mint(starts, units, dr, rv, last, rec.phantom, new_r, state, rstep)
 
     def fp_state(self, state) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Engine-backed ``RotationState.fingerprint`` — the same
-        ``(normalized starts, rotation counts)`` key read straight from the
-        chain tip's vectors and the cached view's dense retiming, skipping
-        one dict lookup per node on the hot dedup path."""
-        if (
-            state.engine_token is not None
-            and state.engine_token == self._grid_token
-        ):
-            return tuple(self._start_list), tuple(self._tip_view.rv)
+        ``(normalized starts, rotation counts)`` key; for a minted state
+        the record *is* the key."""
+        token = state.engine_token
+        if token is not None:
+            rec = self._vstates.get(token)
+            if rec is not None:
+                return rec.starts, rec.rv
         sched = state.schedule
         lo = sched.first_cs
         starts = tuple(sched.start(v) - lo for v in self.fg.nodes)
-        return starts, tuple(self._get_view(state.retiming).rv)
+        return starts, self._rv_phantom(state.retiming)[0]
 
     def wrap_state(self, state) -> WrappedSchedule:
         """Engine-backed :func:`repro.core.wrapping.wrap` of a state — the
-        same minimum-period search over the flat columns."""
-        sched = state.schedule.normalized()
-        fg = self.fg
-        if (
-            state.engine_token is not None
-            and state.engine_token == self._grid_token
+        same minimum-period search over the flat columns, memoized on
+        ``(starts, dr)``."""
+        rec = self._rec_for(state)
+        key = rec.wk
+        if key is None:
+            key = rec.wk = _Key((rec.starts, rec.dr))
+        period = self._wrap_memo.get(key)
+        if period is not None:
+            self._extras["wrap_memo_hits"] += 1
+        else:
+            tr = _obs.active
+            if tr.enabled:
+                tr.begin("kernel.wrap_period")
+                try:
+                    period = self._wrap_period(rec.starts, rec.dr)
+                finally:
+                    tr.end()
+            else:
+                period = self._wrap_period(rec.starts, rec.dr)
+            if len(self._wrap_memo) > _MEMO_LIMIT:  # pragma: no cover - backstop
+                self._wrap_memo.clear()
+            self._wrap_memo[key] = period
+        return _mk_wrapped(state.schedule.normalized(), state.retiming, period)
+
+    def realize_wrapped(self, w: WrappedSchedule) -> WrappedSchedule:
+        """Depth reduction on one tracker entry, from the flat vectors.
+
+        Computes the same pointwise-minimal realizing retiming as
+        :func:`repro.schedule.verify.realizing_retiming` — the converged
+        Bellman-Ford distances are the unique pointwise-maximal solution
+        of the difference constraints, so running them over index columns
+        instead of node dicts changes nothing but the clock.  Schedules
+        this engine did not mint (and the never-taken negative-cycle
+        case) fall back to the generic path.
+        """
+        from repro.schedule.verify import realizing_retiming
+
+        sched = w.schedule
+        if not (
+            type(sched) is _LazySchedule
+            and sched.__dict__.get("_lz_nodes") is self._node_list
         ):
-            starts = self._start_list
-            view = self._tip_view
-            self._extras["chain_tip_reuses"] += 1
-        else:
-            starts = [sched.start(v) for v in fg.nodes]
-            view = self._get_view(state.retiming)
+            return WrappedSchedule(sched, realizing_retiming(sched, w.period), w.period)
         tr = _obs.active
-        if tr.enabled:
-            tr.begin("kernel.wrap_period")
-            try:
-                period = flat_wrap_period(fg, self.fm, starts, view.dr, self._extras)
-            finally:
+        traced = tr.enabled
+        if traced:
+            tr.begin("retiming.realize")
+        try:
+            starts = sched.__dict__["_lz_starts"]
+            period = w.period
+            # The realizing retiming depends only on (starts, period) —
+            # tracker entries reaching the same schedule through different
+            # rotation counts share one solve.
+            rk = (starts, period)
+            r = self._realize_memo.get(rk)
+            if r is not None:
+                return _mk_wrapped(sched, r, period)
+            fg, fm = self.fg, self.fm
+            lat = fm.node_latency
+            esrc, edst, edelay = fg.esrc, fg.edst, fg.edelay
+            m = fg.m
+            bounds = [0] * m
+            for k in range(m):
+                u = esrc[k]
+                overrun = starts[u] + lat[u] - starts[edst[k]]
+                need = -(-overrun // period) if overrun > 0 else 0
+                bounds[k] = edelay[k] - need
+            dist = [0] * fg.n
+            for _ in range(fg.n):
+                changed = False
+                for k in range(m):
+                    nd = dist[esrc[k]] + bounds[k]
+                    v = edst[k]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        changed = True
+                if not changed:
+                    break
+            else:  # pragma: no cover - unrealizable schedules never reach here
+                return WrappedSchedule(
+                    sched, realizing_retiming(sched, period), period
+                )
+            lo = min(dist, default=0)
+            if lo:
+                dist = [d - lo for d in dist]
+            r = Retiming(dict(zip(self._node_list, dist)))
+            if len(self._realize_memo) > _MEMO_LIMIT:  # pragma: no cover - backstop
+                self._realize_memo.clear()
+            self._realize_memo[rk] = r
+        finally:
+            if traced:
                 tr.end()
-        else:
-            period = flat_wrap_period(fg, self.fm, starts, view.dr, self._extras)
-        return WrappedSchedule(sched, state.retiming, period)
+        return _mk_wrapped(sched, r, w.period)

@@ -90,8 +90,9 @@ class RotationScheduler:
             ``backend`` is the richer switch.
         workers: process-pool size for heuristic 1's independent phases
             (ignored by heuristic 2, whose phases form a chain).
-        backend: ``"flat"`` (integer kernels, default), ``"vector"``
-            (numpy kernels + rotation memos; requires numpy), ``"views"``
+        backend: ``"flat"`` (memoized integer kernels, default),
+            ``"vector"`` (flat plus numpy kernels for large graphs;
+            requires numpy), ``"views"``
             (dict engine), or ``"naive"``; ``None`` resolves from
             ``use_engine``.  All four produce bit-identical results.
     """

@@ -23,7 +23,8 @@ from repro.dfg.graph import DFG
 from repro.schedule.resources import ResourceModel
 from repro.core.flat.graph import FlatGraph, FlatModel, structural_signature
 from repro.core.vector._compat import require_numpy
-from repro.core.vector.engine import VectorEngine, _StructView
+from repro.core.flat.engine import _StructView
+from repro.core.vector.engine import VectorEngine
 from repro.core.vector.kernels import (
     _edge_groups,
     _levels,
@@ -156,9 +157,7 @@ class BatchedFlatGraph:
             else:  # mobility
                 col = mob[base:base + nl]
                 skey = [(-m, v) for v, m in enumerate(col)]
-            dr_key = tuple(fg.edelay)
-            dr_arr = np.array(fg.edelay, dtype=np.int64)
-            out.append((dr_key, _StructView(dr_arr, zsucc, zpred, skey)))
+            out.append((tuple(fg.edelay), _StructView(zsucc, zpred, skey)))
         return out
 
     def _segmented_mobility(self, np, n, zs, zd, rlayers) -> List[int]:

@@ -1,33 +1,18 @@
 """The vector rotation engine (``backend="vector"``).
 
-:class:`VectorEngine` subclasses :class:`~repro.core.flat.engine.FlatEngine`
-(inheriting delta resynchronization, ``repair`` and the token protocol) but
-drives rotations from a different representation: every state it produces
-is a tuple record — normalized starts, unit instances, per-edge ``dr``,
-dense retiming vector — keyed by the state's ``engine_token``.  On top of
-the numpy struct-view kernels (:mod:`repro.core.vector.kernels`) it adds
-the optimization that actually pays on the paper-sized graphs, where
-per-solve numpy dispatch overhead would otherwise eat the win:
+:class:`VectorEngine` is the flat engine (:class:`~repro.core.flat.engine.
+FlatEngine` — tuple records, transition memos, lazy schedules) with the
+structural work of memo *misses* moved onto the numpy struct-view kernels
+(:mod:`repro.core.vector.kernels`) once a graph is large enough for them
+to pay: above :data:`_SCALAR_WORK` (``n + m``) the ``dr`` vectors, struct
+views and wrap-period searches run vectorized.  Below it — every paper
+benchmark — per-call numpy dispatch overhead dominates and the engine
+behaves exactly like ``flat``.  The placement kernels stay scalar either
+way (inherently sequential: each placement changes what the next probe
+reads).
 
-*rotation outcomes are pure functions of* ``(starts, units, dr, size)``.
-
-The placement kernels are deterministic given the occupancy and the
-sort keys (a function of ``dr``), and rotation-count vectors only shift
-the key space (``rv`` enters through ``dr``, never directly), so a
-rotation seen once replays as a tuple lookup.  Heuristic 2 revisits the
-same few hundred transitions thousands of times (about 85% of the
-down-rotations on the elliptic filter at 3A 2M repeat a prior key), and
-the same argument memoizes the wrap-period search (a function of
-``(starts, dr)``) and the re-seeding initial schedules (a function of
-``dr`` alone).  Misses fall through to the numpy kernels for the
-structural work — or, below the :data:`_SCALAR_WORK` size threshold
-where per-call numpy dispatch overhead dominates, to the bit-identical
-scalar flat kernels — and to the scalar placement kernels (inherently
-sequential: each placement changes what the next probe reads).
-
-Schedules and retimings are materialized lazily (:class:`_LazySchedule`,
-:class:`_LazyRetiming`): the hot loop only ever needs the tuple records,
-so the per-node dicts are built when a winner is actually inspected.
+It also accepts struct views computed by :func:`~repro.core.vector.batch.
+solve_batch`'s stacked initial pass (:meth:`VectorEngine.seed_struct_view`).
 
 The golden parity suite and the QA engine-parity oracle pin this engine
 bit-identical to flat/views/naive.
@@ -35,27 +20,12 @@ bit-identical to flat/views/naive.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.dfg.graph import DFG
-from repro.dfg.retiming import Retiming
 from repro.dfg.analysis import _find_zero_delay_cycle
 from repro.schedule.resources import ResourceModel
-from repro.schedule.schedule import Schedule
-from repro.core.engine import _STRUCTURAL_PRIORITIES
-from repro.core.wrapping import WrappedSchedule
-from repro.core.flat.engine import FlatEngine
-from repro.core.flat.kernels import (
-    FlatGrid,
-    flat_latest_fit,
-    flat_list_schedule,
-    flat_priority_columns,
-    flat_topological_order,
-    flat_wrap_period,
-    retimed_delays,
-    seed_grid,
-    zero_delay_lists,
-)
+from repro.core.flat.engine import FlatEngine, _StructView, _VecState
 from repro.core.vector._compat import require_numpy
 from repro.core.vector.columns import VectorColumns
 from repro.core.vector.kernels import (
@@ -67,176 +37,7 @@ from repro.core.vector.kernels import (
 )
 from repro.errors import RotationError, ZeroDelayCycleError
 from repro.obs import tracer as _obs
-from repro.obs.metrics import engine_metrics
 
-
-class _LazyRetiming(Retiming):
-    """A retiming backed by a dense ``rv`` tuple, materialized on demand.
-
-    Equality, hashing, ``bumped`` — the whole :class:`Retiming` surface —
-    work through the inherited code the moment ``_values`` is first
-    touched; until then the object is three shared references.  ``rv``
-    covers the graph's nodes in flat order; ``phantom`` carries any
-    non-graph entries of a user-supplied initial retiming so the
-    materialized mapping matches the scalar engines' ``bumped`` chains
-    exactly.
-    """
-
-    __slots__ = ("_lz_nodes", "_lz_rv", "_lz_phantom")
-
-    def __init__(self, nodes, rv, phantom):
-        # No super().__init__: _values/_hash stay unset until __getattr__.
-        self._lz_nodes = nodes
-        self._lz_rv = rv
-        self._lz_phantom = phantom
-
-    def __getattr__(self, name):
-        if name == "_values":
-            values = {v: k for v, k in zip(self._lz_nodes, self._lz_rv) if k}
-            if self._lz_phantom:
-                values.update(self._lz_phantom)
-            self._values = values
-            return values
-        if name == "_hash":
-            self._hash = None
-            return None
-        raise AttributeError(name)
-
-
-class _LazySchedule(Schedule):
-    """A complete schedule backed by flat vectors, materialized on demand.
-
-    Span endpoints are preset (the record knows them), so ``length`` /
-    ``normalized()`` — the only things the rotation loop reads — never
-    build the per-node dicts; any other access materializes them through
-    ``__getattr__`` and proceeds on the inherited code.
-    """
-
-    @classmethod
-    def from_vectors(cls, graph, model, nodes, starts, units, last) -> "_LazySchedule":
-        self = cls.__new__(cls)
-        d = self.__dict__
-        d["graph"] = graph
-        d["model"] = model
-        d["_first"] = 0
-        d["_last"] = last
-        d["_lz_nodes"] = nodes
-        d["_lz_starts"] = starts
-        d["_lz_units"] = units
-        return self
-
-    def __getattr__(self, name):
-        if name == "_start":
-            value = dict(zip(self._lz_nodes, self._lz_starts))
-        elif name == "_units":
-            value = dict(zip(self._lz_nodes, self._lz_units))
-        else:
-            raise AttributeError(name)
-        self.__dict__[name] = value
-        return value
-
-
-def _mk_wrapped(sched, r, period) -> WrappedSchedule:
-    """Build a WrappedSchedule without the frozen-dataclass ``__init__``
-    (three ``object.__setattr__`` round-trips per offer add up)."""
-    w = WrappedSchedule.__new__(WrappedSchedule)
-    d = w.__dict__
-    d["schedule"] = sched
-    d["retiming"] = r
-    d["period"] = period
-    return w
-
-
-_ROT_CLASSES = None
-
-
-def _rot_classes():
-    """Cached ``(RotationState, RotationStep)``.
-
-    ``repro.core.rotation`` imports this module, so the import cannot live
-    at module scope; caching it here spares the ``sys.modules`` hop the
-    in-function ``import`` statement pays on every single rotation."""
-    global _ROT_CLASSES
-    if _ROT_CLASSES is None:
-        from repro.core.rotation import RotationState, RotationStep
-
-        _ROT_CLASSES = (RotationState, RotationStep)
-    return _ROT_CLASSES
-
-
-class _Key:
-    """Memo-key tuple with its hash computed once.
-
-    The rotation and wrap memos key on large int tuples; plain tuple keys
-    re-hash every element on every lookup *and* every insert.  Records
-    cache one ``_Key`` per memo and the dicts hash it in O(1) afterwards
-    (bucket collisions still compare the underlying tuples, which is
-    cheap: memo hits share the element tuples, so equality short-circuits
-    on identity).
-    """
-
-    __slots__ = ("t", "h")
-
-    def __init__(self, t):
-        self.t = t
-        self.h = hash(t)
-
-    def __hash__(self):
-        return self.h
-
-    def __eq__(self, other):
-        return self.t == other.t
-
-
-class _VecState:
-    """Tuple record of one engine-produced state (all normalized).
-
-    ``hk`` / ``wk`` lazily cache the rotation-memo and wrap-memo keys
-    (see :class:`_Key`).
-    """
-
-    __slots__ = ("starts", "units", "dr", "rv", "last", "phantom", "hk", "wk")
-
-    def __init__(self, starts, units, dr, rv, last, phantom):
-        self.starts: Tuple[int, ...] = starts
-        self.units: Tuple[int, ...] = units
-        self.dr: Tuple[int, ...] = dr
-        self.rv: Tuple[int, ...] = rv
-        self.last: int = last
-        self.phantom: dict = phantom
-        self.hk = None
-        self.wk = None
-
-
-class _StructView:
-    """Caches of one retimed structure, keyed by its ``dr`` tuple.
-
-    The vector analogue of :class:`~repro.core.flat.engine.FlatView`, but
-    keyed by what the placement actually depends on — the ``dr`` vector —
-    instead of the retiming, so every rotation-count shift of the same
-    structure shares one entry and incremental view derivation disappears
-    entirely.
-    """
-
-    __slots__ = ("dr_arr", "zsucc", "zpred", "skey", "reach", "heights")
-
-    def __init__(self, dr_arr, zsucc, zpred, skey, reach=None, heights=None):
-        self.dr_arr = dr_arr
-        self.zsucc: List[List[int]] = zsucc
-        self.zpred: List[List[int]] = zpred
-        self.skey: List[Tuple[int, ...]] = skey
-        # Priority columns (kept only by the scalar build path) so rotation
-        # misses can derive the child view incrementally; ``None`` means
-        # "derive must rebuild from scratch".
-        self.reach: Optional[List[int]] = reach
-        self.heights: Optional[List[int]] = heights
-
-
-# Backstop bounds for the per-engine caches.  A single solve stays far
-# below them (a few hundred distinct transitions); only a very long-lived
-# session could accumulate enough to matter, and clearing is always safe —
-# any state rebuilds cold from its schedule.
-_MEMO_LIMIT = 1 << 17
 
 # Below this problem size (``n + m``) memo *misses* run the scalar flat
 # kernels instead of the numpy ones: per-call dispatch overhead dominates
@@ -250,13 +51,8 @@ _SCALAR_WORK = 8192
 
 
 class VectorEngine(FlatEngine):
-    """Numpy + transition-memo rotation engine (``backend="vector"``).
-
-    Args:
-        precompiled: optional ``(FlatGraph, FlatModel)`` pair compiled
-            elsewhere (the batched solver compiles whole cohorts in one
-            struct-of-arrays pass and hands each engine its segment).
-    """
+    """Flat engine with numpy kernels for large-graph memo misses
+    (``backend="vector"``)."""
 
     backend_name = "vector"
 
@@ -268,126 +64,38 @@ class VectorEngine(FlatEngine):
         max_views: int = 4096,
         precompiled=None,
     ):
-        if priority not in _STRUCTURAL_PRIORITIES:
-            raise ValueError(
-                f"vector backend supports priorities {sorted(_STRUCTURAL_PRIORITIES)}, "
-                f"got {priority!r}"
-            )
         self._np = require_numpy()
         super().__init__(graph, model, priority, max_views, precompiled=precompiled)
+        self._columns()
+        self._extras["batched_seeds"] = 0
+
+    def _columns(self) -> None:
         self._vc = VectorColumns(self.fg, self.fm)
         self._scalar_misses = (self.fg.n + self.fg.m) <= _SCALAR_WORK
-        # Engine-owned node-list snapshot handed to lazy schedules and
-        # retimings.  fg.nodes is mutated *in place* by apply_delta, so
-        # lazies must hold a list that is replaced (never mutated) when
-        # the graph changes — outstanding lazies then still materialize
-        # against the node order they were minted under.
-        self._node_list: List = list(self.fg.nodes)
-        # dr tuple -> _StructView (replaces incremental FlatView derivation).
-        self._svs: Dict[Tuple[int, ...], _StructView] = {}
-        # engine_token -> _VecState for every state this engine produced.
-        self._vstates: Dict[int, _VecState] = {}
-        # Transition memos (see module docstring for the purity argument).
-        self._rot_memo: Dict[tuple, tuple] = {}
-        self._wrap_memo: Dict[tuple, int] = {}
-        self._init_memo: Dict[tuple, tuple] = {}
-        self._realize_memo: Dict[tuple, Retiming] = {}
-        # Live chain-tip occupancy grid (same trick as the flat engine):
-        # a rotation miss whose parent is the last-placed state frees the
-        # moved slots and O(1)-shifts instead of reseeding from scratch.
-        self._tip_grid: Optional[FlatGrid] = None
-        self._tip_gtoken: Optional[int] = None
-        self._pending_tip: Optional[FlatGrid] = None
-        self._extras.update(
-            rotation_memo_hits=0,
-            rotation_memo_misses=0,
-            wrap_memo_hits=0,
-            initial_memo_hits=0,
-            struct_view_builds=0,
-            struct_view_derives=0,
-            batched_seeds=0,
-        )
 
-    def metrics(self) -> Dict[str, object]:
-        return engine_metrics(
-            self.stats(), self.backend_name, "repro.core.vector.engine",
-            extras=dict(self._extras),
-        )
-
-    # -- delta resynchronization ---------------------------------------
     def apply_delta(self, edits, model: Optional[ResourceModel] = None) -> Dict[str, int]:
         out = super().apply_delta(edits, model)
-        self._vc = VectorColumns(self.fg, self.fm)
-        self._scalar_misses = (self.fg.n + self.fg.m) <= _SCALAR_WORK
-        self._node_list = list(self.fg.nodes)
-        self._svs.clear()
-        self._vstates.clear()
-        self._rot_memo.clear()
-        self._wrap_memo.clear()
-        self._init_memo.clear()
-        self._realize_memo.clear()
-        self._tip_grid = None
-        self._tip_gtoken = None
-        self._pending_tip = None
+        self._columns()
         return out
 
-    # -- internals -----------------------------------------------------
-    def _new_token(self) -> int:
-        # Shares FlatEngine's counter: inherited repair() mints chain-tip
-        # tokens through _finish, and a repair token must never collide
-        # with a _vstates key.
-        self._next_token += 1
-        if len(self._vstates) > _MEMO_LIMIT:  # pragma: no cover - backstop
-            self._vstates.clear()
-        return self._next_token
+    def seed_struct_view(self, dr_key: Tuple[int, ...], sv: _StructView) -> None:
+        """Adopt a struct view computed by the batched stacked pass."""
+        self._svs[dr_key] = sv
+        self._extras["batched_seeds"] += 1
 
-    def _rv_phantom(self, r: Retiming) -> Tuple[Tuple[int, ...], dict]:
-        """Dense rotation counts + non-graph entries of a retiming."""
-        if type(r) is _LazyRetiming and r._lz_nodes is self._node_list:
-            return r._lz_rv, r._lz_phantom
-        fg = self.fg
-        rv = tuple(fg.rvec(r))
-        index = fg.index
-        phantom = {v: c for v, c in r.items() if v not in index}
-        return rv, phantom
+    # -- numpy branches of the flat engine's miss path -----------------
+    def _array(self, values):
+        np = self._np
+        return np.array(values, dtype=np.int64)
 
     def _dr_of(self, rv) -> Tuple[int, ...]:
-        """``dr`` tuple of a dense rotation vector (scalar below threshold)."""
         if self._scalar_misses:
-            return tuple(retimed_delays(self.fg, rv))
-        np = self._np
-        return tuple(
-            vec_retimed_delays(self._vc, np.array(rv, dtype=np.int64)).tolist()
-        )
+            return super()._dr_of(rv)
+        return tuple(vec_retimed_delays(self._vc, self._array(rv)).tolist())
 
-    def _rec_for(self, state) -> _VecState:
-        """The tuple record of a state — tracked, or rebuilt cold.
-
-        States minted by this engine resolve by token; anything else
-        (inherited ``repair`` output, rebound or unpickled states) is
-        reconstructed from its normalized schedule and retiming.
-        """
-        token = state.engine_token
-        if token is not None:
-            rec = self._vstates.get(token)
-            if rec is not None:
-                return rec
-        fg = self.fg
-        sched = state.schedule.normalized()
-        rv, phantom = self._rv_phantom(state.retiming)
-        dr = self._dr_of(rv)
-        if isinstance(sched, _LazySchedule) and sched.__dict__.get("_lz_nodes") is self._node_list:
-            starts = sched.__dict__["_lz_starts"]
-            units = sched.__dict__["_lz_units"]
-            last = sched.__dict__["_last"]
-        else:
-            starts = tuple(sched.start(v) for v in fg.nodes)
-            units = tuple(sched.unit_index(v) for v in fg.nodes)
-            last = sched.last_cs
-        return _VecState(starts, units, dr, rv, last, phantom)
-
-    def _sv_for(self, dr_key: Tuple[int, ...], dr_arr=None, r_factory=None) -> _StructView:
-        """The struct view of a ``dr`` vector (built once per structure)."""
+    def _sv_for(self, dr_key: Tuple[int, ...], r_factory) -> _StructView:
+        if self._scalar_misses:
+            return super()._sv_for(dr_key, r_factory)
         sv = self._svs.get(dr_key)
         if sv is not None:
             self._stats.view_hits += 1
@@ -401,650 +109,45 @@ class VectorEngine(FlatEngine):
             self._stats.view_builds += 1
             self._stats.edges_rescanned += self.fg.m
             self._extras["struct_view_builds"] += 1
-            if self._scalar_misses:
-                zsucc, zpred = zero_delay_lists(self.fg, dr_key)
-                order = flat_topological_order(zsucc)
-                if order is None:
-                    r = r_factory() if r_factory is not None else Retiming.zero()
-                    raise ZeroDelayCycleError(
-                        _find_zero_delay_cycle(self.fg.graph, r)
-                    )
-                if self.priority == "mobility":
-                    self._stats.priority_full_rebuilds += 1
-                reach, heights, skey = flat_priority_columns(
-                    self.priority, self.fm.node_time, zsucc, order
+            zs, zd = vec_zero_edges(vc, self._array(dr_key))
+            cols = vec_priority_columns(self.priority, vc.node_time, vc.n, zs, zd)
+            if cols is None:
+                raise ZeroDelayCycleError(
+                    _find_zero_delay_cycle(self.fg.graph, r_factory())
                 )
-                sv = _StructView(dr_arr, zsucc, zpred, skey, reach, heights)
-            else:
-                np = self._np
-                if dr_arr is None:
-                    dr_arr = np.array(dr_key, dtype=np.int64)
-                zs, zd = vec_zero_edges(vc, dr_arr)
-                cols = vec_priority_columns(
-                    self.priority, vc.node_time, vc.n, zs, zd
-                )
-                if cols is None:
-                    r = r_factory() if r_factory is not None else Retiming.zero()
-                    raise ZeroDelayCycleError(
-                        _find_zero_delay_cycle(self.fg.graph, r)
-                    )
-                if self.priority == "mobility":
-                    self._stats.priority_full_rebuilds += 1
-                _, _, skey = cols
-                zsucc, zpred = vec_zero_delay_lists(vc.n, zs, zd)
-                sv = _StructView(dr_arr, zsucc, zpred, skey)
-        finally:
-            if traced:
-                tr.end()
-        if len(self._svs) >= self.max_views:
-            self._svs.clear()
-            self._stats.view_evictions += 1
-        self._svs[dr_key] = sv
-        return sv
-
-    def seed_struct_view(self, dr_key: Tuple[int, ...], sv: _StructView) -> None:
-        """Adopt a struct view computed by the batched stacked pass."""
-        self._svs[dr_key] = sv
-        self._extras["batched_seeds"] += 1
-
-    def _sv_derive(
-        self,
-        parent_dr: Tuple[int, ...],
-        dr_key: Tuple[int, ...],
-        moved_idx: Tuple[int, ...],
-        r_factory=None,
-    ) -> _StructView:
-        """The struct view after a rotation, derived from the parent's.
-
-        The scalar mirror of :meth:`FlatEngine._derive_inner`, keyed by
-        ``dr`` instead of the retiming: only edges incident to moved nodes
-        can change zero-delay status, so most rotations reuse the parent's
-        adjacency and priority columns outright (when no status flips, the
-        child ``dr`` simply aliases the parent view).  Falls back to the
-        full :meth:`_sv_for` build when derivation has nothing to start
-        from (numpy path, evicted or column-less parent, mobility).
-        Rotations preserve legality, so no cycle check is needed on the
-        repair path — exactly as in the flat engine, whose parity suite
-        pins this same repair bit-for-bit against full rebuilds.
-        """
-        sv = self._svs.get(dr_key)
-        if sv is not None:
-            self._stats.view_hits += 1
-            return sv
-        parent = self._svs.get(parent_dr)
-        if (
-            not self._scalar_misses
-            or self.priority == "mobility"
-            or parent is None
-            or (parent.reach is None and parent.heights is None)
-        ):
-            return self._sv_for(dr_key, None, r_factory=r_factory)
-        fg = self.fg
-        self._stats.view_derives += 1
-        self._extras["struct_view_derives"] += 1
-        inc_at = fg.inc_at
-        esrc, edst = fg.esrc, fg.edst
-        changed_src: set = set()
-        changed_dst: set = set()
-        scanned = 0
-        # An edge with both ends moved is visited twice; the status compare
-        # and set.add are idempotent, so no dedup mask is needed.
-        for i in moved_idx:
-            inc = inc_at[i]
-            scanned += len(inc)
-            for k in inc:
-                if (parent_dr[k] == 0) != (dr_key[k] == 0):
-                    changed_src.add(esrc[k])
-                    changed_dst.add(edst[k])
-        self._stats.edges_rescanned += scanned
-
-        if not changed_src and not changed_dst:
-            self._stats.priority_entries_reused += fg.n
-            sv = parent  # identical structure: alias under the new key
-        else:
-            zsucc = list(parent.zsucc)
-            zpred = list(parent.zpred)
-            out_at, in_at = fg.out_at, fg.in_at
-            for u in changed_src:
-                lst: List[int] = []
-                for k in out_at[u]:
-                    if dr_key[k] == 0:
-                        w = edst[k]
-                        if w not in lst:
-                            lst.append(w)
-                zsucc[u] = lst
-            for v in changed_dst:
-                lst = []
-                for k in in_at[v]:
-                    if dr_key[k] == 0:
-                        u = esrc[k]
-                        if u not in lst:
-                            lst.append(u)
-                zpred[v] = lst
-
-            times = self.fm.node_time
-            # Dirty set: changed sources plus all their zero-delay
-            # ancestors in either DAG; rebuild wholesale past half the
-            # graph (same abort rule as the flat engine).
-            limit = fg.n // 2
-            dirty = set(changed_src)
-            stack = list(changed_src)
-            while stack and len(dirty) <= limit:
-                nidx = stack.pop()
-                for u in parent.zpred[nidx]:
-                    if u not in dirty:
-                        dirty.add(u)
-                        stack.append(u)
-                for u in zpred[nidx]:
-                    if u not in dirty:
-                        dirty.add(u)
-                        stack.append(u)
-            if stack:
-                order = flat_topological_order(zsucc)
-                if order is None:  # pragma: no cover - rotations preserve legality
-                    r = r_factory() if r_factory is not None else Retiming.zero()
-                    raise ZeroDelayCycleError(_find_zero_delay_cycle(fg.graph, r))
-                reach, heights, skey = flat_priority_columns(
-                    self.priority, times, zsucc, order
-                )
+            if self.priority == "mobility":
                 self._stats.priority_full_rebuilds += 1
-                sv = _StructView(None, zsucc, zpred, skey, reach, heights)
-            else:
-                self._stats.dirty_priority_nodes += len(dirty)
-                self._stats.priority_entries_reused += fg.n - len(dirty)
-                # Children-first walk of the dirty set (postorder DFS
-                # restricted to dirty nodes of the acyclic zero-delay DAG).
-                post: List[int] = []
-                visited: set = set()
-                for root in dirty:
-                    if root in visited:
-                        continue
-                    visited.add(root)
-                    dfs = [(root, iter(zsucc[root]))]
-                    while dfs:
-                        node, it = dfs[-1]
-                        descended = False
-                        for w in it:
-                            if w in dirty and w not in visited:
-                                visited.add(w)
-                                dfs.append((w, iter(zsucc[w])))
-                                descended = True
-                                break
-                        if not descended:
-                            post.append(node)
-                            dfs.pop()
-                reach = heights = None
-                if parent.reach is not None:
-                    reach = list(parent.reach)
-                    for v in post:
-                        acc = 0
-                        for w in zsucc[v]:
-                            acc |= (1 << w) | reach[w]
-                        reach[v] = acc
-                if parent.heights is not None:
-                    heights = list(parent.heights)
-                    for v in post:
-                        best = 0
-                        for w in zsucc[v]:
-                            hw = heights[w]
-                            if hw > best:
-                                best = hw
-                        heights[v] = best + times[v]
-                skey = list(parent.skey)
-                priority = self.priority
-                if priority == "descendants":
-                    for v in dirty:
-                        skey[v] = (-reach[v].bit_count(), v)
-                elif priority == "height":
-                    for v in dirty:
-                        skey[v] = (-heights[v], v)
-                else:  # combined
-                    for v in dirty:
-                        skey[v] = (-heights[v], -reach[v].bit_count(), v)
-                sv = _StructView(None, zsucc, zpred, skey, reach, heights)
-        if len(self._svs) >= self.max_views:
-            self._svs.clear()
-            self._stats.view_evictions += 1
-        self._svs[dr_key] = sv
-        return sv
-
-    def _mint(self, starts, units, dr, rv, last, phantom, r, state, step):
-        """Register a fresh record and wrap it as a RotationState.
-
-        The state is built through ``__new__`` + direct ``__dict__`` fill:
-        ``RotationState`` is a frozen dataclass with no ``__post_init__``,
-        so this is identical to calling the constructor minus eight
-        ``object.__setattr__`` round-trips per rotation.
-        """
-        RotationState = _rot_classes()[0]
-        token = self._new_token()
-        tip = self._pending_tip
-        if tip is not None:
-            self._pending_tip = None
-            self._tip_grid = tip
-            self._tip_gtoken = token
-        self._vstates[token] = _VecState(starts, units, dr, rv, last, phantom)
-        sched = _LazySchedule.from_vectors(
-            self.graph, self.model, self._node_list, starts, units, last
-        )
-        st = RotationState.__new__(RotationState)
-        d = st.__dict__
-        d["graph"] = self.graph
-        d["model"] = self.model
-        d["retiming"] = r
-        d["schedule"] = sched
-        d["priority"] = state.priority if state is not None else self.priority
-        d["trace"] = state.trace + (step,) if step is not None else ()
-        d["engine"] = self
-        d["engine_token"] = token
-        return st
-
-    # -- engine-backed RotationState operations ------------------------
-    def initial_state(self, retiming: Optional[Retiming] = None):
-        """Engine-backed ``RotationState.initial`` — memoized on ``dr``."""
-        r = retiming if retiming is not None else Retiming.zero()
-        rv, phantom = self._rv_phantom(r)
-        dr = self._dr_of(rv)
-        self._stats.initial_schedules += 1
-        hit = self._init_memo.get(dr)
-        if hit is not None:
-            self._extras["initial_memo_hits"] += 1
-            starts, units, last = hit
-        else:
-            sv = self._sv_for(dr, None, r_factory=lambda: r)
-            fg, fm = self.fg, self.fm
-            start: List[Optional[int]] = [None] * fg.n
-            units_l: List[Optional[int]] = [None] * fg.n
-            grid = FlatGrid(fm)
-            tr = _obs.active
-            if tr.enabled:
-                tr.begin("kernel.list_schedule", todo=fg.n)
-                try:
-                    flat_list_schedule(
-                        fg, fm, sv.zsucc, sv.zpred, sv.skey,
-                        start, units_l, range(fg.n), 0, grid,
-                    )
-                finally:
-                    tr.end()
-            else:
-                flat_list_schedule(
-                    fg, fm, sv.zsucc, sv.zpred, sv.skey,
-                    start, units_l, range(fg.n), 0, grid,
-                )
-            starts, units, last, lo = self._normalized(start, units_l)
-            if lo:
-                grid.shift(-lo)
-            self._pending_tip = grid
-            if len(self._init_memo) > _MEMO_LIMIT:  # pragma: no cover - backstop
-                self._init_memo.clear()
-            self._init_memo[dr] = (starts, units, last)
-        return self._mint(starts, units, dr, rv, last, phantom, r, None, None)
-
-    def _normalized(self, start: List[int], units: List[int]):
-        """Normalize a placed start vector.
-
-        Returns ``(starts, units, last, lo)`` — ``lo`` is the shift that
-        was applied, so callers adopting the occupancy grid as the new
-        chain tip can shift it to match.
-        """
-        lo = min(start)
-        if lo:
-            start = [s - lo for s in start]
-        lat = self.fm.node_latency
-        last = max([s + lat[i] for i, s in enumerate(start)]) - 1
-        return tuple(start), tuple(units), last, lo
-
-    def down_rotate(self, state, size: int):
-        """Engine-backed ``DownRotate`` — one tuple lookup when the
-        transition has been seen before, numpy + scalar placement when not."""
-        RotationState, RotationStep = _rot_classes()
-        if size < 1:
-            raise RotationError(f"rotation size must be >= 1, got {size}")
-        rec = self._rec_for(state)
-        if size > rec.last:
-            raise RotationError(
-                f"rotation of size {size} is illegal on a schedule of length {rec.last + 1}"
-            )
-        hk = rec.hk
-        if hk is None:
-            hk = rec.hk = _Key((rec.starts, rec.units, rec.dr))
-        key = ("d", hk, size)
-        self._stats.rotations += 1
-        hit = self._rot_memo.get(key)
-        if hit is not None:
-            self._extras["rotation_memo_hits"] += 1
-            moved_idx, moved_nodes, starts, units, dr, last = hit
-        else:
-            self._extras["rotation_memo_misses"] += 1
-            fg, vc = self.fg, self._vc
-            hi = size - 1
-            moved_idx = tuple([i for i, s in enumerate(rec.starts) if s <= hi])
-            moved_list = [fg.nodes[i] for i in moved_idx]
-            if not moved_idx:  # pragma: no cover - impossible on a normalized schedule
-                sched = state.schedule.normalized().shifted(-size).normalized()
-                step = RotationStep("down", size, (), rec.last + 1, sched.length)
-                new_r = state.retiming.bumped(moved_list)
-                return RotationState(
-                    self.graph, self.model, new_r, sched, state.priority,
-                    state.trace + (step,), engine=self, engine_token=None,
-                )
-            if self._scalar_misses:
-                # Only edges incident to moved nodes can change; recomputing
-                # them from the bumped dense rv is idempotent, so an edge
-                # with both ends moved may be visited twice without a mask.
-                nrv = list(rec.rv)
-                for i in moved_idx:
-                    nrv[i] += 1
-                dr_l = list(rec.dr)
-                esrc, edst, edelay, inc_at = fg.esrc, fg.edst, fg.edelay, fg.inc_at
-                for i in moved_idx:
-                    for k in inc_at[i]:
-                        nd = edelay[k] + nrv[esrc[k]] - nrv[edst[k]]
-                        if nd < 0:
-                            raise RotationError(
-                                f"schedule prefix {moved_list!r} is not down-rotatable — "
-                                "the current schedule is not a legal DAG schedule of G_R"
-                            )  # pragma: no cover - guarded by construction
-                        dr_l[k] = nd
-                dr = tuple(dr_l)
-                new_dr_arr = None
-            else:
-                np = self._np
-                dr_arr = np.array(rec.dr, dtype=np.int64)
-                moved_mask = np.zeros(vc.n, dtype=bool)
-                moved_mask[list(moved_idx)] = True
-                msrc = moved_mask[vc.esrc]
-                mdst = moved_mask[vc.edst]
-                if bool(((dr_arr < 1) & mdst & ~msrc).any()):
-                    raise RotationError(
-                        f"schedule prefix {moved_list!r} is not down-rotatable — "
-                        "the current schedule is not a legal DAG schedule of G_R"
-                    )  # pragma: no cover - guarded by construction
-                new_dr_arr = dr_arr + msrc - mdst
-                dr = tuple(new_dr_arr.tolist())
-            r_factory = lambda: state.retiming.bumped(moved_list)
-            if new_dr_arr is None:
-                sv = self._sv_derive(rec.dr, dr, moved_idx, r_factory=r_factory)
-            else:
-                sv = self._sv_for(dr, new_dr_arr, r_factory=r_factory)
-            start = [s - size for s in rec.starts]
-            units_l: List[Optional[int]] = list(rec.units)
-            for i in moved_idx:
-                start[i] = None
-                units_l[i] = None
-            if self._tip_grid is not None and state.engine_token == self._tip_gtoken:
-                grid = self._tip_grid
-                self._tip_grid = None
-                grid.release_many(moved_idx, rec.starts, rec.units)
-                self._stats.grid_released_slots += len(moved_idx)
-                grid.shift(-size)
-                self._stats.grid_delta_rotations += 1
-                self._extras["chain_tip_reuses"] += 1
-            else:
-                grid = seed_grid(self.fg, self.fm, start, units_l)
-                self._stats.grid_reseeds += 1
-            tr = _obs.active
-            if tr.enabled:
-                tr.begin("kernel.list_schedule", todo=len(moved_idx))
-                try:
-                    flat_list_schedule(
-                        self.fg, self.fm, sv.zsucc, sv.zpred, sv.skey,
-                        start, units_l, list(moved_idx), 0, grid,
-                    )
-                finally:
-                    tr.end()
-            else:
-                flat_list_schedule(
-                    self.fg, self.fm, sv.zsucc, sv.zpred, sv.skey,
-                    start, units_l, list(moved_idx), 0, grid,
-                )
-            starts, units, last, lo = self._normalized(start, units_l)
-            if lo:
-                grid.shift(-lo)
-            self._pending_tip = grid
-            moved_nodes = tuple(moved_list)
-            if len(self._rot_memo) > _MEMO_LIMIT:  # pragma: no cover - backstop
-                self._rot_memo.clear()
-            self._rot_memo[key] = (moved_idx, moved_nodes, starts, units, dr, last)
-        new_rv = list(rec.rv)
-        for i in moved_idx:
-            new_rv[i] += 1
-        rv = tuple(new_rv)
-        new_r = _LazyRetiming(self._node_list, rv, rec.phantom)
-        step = RotationStep("down", size, moved_nodes, rec.last + 1, last + 1)
-        return self._mint(starts, units, dr, rv, last, rec.phantom, new_r, state, step)
-
-    def up_rotate(self, state, size: int):
-        """Engine-backed up-rotation (latest-fit), same memo discipline."""
-        RotationStep = _rot_classes()[1]
-        if size < 1:
-            raise RotationError(f"rotation size must be >= 1, got {size}")
-        rec = self._rec_for(state)
-        if size > rec.last:
-            raise RotationError(
-                f"rotation of size {size} is illegal on a schedule of length {rec.last + 1}"
-            )
-        hk = rec.hk
-        if hk is None:
-            hk = rec.hk = _Key((rec.starts, rec.units, rec.dr))
-        key = ("u", hk, size)
-        self._stats.rotations += 1
-        hit = self._rot_memo.get(key)
-        if hit is not None:
-            self._extras["rotation_memo_hits"] += 1
-            moved_idx, moved_nodes, starts, units, dr, last = hit
-        else:
-            self._extras["rotation_memo_misses"] += 1
-            fg, vc = self.fg, self._vc
-            ceiling = rec.last
-            lo = ceiling - size + 1
-            moved_idx = tuple(
-                [i for i, s in enumerate(rec.starts) if lo <= s <= ceiling]
-            )
-            moved_list = [fg.nodes[i] for i in moved_idx]
-            if self._scalar_misses:
-                # Same incident-edge recompute as down_rotate, rv bumped down.
-                nrv = list(rec.rv)
-                for i in moved_idx:
-                    nrv[i] -= 1
-                dr_l = list(rec.dr)
-                esrc, edst, edelay, inc_at = fg.esrc, fg.edst, fg.edelay, fg.inc_at
-                for i in moved_idx:
-                    for k in inc_at[i]:
-                        nd = edelay[k] + nrv[esrc[k]] - nrv[edst[k]]
-                        if nd < 0:
-                            raise RotationError(
-                                f"suffix {moved_list!r} is not up-rotatable"
-                            )
-                        dr_l[k] = nd
-                dr = tuple(dr_l)
-                new_dr_arr = None
-            else:
-                np = self._np
-                dr_arr = np.array(rec.dr, dtype=np.int64)
-                moved_mask = np.zeros(vc.n, dtype=bool)
-                moved_mask[list(moved_idx)] = True
-                msrc = moved_mask[vc.esrc]
-                mdst = moved_mask[vc.edst]
-                if bool(((dr_arr < 1) & msrc & ~mdst).any()):
-                    raise RotationError(f"suffix {moved_list!r} is not up-rotatable")
-                new_dr_arr = dr_arr - msrc + mdst
-                dr = tuple(new_dr_arr.tolist())
-            r_factory = lambda: state.retiming.bumped(moved_list, -1)
-            if new_dr_arr is None:
-                sv = self._sv_derive(rec.dr, dr, moved_idx, r_factory=r_factory)
-            else:
-                sv = self._sv_for(dr, new_dr_arr, r_factory=r_factory)
-            start: List[Optional[int]] = list(rec.starts)
-            units_l: List[Optional[int]] = list(rec.units)
-            for i in moved_idx:
-                start[i] = None
-                units_l[i] = None
-            if self._tip_grid is not None and state.engine_token == self._tip_gtoken:
-                grid = self._tip_grid
-                self._tip_grid = None
-                grid.release_many(moved_idx, rec.starts, rec.units)
-                self._stats.grid_released_slots += len(moved_idx)
-                self._stats.grid_delta_rotations += 1
-                self._extras["chain_tip_reuses"] += 1
-            else:
-                grid = seed_grid(self.fg, self.fm, start, units_l)
-                self._stats.grid_reseeds += 1
-            tr = _obs.active
-            if tr.enabled:
-                tr.begin("kernel.latest_fit", todo=len(moved_idx))
-                try:
-                    flat_latest_fit(
-                        self.fg, self.fm, sv.zsucc, sv.zpred,
-                        start, units_l, list(moved_idx), ceiling, grid,
-                    )
-                finally:
-                    tr.end()
-            else:
-                flat_latest_fit(
-                    self.fg, self.fm, sv.zsucc, sv.zpred,
-                    start, units_l, list(moved_idx), ceiling, grid,
-                )
-            starts, units, last, lo = self._normalized(start, units_l)
-            if lo:
-                grid.shift(-lo)
-            self._pending_tip = grid
-            moved_nodes = tuple(moved_list)
-            if len(self._rot_memo) > _MEMO_LIMIT:  # pragma: no cover - backstop
-                self._rot_memo.clear()
-            self._rot_memo[key] = (moved_idx, moved_nodes, starts, units, dr, last)
-        new_rv = list(rec.rv)
-        for i in moved_idx:
-            new_rv[i] -= 1
-        rv = tuple(new_rv)
-        new_r = _LazyRetiming(self._node_list, rv, rec.phantom)
-        step = RotationStep("up", size, moved_nodes, rec.last + 1, last + 1)
-        return self._mint(starts, units, dr, rv, last, rec.phantom, new_r, state, step)
-
-    def fp_state(self, state) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Engine-backed fingerprint: the record *is* the key."""
-        token = state.engine_token
-        if token is not None:
-            rec = self._vstates.get(token)
-            if rec is not None:
-                return rec.starts, rec.rv
-        return super().fp_state(state)
-
-    def wrap_state(self, state) -> WrappedSchedule:
-        """Engine-backed wrap — memoized on ``(starts, dr)``."""
-        token = state.engine_token
-        rec = self._vstates.get(token) if token is not None else None
-        if rec is None:
-            return super().wrap_state(state)
-        key = rec.wk
-        if key is None:
-            key = rec.wk = _Key((rec.starts, rec.dr))
-        period = self._wrap_memo.get(key)
-        if period is not None:
-            self._extras["wrap_memo_hits"] += 1
-        else:
-            if self._scalar_misses:
-                tr = _obs.active
-                if tr.enabled:
-                    tr.begin("kernel.wrap_period")
-                    try:
-                        period = flat_wrap_period(
-                            self.fg, self.fm, rec.starts, rec.dr, self._extras
-                        )
-                    finally:
-                        tr.end()
-                else:
-                    period = flat_wrap_period(
-                        self.fg, self.fm, rec.starts, rec.dr, self._extras
-                    )
-            else:
-                np = self._np
-                starts_arr = np.array(rec.starts, dtype=np.int64)
-                dr_arr = np.array(rec.dr, dtype=np.int64)
-                tr = _obs.active
-                if tr.enabled:
-                    tr.begin("kernel.wrap_period")
-                    try:
-                        period = vec_wrap_period(
-                            self._vc, starts_arr, dr_arr, self._extras
-                        )
-                    finally:
-                        tr.end()
-                else:
-                    period = vec_wrap_period(
-                        self._vc, starts_arr, dr_arr, self._extras
-                    )
-            if len(self._wrap_memo) > _MEMO_LIMIT:  # pragma: no cover - backstop
-                self._wrap_memo.clear()
-            self._wrap_memo[key] = period
-        return _mk_wrapped(state.schedule.normalized(), state.retiming, period)
-
-    def realize_wrapped(self, w: WrappedSchedule) -> WrappedSchedule:
-        """Depth reduction on one tracker entry, from the flat vectors.
-
-        Computes the same pointwise-minimal realizing retiming as
-        :func:`repro.schedule.verify.realizing_retiming` — the converged
-        Bellman-Ford distances are the unique pointwise-maximal solution
-        of the difference constraints, so running them over index columns
-        instead of node dicts changes nothing but the clock.  Schedules
-        this engine did not mint (and the never-taken negative-cycle
-        case) fall back to the generic path.
-        """
-        from repro.schedule.verify import realizing_retiming
-
-        sched = w.schedule
-        if not (
-            type(sched) is _LazySchedule
-            and sched.__dict__.get("_lz_nodes") is self._node_list
-        ):
-            return WrappedSchedule(sched, realizing_retiming(sched, w.period), w.period)
-        tr = _obs.active
-        traced = tr.enabled
-        if traced:
-            tr.begin("retiming.realize")
-        try:
-            starts = sched.__dict__["_lz_starts"]
-            period = w.period
-            # The realizing retiming depends only on (starts, period) —
-            # tracker entries reaching the same schedule through different
-            # rotation counts share one solve.
-            rk = (starts, period)
-            r = self._realize_memo.get(rk)
-            if r is not None:
-                return _mk_wrapped(sched, r, period)
-            fg, fm = self.fg, self.fm
-            lat = fm.node_latency
-            esrc, edst, edelay = fg.esrc, fg.edst, fg.edelay
-            m = fg.m
-            bounds = [0] * m
-            for k in range(m):
-                u = esrc[k]
-                overrun = starts[u] + lat[u] - starts[edst[k]]
-                need = -(-overrun // period) if overrun > 0 else 0
-                bounds[k] = edelay[k] - need
-            dist = [0] * fg.n
-            for _ in range(fg.n):
-                changed = False
-                for k in range(m):
-                    nd = dist[esrc[k]] + bounds[k]
-                    v = edst[k]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        changed = True
-                if not changed:
-                    break
-            else:  # pragma: no cover - unrealizable schedules never reach here
-                return WrappedSchedule(
-                    sched, realizing_retiming(sched, period), period
-                )
-            lo = min(dist, default=0)
-            if lo:
-                dist = [d - lo for d in dist]
-            r = Retiming(dict(zip(self._node_list, dist)))
-            if len(self._realize_memo) > _MEMO_LIMIT:  # pragma: no cover - backstop
-                self._realize_memo.clear()
-            self._realize_memo[rk] = r
+            zsucc, zpred = vec_zero_delay_lists(vc.n, zs, zd)
         finally:
             if traced:
                 tr.end()
-        return _mk_wrapped(sched, r, w.period)
+        return self._sv_store(dr_key, _StructView(zsucc, zpred, cols[2]))
+
+    def _sv_derive(self, parent_dr, dr_key, moved_idx, r_factory) -> _StructView:
+        if self._scalar_misses:
+            return super()._sv_derive(parent_dr, dr_key, moved_idx, r_factory)
+        return self._sv_for(dr_key, r_factory)
+
+    def _rotated_dr(self, rec: _VecState, moved_idx, step: int, error) -> Tuple[int, ...]:
+        if self._scalar_misses:
+            return super()._rotated_dr(rec, moved_idx, step, error)
+        np = self._np
+        vc = self._vc
+        dr_arr = self._array(rec.dr)
+        moved_mask = np.zeros(vc.n, dtype=bool)
+        moved_mask[list(moved_idx)] = True
+        msrc = moved_mask[vc.esrc]
+        mdst = moved_mask[vc.edst]
+        # Down: a non-moved source feeding a moved node loses one delay;
+        # up: a moved source feeding a non-moved node does.
+        losing = (mdst & ~msrc) if step > 0 else (msrc & ~mdst)
+        if bool(((dr_arr < 1) & losing).any()):
+            raise RotationError(error())
+        return tuple((dr_arr + step * (msrc.astype(np.int64) - mdst)).tolist())
+
+    def _wrap_period(self, starts, dr) -> int:
+        if self._scalar_misses:
+            return super()._wrap_period(starts, dr)
+        return vec_wrap_period(
+            self._vc, self._array(starts), self._array(dr), self._extras
+        )

@@ -74,7 +74,7 @@ class SchedulingService:
         self._inflight: Dict[str, asyncio.Future] = {}
         #: cohort key -> [(fp, canonical, future)] awaiting dispatch
         self._pending: Dict[str, List[Tuple[str, Mapping[str, Any], asyncio.Future]]] = {}
-        #: fingerprint -> shard that solved it (warm-path routing)
+        #: fingerprint -> shard holding its warm session (warm-path routing)
         self._residency: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -145,14 +145,18 @@ class SchedulingService:
         """Route one miss (owns ``future``; always resolves it)."""
         try:
             if request.edits:
+                # The session lands on the shard that runs this solve, so
+                # the next edit in the chain must be routed there too.
                 shard = self._residency.get(request.base) if request.base else None
+                if shard is None:
+                    shard = self.pool.shard_of(request.base or fp)
                 result = await self.pool.solve_warm(
                     fp, canonical, request.base, request.edits, shard=shard
                 )
+                self._residency[fp] = shard
                 self.metrics.inc("warm_solves")
             else:
                 result = await self._batched_solve(fp, canonical)
-            self._residency[fp] = self.pool.shard_of(fp)
             if "error" not in result:
                 self.cache.insert(fp, canonical, result)
         except BaseException as exc:

@@ -15,6 +15,10 @@ class TestEngineStats:
         assert "rotations=" in out
         assert "engine extras [flat]:" in out
         assert "chain_tip_reuses=" in out
+        # the transition memos are flat's own counters
+        for key in ("rotation_memo_hits=", "rotation_memo_misses=", "wrap_memo_hits=",
+                    "initial_memo_hits=", "struct_view_builds=", "struct_view_derives="):
+            assert key in out
 
     def test_schedule_engine_stats_naive(self, capsys):
         assert main(

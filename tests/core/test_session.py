@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ResourceModel, diffeq, elliptic, open_session, rotation_schedule
+from repro import ResourceModel, biquad, diffeq, elliptic, open_session, rotation_schedule
 from repro.core.engine import BACKENDS
 from repro.core.session import EDIT_KINDS, MutableSchedulingSession
 from repro.core.wrapping import _wrap_static
@@ -54,6 +54,54 @@ class TestRepair:
                 results[b] = s.resolve()
             for b in ("flat", "views"):
                 same_result(results[b], results["naive"], f"{op['edit']}:{b}")
+
+    def test_flat_memos_never_answer_for_an_edited_graph(self):
+        """Fill the flat engine's transition memos, then apply every edit
+        kind in turn: each repair matches a naive session with the same
+        history, and each full re-solve matches a fresh naive solve of the
+        edited graph, bit for bit."""
+        from repro.dfg.graph import _EDIT_LOG_CAP
+        from repro.serve.protocol import result_payload, schedule_bits
+
+        def bits(result):
+            return schedule_bits(result_payload(result))
+
+        g = biquad()
+        model = ResourceModel.adders_mults(2, 2)
+        flat = open_session(g, model, backend="flat")
+        naive = open_session(g, model, backend="naive")
+        assert bits(flat.resolve()) == bits(naive.resolve())
+        assert flat._engine.metrics()["extras"]["rotation_memo_hits"] > 0
+        toggles = [
+            {"edit": "set_delay", "src": "o", "dst": "h", "delay": 2 + i % 2}
+            for i in range(_EDIT_LOG_CAP + 2)
+        ]
+        steps = [
+            # first, while the memos hold the unedited search: the grown
+            # class lets replayed transitions place differently
+            ("grow_units", [{"edit": "set_resource_counts", "counts": {"adder": 3}}]),
+            ("set_delay", [{"edit": "set_delay", "src": "s1b", "dst": "ma2_1", "delay": 3}]),
+            ("add_edge", [{"edit": "add_edge", "src": "y2", "dst": "s1a", "delay": 2}]),
+            ("remove_edge", [{"edit": "remove_edge", "src": "y1", "dst": "o"}]),
+            ("add_node", [{"edit": "add_node", "node": "qx", "op": "add"}]),
+            ("remove_node", [{"edit": "remove_node", "node": "mb1_2"}]),
+            ("shrink_units", [{"edit": "set_resource_counts", "counts": {"adder": 1}}]),
+            # past the retained edit log: the engine resyncs via apply_delta(None)
+            ("log_truncated", toggles),
+        ]
+        for label, ops in steps:
+            for op in ops:
+                flat.apply_edit(op)
+                naive.apply_edit(op)
+            recompiles = flat.metrics["engine_recompiles"]
+            assert bits(flat.resolve(polish=4)) == bits(naive.resolve(polish=4)), label
+            if label == "log_truncated":
+                assert flat.metrics["engine_recompiles"] == recompiles + 1
+            fresh = rotation_schedule(
+                flat.graph.copy(), flat.model, heuristic="h2", backend="naive"
+            )
+            assert bits(flat.resolve(mode="solve")) == bits(fresh), label
+            naive.resolve(mode="solve")
 
     def test_noop_resolve_returns_cached_result(self):
         session = open_session(diffeq(), ResourceModel.adders_mults(1, 1))

@@ -69,9 +69,23 @@ class TestEngineMetrics:
         assert snap["backend"] == "flat"
         assert snap["counters"] == result.engine_stats
         assert snap["counters"]["rotations"] > 0
-        # flat-only extras surfaced per satellite (b)
-        for key in ("chain_tip_reuses", "wrap_interval_collapses", "dirty_walk_aborts"):
-            assert key in snap["extras"]
+        # flat-only extras: chain tip, wrap search, transition memos and
+        # struct views
+        extras = snap["extras"]
+        assert set(extras) == {
+            "chain_tip_reuses", "wrap_interval_collapses",
+            "rotation_memo_hits", "rotation_memo_misses", "wrap_memo_hits",
+            "initial_memo_hits", "struct_view_builds", "struct_view_derives",
+        }
+        # h2 revisits transitions: the memos must answer some of them, and
+        # every miss either derives or builds a struct view
+        assert extras["rotation_memo_hits"] > 0
+        assert extras["wrap_memo_hits"] > 0
+        assert extras["rotation_memo_hits"] + extras["rotation_memo_misses"] == (
+            snap["counters"]["rotations"]
+        )
+        assert extras["struct_view_derives"] == snap["counters"]["view_derives"]
+        assert extras["struct_view_builds"] == snap["counters"]["view_builds"]
 
     def test_views_backend_has_no_extras(self):
         graph = get_benchmark("diffeq")

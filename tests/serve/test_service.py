@@ -122,6 +122,43 @@ class TestWarmPath:
         )))
         assert schedule_bits(warm2["result"]) == schedule_bits(fresh)
 
+    def test_edit_chain_repairs_across_shards(self):
+        """On a real two-shard pool, the second edit of a chain repairs on
+        the worker that holds the session, even when the first edit's
+        fingerprint hashes to the other shard."""
+        from repro.serve.pool import ShardedPool
+
+        shard_of = ShardedPool(workers=2).shard_of
+        base_fp = request_fingerprint(DIFFEQ)
+        edits1 = next(
+            e for e in (
+                [{"edit": "set_delay", "src": 8, "dst": 10, "delay": d}]
+                for d in range(1, 64)
+            )
+            if shard_of(request_fingerprint({**DIFFEQ, "edits": e})) != shard_of(base_fp)
+        )
+        edits2 = edits1 + [{"edit": "add_edge", "src": 4, "dst": 9, "delay": 2}]
+
+        async def main():
+            svc = build_service(workers=2)
+            try:
+                base = await svc.solve(DIFFEQ)
+                warm1 = await svc.solve({**DIFFEQ, "base": base["fingerprint"],
+                                         "edits": edits1})
+                warm2 = await svc.solve({**DIFFEQ, "base": warm1["fingerprint"],
+                                         "edits": edits2})
+                return warm1, warm2
+            finally:
+                svc.close()
+
+        warm1, warm2 = run(main())
+        assert warm1["result"]["session"] == {"repaired": False}  # first edit: cold
+        assert warm2["result"]["session"]["repaired"] is True
+        fresh = solve_canonical(canonical_request(parse_request(
+            {**DIFFEQ, "edits": edits2}
+        )))
+        assert schedule_bits(warm2["result"]) == schedule_bits(fresh)
+
     def test_warm_fingerprint_matches_direct_request(self, service):
         # base is an acceleration hint, never a cache-key input.
         edits = [{"edit": "set_exec_time", "node": 3, "time": 2}]

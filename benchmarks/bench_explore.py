@@ -6,9 +6,8 @@ resource configs {1A1M, 2A1M, 2A2M, 3A2M} and clocks {40, 50, 100} ns.
 The explorer must reproduce the exhaustive sweep's exact per-benchmark
 Pareto frontiers while solving only a fraction of the grid: bound-pruned
 cells are skipped outright, clock cells sharing a latency model collapse
-in the solve-key memo, resource families chain through one warm
-``MutableSchedulingSession``, and leftover singletons stack into
-``solve_batch`` cohorts.
+in the solve-key memo, and resource families chain through one warm
+``MutableSchedulingSession``.
 
 The cell commits the ``rotsched perfcheck`` explore envelope: the grid
 itself, the exploration counters (pinned exactly — the round loop is
@@ -23,9 +22,6 @@ Regenerate with::
         --benchmark-only --benchmark-json=BENCH_explore.json
 """
 
-import pytest
-
-from repro.core.vector import have_numpy
 from repro.explore import build_grid
 from repro.obs.perfcheck import MIN_EXPLORE_SPEEDUP, measure_explore_grid
 
@@ -47,7 +43,6 @@ def _measure():
     return measure_explore_grid(headline_grid(), REPEATS)
 
 
-@pytest.mark.skipif(not have_numpy(), reason="explore envelope pins the vector backend")
 def test_explore_vs_exhaustive(benchmark):
     explore_s, exhaustive_s, erep, xrep = run_once(benchmark, _measure)
     # Oracle: the explorer reaches the exhaustive sweep's exact frontiers.

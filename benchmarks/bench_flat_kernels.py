@@ -1,13 +1,13 @@
-"""Flat-array core experiment: integer kernels vs dict engine vs naive.
+"""Flat-array core experiment: integer kernels vs the naive path.
 
 The flat backend (``repro.core.flat``) exists purely for speed — the
-golden parity suite pins all three backends bit for bit — so this bench
-is its report card.  Two layers are measured:
+golden parity suite pins it to the naive path bit for bit — so this
+bench is its report card.  Two layers are measured:
 
 * per-kernel micro timings: each flat kernel against the dict-based
   counterpart it replaces, on the paper's biggest graph (elliptic);
 * end-to-end heuristic runs across the Table 2/3 suite, backend=flat vs
-  backend=views vs backend=naive, CPU-time side by side in ``extra_info``.
+  backend=naive, CPU-time side by side in ``extra_info``.
 
 Timings use ``time.process_time`` and a min-of-N inner loop because the
 CI machine's wall clock is noisy; the recorded ratios are conservative.
@@ -213,11 +213,10 @@ def test_backend_end_to_end(benchmark, bench, config, heuristic):
 
     def run():
         flat_s, flat = _best_of(lambda: cell("flat"))
-        views_s, views = _best_of(lambda: cell("views"))
         naive_s, naive = _best_of(lambda: cell("naive"))
-        return flat_s, views_s, naive_s, flat, views, naive
+        return flat_s, naive_s, flat, naive
 
-    flat_s, views_s, naive_s, flat, views, naive = run_once(benchmark, run)
+    flat_s, naive_s, flat, naive = run_once(benchmark, run)
     record(
         benchmark,
         bench=bench,
@@ -226,21 +225,18 @@ def test_backend_end_to_end(benchmark, bench, config, heuristic):
         length=flat.length,
         rotations=flat.rotations_performed,
         flat_seconds=round(flat_s, 4),
-        views_seconds=round(views_s, 4),
         naive_seconds=round(naive_s, 4),
-        flat_vs_views=round(views_s / flat_s, 2),
         flat_vs_naive=round(naive_s / flat_s, 2),
     )
-    # Parity before speed: all three backends agree bit for bit.
-    for other in (views, naive):
-        assert flat.length == other.length
-        assert flat.retiming == other.retiming
-        assert flat.schedule.start_map == other.schedule.start_map
+    # Parity before speed: both backends agree bit for bit.
+    assert flat.length == naive.length
+    assert flat.retiming == naive.retiming
+    assert flat.schedule.start_map == naive.schedule.start_map
 
 
 def test_flat_backend_headline(benchmark):
     """Acceptance cell: h2 on elliptic @ 3A 2M — the flat backend must be
-    at least 2x faster than the dict engine it shadows (CPU time,
+    at least 2x faster than the naive path it is pinned to (CPU time,
     min-of-9 per backend)."""
     graph = get_benchmark("elliptic")
     model = model_for("3A2M")
@@ -250,22 +246,22 @@ def test_flat_backend_headline(benchmark):
 
     def run():
         flat_s, flat = _best_of(lambda: cell("flat"), n=9)
-        views_s, views = _best_of(lambda: cell("views"), n=9)
-        return flat_s, views_s, flat, views
+        naive_s, naive = _best_of(lambda: cell("naive"), n=9)
+        return flat_s, naive_s, flat, naive
 
-    flat_s, views_s, flat, views = run_once(benchmark, run)
+    flat_s, naive_s, flat, naive = run_once(benchmark, run)
     record(
         benchmark,
         flat_seconds=round(flat_s, 4),
-        views_seconds=round(views_s, 4),
-        speedup=round(views_s / flat_s, 2),
+        naive_seconds=round(naive_s, 4),
+        speedup=round(naive_s / flat_s, 2),
         length=flat.length,
         rotations=flat.rotations_performed,
         grid_delta_rotations=flat.engine_stats["grid_delta_rotations"],
         grid_reseeds=flat.engine_stats["grid_reseeds"],
     )
-    assert flat.length == 16 and views.length == 16
-    assert flat.schedule.start_map == views.schedule.start_map
-    assert flat.retiming == views.retiming
-    # The headline: integer kernels at least double the dict engine.
-    assert flat_s * 2 <= views_s
+    assert flat.length == 16 and naive.length == 16
+    assert flat.schedule.start_map == naive.schedule.start_map
+    assert flat.retiming == naive.retiming
+    # The headline: memoized integer kernels at least double the naive path.
+    assert flat_s * 2 <= naive_s

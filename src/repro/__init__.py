@@ -33,7 +33,6 @@ from repro.schedule import (
 )
 from repro.core import (
     MutableSchedulingSession,
-    RotationEngine,
     RotationResult,
     RotationScheduler,
     RotationState,
@@ -96,7 +95,6 @@ __all__ = [
     "RetimingError",
     "RotationError",
     "RotationResult",
-    "RotationEngine",
     "RotationScheduler",
     "RotationState",
     "Schedule",

@@ -187,14 +187,21 @@ def modulo_schedule(
         graph: cyclic DFG.
         model: resource model.
         max_ii: stop trying past this II (default: non-pipelined list
-            schedule length — that fallback is always achievable).
+            schedule length — that fallback is always achievable: when
+            the iterative search fails up to it, the list schedule itself
+            is returned at ``II = max_ii``).
         budget_ratio: per-II placement budget of ``budget_ratio * |V|``.
     """
     mii = min_initiation_interval(graph, model)
+    fallback: Optional[Dict[NodeId, int]] = None
     if max_ii is None:
         from repro.schedule.list_scheduler import full_schedule
 
-        max_ii = max(mii, full_schedule(graph, model).length)
+        listed = full_schedule(graph, model)
+        max_ii = max(mii, listed.length)
+        # One iteration finishes within its list length, so iterations
+        # issued max_ii >= length apart never overlap: legal as it stands.
+        fallback = listed.start_map
     attempts = 0
     for ii in range(mii, max_ii + 1):
         attempts += 1
@@ -208,4 +215,6 @@ def modulo_schedule(
                 f"modulo scheduler produced an illegal schedule at II={ii}"
             )  # pragma: no cover - internal consistency
         return ModuloResult(graph, model, ii, start, mii, attempts)
+    if fallback is not None and is_legal_modulo_schedule(graph, model, fallback, max_ii):
+        return ModuloResult(graph, model, max_ii, fallback, mii, attempts)
     raise SchedulingError(f"no modulo schedule found up to II={max_ii}")

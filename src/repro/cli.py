@@ -414,7 +414,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         max_cells=args.max_cells,
         out_dir=args.out,
         jobs=args.jobs,
-        batched=args.batched,
     )
     print(report.summary())
     for failure in report.failures:
@@ -655,9 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend",
             choices=sorted(BACKENDS),
             default=None,
-            help="scheduling core: flat (memoized integer kernels, default), "
-            "vector (flat + numpy kernels for large graphs; needs numpy), views "
-            "(dict engine), naive (recompute everything); all bit-identical",
+            help="scheduling core: flat (memoized integer kernels, default) or "
+            "naive (recompute everything, the parity oracle); bit-identical",
         )
         p.add_argument(
             "--engine-stats",
@@ -794,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--smoke",
         action="store_true",
-        help="pre-merge tier: flat+vector cells only, 2 repeats, tolerance floored at 50%%",
+        help="pre-merge tier: no explore grid, 2 repeats, tolerance floored at 50%%",
     )
     p.set_defaults(func=cmd_perfcheck)
 
@@ -822,12 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="certify cells across N worker processes (same verdict, "
         "deterministic case-ordered reporting)",
-    )
-    p.add_argument(
-        "--batched",
-        action="store_true",
-        help="collapse vector-solving cells into per-config solve_batch "
-        "cohorts up front (same verdicts; implies sequential execution)",
     )
     p.set_defaults(func=cmd_fuzz)
 
@@ -929,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend", choices=sorted(BACKENDS), default=None,
-        help="cell-solver backend (default: vector when numpy is available)",
+        help="cell-solver backend (default: flat)",
     )
     p.add_argument(
         "--via", choices=["local", "serve"], default="local",

@@ -1,6 +1,6 @@
 """Rotation scheduling core: rotations, phases, heuristics, depth, wrapping."""
 
-from repro.core.engine import BACKENDS, EngineStats, RotationEngine, ViewCache, make_engine
+from repro.core.engine import BACKENDS, EngineStats, make_engine
 from repro.core.flat import FlatEngine, FlatGraph, FlatModel
 from repro.core.rotation import RotationState, RotationStep
 from repro.core.phases import (
@@ -42,8 +42,6 @@ __all__ = [
     "FlatEngine",
     "FlatGraph",
     "FlatModel",
-    "RotationEngine",
-    "ViewCache",
     "make_engine",
     "NestedModel",
     "NestedRotationState",

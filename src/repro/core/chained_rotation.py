@@ -11,13 +11,12 @@ combinational slack the remaining schedule leaves open).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Tuple
 
 from repro.dfg.graph import DFG, NodeId, Timing
 from repro.dfg.retiming import Retiming
 from repro.dfg.analysis import is_down_rotatable
-from repro.core.engine import ViewCache
 from repro.schedule.chaining import (
     ChainedSchedule,
     ChainedScheduleEntry,
@@ -38,9 +37,6 @@ class ChainedRotationState:
     retiming: Retiming
     schedule: ChainedSchedule
     priority: object = "descendants"
-    #: Shared per-retiming analysis cache (priority tables + zero-delay
-    #: adjacency); pure acceleration, excluded from equality.
-    views: Optional[ViewCache] = field(default=None, compare=False, repr=False)
 
     @classmethod
     def initial(
@@ -52,14 +48,12 @@ class ChainedRotationState:
         op_units: Mapping[str, str],
         priority="descendants",
     ) -> "ChainedRotationState":
-        views = ViewCache(graph, timing, priority)
         sched = chained_full_schedule(
             graph, timing, cs_length, unit_counts, op_units, priority=priority,
-            **_view_kwargs(views, Retiming.zero()),
         )
         return cls(
             graph, timing, cs_length, dict(unit_counts), dict(op_units),
-            Retiming.zero(), sched, priority, views,
+            Retiming.zero(), sched, priority,
         )
 
     @property
@@ -104,20 +98,11 @@ class ChainedRotationState:
             self.priority,
             fixed=fixed,
             floor_time=0,
-            **_view_kwargs(self.views, new_r),
         )
         return ChainedRotationState(
             self.graph, self.timing, self.cs_length, self.unit_counts,
-            self.op_units, new_r, new_sched, self.priority, self.views,
+            self.op_units, new_r, new_sched, self.priority,
         )
-
-
-def _view_kwargs(views: Optional[ViewCache], r: Retiming) -> Dict[str, object]:
-    """``chained_full_schedule`` keyword injections from a view cache."""
-    if views is None:
-        return {}
-    view = views.get(r)
-    return {"prio_table": view.prio, "adj": (view.zsucc, view.zpred)}
 
 
 def chained_rotation_schedule(

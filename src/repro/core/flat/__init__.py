@@ -3,8 +3,8 @@
 ``backend="flat"`` (the default) routes rotation scheduling through
 :class:`FlatEngine`, which runs every hot kernel over the integer columns
 of a :class:`FlatGraph`/:class:`FlatModel` snapshot — bit-identical to the
-dict-based engine (``backend="views"``) and the cache-free naive path
-(``backend="naive"``), as pinned by the golden parity suite.
+cache-free naive path (``backend="naive"``), as pinned by the golden
+parity suite.
 """
 
 from repro.core.flat.graph import (

@@ -1,10 +1,11 @@
 """The flat rotation engine: memoized rotations over integer arrays.
 
-:class:`FlatEngine` is drop-in compatible with
-:class:`repro.core.engine.RotationEngine` (same constructor shape, same
-``initial_state`` / ``down_rotate`` / ``compatible_with`` / ``stats``
-surface, same :class:`~repro.core.engine.EngineStats` counters) but keeps
-*all* per-rotation state in the flat domain: every state it produces is a
+:class:`FlatEngine` is the ``flat`` backend (see
+:func:`repro.core.engine.make_engine`): it drives
+:class:`~repro.core.rotation.RotationState` through ``initial_state`` /
+``down_rotate`` / ``compatible_with`` / ``stats``, counts
+:class:`~repro.core.engine.EngineStats`, and keeps *all* per-rotation
+state in the flat domain: every state it produces is a
 tuple record — normalized starts, unit instances, per-edge ``dr``, dense
 retiming vector — keyed by the state's ``engine_token``, zero-delay
 adjacency becomes index lists, priorities become precompiled sort keys,
@@ -28,8 +29,7 @@ Schedules and retimings are materialized lazily (:class:`_LazySchedule`,
 :class:`_LazyRetiming`): the hot loop only ever needs the tuple records,
 so the per-node dicts are built when a winner is actually inspected.
 
-The golden parity suite pins this engine bit-identical to both the dict
-engine and the naive path.
+The golden parity suite pins this engine bit-identical to the naive path.
 """
 
 from __future__ import annotations
@@ -235,11 +235,6 @@ class FlatEngine:
     epoch, falling back to the naive path after unsynchronized in-place
     mutation).  :meth:`apply_delta` resynchronizes the snapshot after
     mutation — the MutableSchedulingSession path.
-
-    Args:
-        precompiled: optional ``(FlatGraph, FlatModel)`` pair compiled
-            elsewhere (the batched solver compiles whole cohorts in one
-            pass and hands each engine its pair ready-made).
     """
 
     backend_name = "flat"
@@ -250,7 +245,6 @@ class FlatEngine:
         model: ResourceModel,
         priority="descendants",
         max_views: int = 4096,
-        precompiled=None,
     ):
         if priority not in _STRUCTURAL_PRIORITIES:
             raise ValueError(
@@ -262,11 +256,8 @@ class FlatEngine:
         self.priority = priority
         self.max_views = max_views
         self._stats = EngineStats()
-        if precompiled is not None:
-            self.fg, self.fm = precompiled
-        else:
-            self.fg = FlatGraph(graph)
-            self.fm = FlatModel(self.fg, model)
+        self.fg = FlatGraph(graph)
+        self.fm = FlatModel(self.fg, model)
         # Graph epoch the snapshot was compiled/patched at; apply_delta
         # resynchronizes it after in-place mutation (session path).
         self._epoch = graph.epoch

@@ -277,9 +277,8 @@ def structural_signature(graph: DFG) -> tuple:
     analyses), and the ``(src, dst, delay)`` edge list in insertion order —
     the order every deterministic tie-break keys on.  Two graphs with equal
     signatures accept each other's schedules and retimings verbatim, which
-    is what lets :func:`repro.core.vector.batch.solve_batch` duplicates
-    share one RotationResult and lets the serve cache answer for a
-    structurally identical request.  Simulation-only state (edge inits,
+    is what lets the serve cache answer for a structurally identical
+    request.  Simulation-only state (edge inits,
     node attrs/funcs/labels, the graph name) is deliberately excluded: it
     never reaches a scheduler.
     """

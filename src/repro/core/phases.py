@@ -226,7 +226,7 @@ def heuristic_1(
         sigma: largest phase size (default: initial schedule length - 1).
         priority: list-scheduling priority.
         cap: max number of tied-optimal schedules retained.
-        engine: ``None`` shares one :class:`RotationEngine` across phases,
+        engine: ``None`` shares one default-backend engine across phases,
             ``False`` runs cache-free, or pass a prebuilt engine.
         workers: run the (independent) phases in a process pool of this
             size; results are merged in phase order, so the outcome is
@@ -235,7 +235,7 @@ def heuristic_1(
     """
     if engine is None:
         engine = make_engine(None, graph, model, priority)
-    backend = "naive" if engine is False else getattr(engine, "backend_name", "views")
+    backend = "naive" if engine is False else engine.backend_name
     initial = RotationState.initial(graph, model, priority, engine=engine)
     best = BestTracker(cap=cap)
     best.offer(initial)

@@ -18,10 +18,9 @@ States are immutable: each rotation returns a fresh state, so heuristics
 can keep several candidate schedules (the paper's set ``Q``) without
 copying anything by hand.
 
-By default a state carries a :class:`repro.core.engine.RotationEngine`
-that accelerates rotations with incrementally maintained caches (the
-``dr`` map, zero-delay adjacency, priority tables, occupancy deltas); the
-engine is pure acceleration — pass ``engine=False`` to
+By default a state carries a :class:`~repro.core.flat.engine.FlatEngine`
+that accelerates rotations with integer kernels, occupancy deltas and
+transition memos; the engine is pure acceleration — pass ``engine=False`` to
 :meth:`RotationState.initial` for the recompute-everything path, which the
 parity suite pins bit for bit against the engine.
 """
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.dfg.graph import DFG, NodeId
 from repro.dfg.retiming import Retiming
@@ -42,7 +41,7 @@ from repro.dfg.analysis import (
 from repro.schedule.resources import ResourceModel
 from repro.schedule.schedule import Schedule
 from repro.schedule.list_scheduler import OccupancyGrid, full_schedule, partial_schedule
-from repro.core.engine import RotationEngine, make_engine
+from repro.core.engine import make_engine
 from repro.core.wrapping import WrappedSchedule, wrap
 from repro.errors import RotationError
 from repro.obs import tracer as _obs
@@ -71,8 +70,9 @@ class RotationState:
             it is a legal DAG schedule of ``G_R``.
         priority: list-scheduling priority used for rescheduling.
         trace: rotation steps performed so far.
-        engine: optional :class:`RotationEngine` accelerating rotations on
-            this state (excluded from equality and pickling).
+        engine: optional engine (see :func:`~repro.core.engine.make_engine`)
+            accelerating rotations on this state (excluded from equality
+            and pickling).
         engine_token: engine-internal tag of the occupancy grid matching
             this schedule; ``None`` means the next rotation reseeds.
     """
@@ -83,7 +83,7 @@ class RotationState:
     schedule: Schedule
     priority: object = "descendants"
     trace: Tuple[RotationStep, ...] = ()
-    engine: Optional[RotationEngine] = field(default=None, compare=False, repr=False)
+    engine: Optional[Any] = field(default=None, compare=False, repr=False)
     engine_token: Optional[int] = field(default=None, compare=False, repr=False)
 
     # ------------------------------------------------------------------

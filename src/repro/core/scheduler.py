@@ -90,11 +90,10 @@ class RotationScheduler:
             ``backend`` is the richer switch.
         workers: process-pool size for heuristic 1's independent phases
             (ignored by heuristic 2, whose phases form a chain).
-        backend: ``"flat"`` (memoized integer kernels, default),
-            ``"vector"`` (flat plus numpy kernels for large graphs;
-            requires numpy), ``"views"``
-            (dict engine), or ``"naive"``; ``None`` resolves from
-            ``use_engine``.  All four produce bit-identical results.
+        backend: ``"flat"`` (memoized integer kernels, default) or
+            ``"naive"`` (recompute everything, the parity oracle);
+            ``None`` resolves from ``use_engine``.  Both produce
+            bit-identical results.
     """
 
     def __init__(
@@ -129,14 +128,8 @@ class RotationScheduler:
         self.use_engine = backend != "naive"
         self.workers = workers
 
-    def schedule(self, graph: DFG, engine=None) -> RotationResult:
-        """Run the configured heuristic and post-process the best schedule.
-
-        ``engine`` optionally injects a prebuilt engine for the configured
-        backend (the batched solver compiles cohorts up front and hands
-        each graph its seeded engine); it must have been built for this
-        exact ``(graph, model, priority)`` triple.  ``None`` builds one.
-        """
+    def schedule(self, graph: DFG) -> RotationResult:
+        """Run the configured heuristic and post-process the best schedule."""
         tr = _obs.active
         traced = tr.enabled
         if traced:
@@ -149,8 +142,7 @@ class RotationScheduler:
             )
         try:
             t0 = time.perf_counter()
-            if engine is None:
-                engine = make_engine(self.backend, graph, self.model, self.priority)
+            engine = make_engine(self.backend, graph, self.model, self.priority)
             initial = RotationState.initial(
                 graph, self.model, self.priority, engine=engine
             )

@@ -3,7 +3,7 @@
 The public API so far was solve-from-scratch: every call to
 :func:`repro.core.scheduler.rotation_schedule` recompiles the graph,
 rebuilds every cache, and runs the full rotation heuristic.  Yet the whole
-machinery underneath — delta-derived views, dirty-set priority repair,
+machinery underneath — CSR snapshots patched in place, transition memos,
 reusable occupancy grids, interval-collapsed wrap search — is built for
 *small deltas*.  This module exposes that capability as a first-class
 session:
@@ -20,7 +20,7 @@ versioned-mutation protocol (edit log + epoch, see
 
 1. asks the backend engine to :meth:`apply_delta` — FlatGraph CSR patching
    with id↔index compaction (full recompile past a damage threshold) on
-   the flat backend, node-keyed cache refresh on the views backend;
+   the flat backend;
 2. restricts the previous schedule's retiming to the surviving nodes,
    anchors new nodes next to their neighbours, and legalizes the result by
    Bellman relaxation over ``r(v) <= r(u) + d(e)`` (always feasible:
@@ -31,12 +31,12 @@ versioned-mutation protocol (edit log + epoch, see
    placement: their mutual ``dr`` values are unchanged up to the uniform
    normalization shift);
 4. re-places only the invalidated nodes against the kept placements via
-   the shared list-scheduling primitive (engine ``repair()`` on flat/
-   views, direct ``_list_schedule`` on naive), wraps, and applies the
+   the shared list-scheduling primitive (engine ``repair()`` on flat,
+   direct ``_list_schedule`` on naive), wraps, and applies the
    Section 3.2 depth reduction — the same post-processing as a full solve.
 
 The repair is a deterministic function of (edited graph, previous
-schedule): all three backends produce bit-identical repairs, enforced by
+schedule): both backends produce bit-identical repairs, enforced by
 the ``incremental-parity`` oracle in :mod:`repro.qa.incremental`.  A
 ``resolve(mode="solve")`` bypasses repair and reruns the full heuristic —
 bit-identical to ``rotation_schedule`` on the edited graph.

@@ -6,8 +6,7 @@ either exhaustively (the fixed grids today's benchmarks sweep) or with
 the feedback-guided explorer: bound-based pruning against the running
 Pareto frontier, solve-key memoization across clock cells that share a
 latency model, warm :class:`~repro.core.session.MutableSchedulingSession`
-chains across neighboring resource configs, ``solve_batch`` cohorts for
-structurally distinct cells under one model, and an optional
+chains across neighboring resource configs, and an optional
 work-stealing process pool.  See ``docs/exploration.md``.
 """
 

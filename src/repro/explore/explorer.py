@@ -13,9 +13,9 @@ Exploration is **round-based** so it stays deterministic and auditable:
    bound gap first (more room between the neighbor's achieved period and
    this cell's bound), then larger critical-cycle overlap with the cells
    already on the frontier, then canonical order as the final tie-break.
-3. **Solve** — the head of the ranking (one round's worth) is chunked —
-   multi-cell families become warm-chain chunks, leftover singletons
-   regroup into ``solve_batch`` cohorts — and handed to the pool.
+3. **Solve** — the head of the ranking (one round's worth) is chunked
+   into families — a multi-cell family becomes one warm-chain chunk —
+   and handed to the pool.
 4. **Fold** — outcomes fold into the frontiers in canonical cell order,
    making the frontier (and therefore the next round's pruning) a pure
    function of the grid, independent of worker timing.
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.explore.space import CellSpec, ExploreError, Point, cell_cost, family_key, cohort_key
+from repro.explore.space import CellSpec, ExploreError, Point, cell_cost, family_key
 from repro.explore.bounds import CellBound, cell_bound, overlap
 from repro.explore.frontier import ParetoFrontier
 from repro.explore.runner import CellOutcome, ServeCellSolver
@@ -140,8 +140,8 @@ def _rank(
     return sorted(remaining, key=key)
 
 
-def _chunk(selection: List[Tuple[int, CellSpec]], batch_capable: bool) -> List[Chunk]:
-    """Family chunks for warm chains; leftover singletons into cohorts.
+def _chunk(selection: List[Tuple[int, CellSpec]]) -> List[Chunk]:
+    """One chunk per family, in first-seen order, so warm chains connect.
 
     Cells inside a family chunk run small-to-large in resource counts so
     each ``set_resource_counts`` hop grows the machine — the cheapest
@@ -156,31 +156,14 @@ def _chunk(selection: List[Tuple[int, CellSpec]], batch_capable: bool) -> List[C
             order.append(fam)
         by_family[fam].append(spec)
     chunks: List[Chunk] = []
-    singles: List[CellSpec] = []
+    singles: List[Chunk] = []
     for fam in order:
         cells = sorted(by_family[fam], key=lambda s: (s.adders + s.mults, s.sort_key()))
         if len(cells) >= 2:
             chunks.append(("family", cells))
         else:
-            singles.extend(cells)
-    if batch_capable:
-        by_cohort: Dict[Tuple, List[CellSpec]] = {}
-        corder: List[Tuple] = []
-        for spec in singles:
-            ck = cohort_key(spec)
-            if ck not in by_cohort:
-                by_cohort[ck] = []
-                corder.append(ck)
-            by_cohort[ck].append(spec)
-        for ck in corder:
-            cells = by_cohort[ck]
-            if len(cells) >= 2:
-                chunks.append(("cohort", cells))
-            else:
-                chunks.append(("family", cells))
-    else:
-        chunks.extend(("family", [spec]) for spec in singles)
-    return chunks
+            singles.append(("family", cells))
+    return chunks + singles
 
 
 def explore(
@@ -215,11 +198,6 @@ def explore(
     # (family, adders, mults) -> outcome, for adjacency + gap ranking.
     solved_index: Dict[Tuple, CellOutcome] = {}
 
-    from repro.core.vector._compat import have_numpy
-
-    batch_capable = mode == "explore" and serve_solver is None and have_numpy() and (
-        backend in (None, "vector")
-    )
     pool = None
     if serve_solver is None:
         pool = make_pool(workers if mode == "explore" else 1, backend)
@@ -286,7 +264,7 @@ def explore(
             if serve_solver is not None:
                 got = [serve_solver.solve(spec) for _idx, spec in sorted(selection)]
             else:
-                chunks = _chunk(selection, batch_capable)
+                chunks = _chunk(selection)
                 got = [o for batch in pool.run(chunks) for o in batch]
             fold(selection, got)
 

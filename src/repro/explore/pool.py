@@ -2,10 +2,10 @@
 
 The unit of work is a **chunk** — ``(kind, [CellSpec, ...])`` with kind
 ``"family"`` (solved one by one on the warm path, in order, so the
-session chain connects), ``"cohort"`` (one ``solve_batch`` call) or
-``"cold"`` (the exhaustive baseline).  Chunks, not cells, are what gets
-stolen: a family chunk migrating wholesale keeps its warm chain intact,
-whereas splitting one would silently turn warm solves cold.
+session chain connects) or ``"cold"`` (the exhaustive baseline).
+Chunks, not cells, are what gets stolen: a family chunk migrating
+wholesale keeps its warm chain intact, whereas splitting one would
+silently turn warm solves cold.
 
 :class:`WorkStealingPool` runs chunks on worker processes, parent as
 scheduler: each worker owns a deque of chunks (dealt round-robin in
@@ -31,14 +31,12 @@ from repro.explore.runner import CellOutcome, CellSolver
 #: ``(kind, cells)`` — the work-stealing lease unit.
 Chunk = Tuple[str, List[CellSpec]]
 
-CHUNK_KINDS = ("family", "cohort", "cold")
+CHUNK_KINDS = ("family", "cold")
 
 
 def execute_chunk(solver: CellSolver, kind: str, cells: Sequence[CellSpec]) -> List[CellOutcome]:
     """Run one chunk on one solver — the only cell-execution call site
     shared by both pools and the inline grid runner."""
-    if kind == "cohort":
-        return solver.solve_cohort(list(cells))
     if kind == "cold":
         return [solver.solve_cold(spec) for spec in cells]
     if kind == "family":

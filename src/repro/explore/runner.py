@@ -12,9 +12,7 @@ A cell is solved in one of three ways, all returning the same
   per-family :class:`~repro.core.session.MutableSchedulingSession` hops
   between neighboring resource configs via ``set_resource_counts`` +
   ``resolve(mode="solve")`` (bit-identical to a cold solve on the edited
-  model — the parity tests pin this), and structurally distinct cells
-  under one model stack into :func:`~repro.core.vector.batch.solve_batch`
-  cohorts.
+  model — the parity tests pin this).
 * **remote** (:class:`ServeCellSolver`) — the ``--via serve`` path: the
   cell travels as a ``repro.serve/v1`` request (latencies folded into a
   full unit-spec config), the daemon's two-level cache does the reuse,
@@ -35,7 +33,6 @@ from repro.explore.space import (
     ExploreError,
     Point,
     cell_model,
-    cohort_key,
     family_key,
     objective_point,
     solve_key,
@@ -49,9 +46,8 @@ class CellOutcome:
 
     ``source`` says how the solve happened: ``"cold"``, ``"solve"`` (warm
     path, fresh session), ``"warm"`` (seeded from a family neighbor),
-    ``"memo"`` (solve-key hit, no solve at all), ``"batch"`` /
-    ``"batch-dedup"`` (cohort member / structural duplicate inside one),
-    or ``"serve:<cache-level>"``.  ``result`` keeps the full
+    ``"memo"`` (solve-key hit, no solve at all), or
+    ``"serve:<cache-level>"``.  ``result`` keeps the full
     :class:`~repro.core.scheduler.RotationResult` for in-process callers
     (the benchmark asserts); :meth:`strip` drops it before a pipe.
     """
@@ -70,7 +66,7 @@ class CellOutcome:
 
     @property
     def deduped(self) -> bool:
-        return self.source in ("memo", "batch-dedup")
+        return self.source == "memo"
 
     def strip(self) -> "CellOutcome":
         return self if self.result is None else _dc_replace(self, result=None)
@@ -104,7 +100,7 @@ def _outcome(spec: CellSpec, result, elapsed: float, source: str) -> CellOutcome
 
 
 class CellSolver:
-    """Local cell execution with all three reuse mechanisms.
+    """Local cell execution with both reuse mechanisms (memo, warm chains).
 
     One instance per worker process; its memo and session caches are the
     worker's private state (the explorer's chunking keeps each family on
@@ -112,11 +108,7 @@ class CellSolver:
     """
 
     def __init__(self, backend: Optional[str] = None):
-        if backend is None:
-            from repro.core.vector._compat import have_numpy
-
-            backend = "vector" if have_numpy() else "flat"
-        self.backend = backend
+        self.backend = backend or "flat"
         # solve_key -> (length, registers): clock cells sharing a latency
         # model collapse here without touching a solver.
         self._memo: Dict[Tuple, Tuple[int, int]] = {}
@@ -179,57 +171,6 @@ class CellSolver:
         outcome = _outcome(spec, result, time.perf_counter() - t0, source)
         self._memo[key] = (outcome.length, outcome.registers)
         return outcome
-
-    def solve_cohort(self, specs: Sequence[CellSpec]) -> List[CellOutcome]:
-        """Solve cells sharing one :func:`cohort_key` as a ``solve_batch``
-        cohort (falls back to :meth:`solve` without numpy)."""
-        if not specs:
-            return []
-        keys = {cohort_key(s) for s in specs}
-        if len(keys) != 1:
-            raise ExploreError(f"cohort mixes {len(keys)} models/search configs")
-        from repro.core.vector._compat import have_numpy
-
-        if not have_numpy():
-            return [self.solve(s) for s in specs]
-        # Memo hits (and duplicate solve keys inside the cohort) never
-        # reach the batch; the rest are solved once per unique solve key.
-        out: Dict[int, CellOutcome] = {}
-        todo: List[Tuple[int, CellSpec]] = []
-        claimed: Dict[Tuple, int] = {}
-        for i, spec in enumerate(specs):
-            key = solve_key(spec)
-            if key in self._memo:
-                out[i] = self.solve(spec)
-            elif key in claimed:
-                todo.append((i, spec))  # solved by the batch's own dedup
-            else:
-                claimed[key] = i
-                todo.append((i, spec))
-        if todo:
-            from repro.core.vector.batch import solve_batch
-
-            graphs = [bound_graph(s) for i, s in todo]
-            rep = todo[0][1]
-            stats: Dict[str, int] = {}
-            t0 = time.perf_counter()
-            results = solve_batch(
-                graphs,
-                cell_model(rep),
-                heuristic=rep.heuristic,
-                beta=rep.beta,
-                sigma=rep.sigma,
-                stats=stats,
-            )
-            elapsed = time.perf_counter() - t0
-            share = elapsed / len(todo)
-            for (i, spec), result in zip(todo, results):
-                key = solve_key(spec)
-                source = "batch" if claimed.get(key) == i else "batch-dedup"
-                outcome = _outcome(spec, result, share, source)
-                self._memo.setdefault(key, (outcome.length, outcome.registers))
-                out[i] = outcome
-        return [out[i] for i in range(len(specs))]
 
 
 class ServeCellSolver:

@@ -209,21 +209,6 @@ def family_key(spec: CellSpec) -> Tuple:
     )
 
 
-def cohort_key(spec: CellSpec) -> Tuple:
-    """The ``solve_batch`` grouping key: one model + search config, any
-    graph — cells sharing it stack into one struct-of-arrays cohort."""
-    return (
-        spec.add_latency,
-        spec.mult_latency,
-        spec.adders,
-        spec.mults,
-        spec.pipelined,
-        spec.heuristic,
-        spec.sigma,
-        spec.beta,
-    )
-
-
 def objective_point(spec: CellSpec, length: int, registers: int) -> Point:
     """The Pareto point of a solved cell (per original iteration)."""
     return Point(

@@ -6,7 +6,7 @@ Four pieces, all stdlib-only:
   (:data:`~repro.obs.tracer.NULL`) so permanent instrumentation sites
   cost nearly nothing when tracing is off.
 * :mod:`repro.obs.metrics` — the unified counters/gauges/timers/extras
-  schema every producer (views engine, flat engine, fuzz runner) reports
+  schema every producer (flat engine, fuzz runner, serve, explore) reports
   through.
 * :mod:`repro.obs.export` / :mod:`repro.obs.profile` — JSONL trace
   round-tripping, structural validation, and the self-vs-cumulative
@@ -28,7 +28,6 @@ from repro.obs.metrics import (
 from repro.obs.perfcheck import (
     MIN_EXPLORE_SPEEDUP,
     MIN_SERVE_SPEEDUP,
-    BatchCell,
     ExploreCell,
     GoldenCell,
     IncrementalCell,
@@ -39,7 +38,7 @@ from repro.obs.perfcheck import (
     load_golden_cells,
     load_incremental_cells,
     load_serve_cells,
-    load_vector_cells,
+    load_vector_headline,
     measure_explore_grid,
     measure_serve_workload,
     run_perfcheck,
@@ -61,7 +60,6 @@ __all__ = [
     "NULL",
     "METRICS_SCHEMA",
     "TRACE_SCHEMA",
-    "BatchCell",
     "ExploreCell",
     "GoldenCell",
     "IncrementalCell",
@@ -90,7 +88,7 @@ __all__ = [
     "load_golden_cells",
     "load_incremental_cells",
     "load_serve_cells",
-    "load_vector_cells",
+    "load_vector_headline",
     "measure_explore_grid",
     "measure_serve_workload",
     "parse_trace",

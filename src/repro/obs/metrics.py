@@ -1,7 +1,7 @@
 """The unified metrics registry: counters, gauges and timers, one schema.
 
-Every metrics producer in the repo — the views engine, the flat engine,
-the QA fuzz runner — reports through this schema so downstream consumers
+Every metrics producer in the repo — the flat engine, the QA fuzz
+runner, serve and explore — reports through this schema so downstream consumers
 (the CLI, perfcheck, future serve/explore layers) read one shape::
 
     {
@@ -9,7 +9,7 @@ the QA fuzz runner — reports through this schema so downstream consumers
       "source": "repro.core.flat.engine",
       "backend": "flat",                  # producers may add tags
       "counters": {"rotations": 1173, ...},
-      "gauges":   {"views_cached": 18, ...},
+      "gauges":   {"memory_entries": 18, ...},
       "timers":   {"cell": {"count": 378, "total_s": 5.9,
                              "min_s": ..., "max_s": ...}, ...},
       "extras":   {"chain_tip_reuses": 1156, ...}   # per-source specifics

@@ -1,8 +1,8 @@
 """The perf-regression gate: re-run pinned golden cells, compare envelopes.
 
-``BENCH_flat.json`` and ``BENCH_engine.json`` pin the repo's performance
-trajectory: each end-to-end entry records a (benchmark, config, heuristic,
-backend) cell with its wall time and its deterministic outcome counters
+``BENCH_flat.json`` and ``BENCH_vector.json`` pin the repo's performance
+trajectory: each end-to-end entry records a (benchmark, config, heuristic)
+cell with its wall time and its deterministic outcome counters
 (schedule length, rotations performed, and for some cells the engine's
 grid counters).  :func:`run_perfcheck` re-runs those cells on the current
 tree and fails when
@@ -21,7 +21,7 @@ repair-vs-scratch speedup drops below :data:`MIN_REPAIR_SPEEDUP`.
 Timing uses ``time.process_time`` with a min-of-N inner loop, the same
 methodology the committed baselines were recorded with, so the comparison
 is CPU time against CPU time.  ``rotsched gate`` runs the ``--smoke``
-variant (flat cells only, generous ±50% tolerance) before every merge.
+variant (no explore grid, generous ±50% tolerance) before every merge.
 """
 
 from __future__ import annotations
@@ -38,11 +38,13 @@ from repro.errors import ReproError
 _PINNED_COUNTERS = ("view_derives", "grid_delta_rotations", "grid_reseeds")
 
 #: Baseline files perfcheck knows how to read, with the backend their
-#: end-to-end cells exercise and the extra_info key holding the timing.
+#: end-to-end cells run on and the extra_info key holding the timing.
+#: ``BENCH_vector.json``'s cells were recorded on the numpy backend,
+#: which ran the same memoized flat kernels on graphs this size; they
+#: now hold the default backend to those times.
 BASELINE_SPECS: Tuple[Tuple[str, str, str], ...] = (
     ("BENCH_flat.json", "flat", "flat_seconds"),
-    ("BENCH_engine.json", "views", "views_seconds"),
-    ("BENCH_vector.json", "vector", "vector_seconds"),
+    ("BENCH_vector.json", "flat", "vector_seconds"),
 )
 
 #: Committed envelope for session repair vs from-scratch solve
@@ -53,14 +55,11 @@ INCREMENTAL_BASELINE = "BENCH_incremental.json"
 #: from-scratch solve on every pinned single-edit script.
 MIN_REPAIR_SPEEDUP = 3.0
 
-#: Committed vector-backend envelope, including the batched cohort cell
-#: (written by ``benchmarks/bench_vector_kernels.py``).  Its two
-#: acceptance cells gate absolute envelopes within the run's tolerance,
-#: not ratios over another backend: the single-solve headline (h2,
-#: elliptic @ 3A2M) must run on the *default* backend at or below the
+#: Committed envelope of the former numpy backend.  Its single-solve
+#: headline (h2, elliptic @ 3A2M) gates an absolute envelope within the
+#: run's tolerance: the *default* backend must run at or below the
 #: pinned ``vector_seconds`` (the transition memos that made ``vector``
-#: fast live in the default engine), and ``solve_batch`` over the fuzz
-#: ``--smoke`` cohort at or below its pinned ``batched_seconds``.
+#: fast live in the default engine).
 VECTOR_BASELINE = "BENCH_vector.json"
 
 #: Committed serve-daemon envelope (written by ``benchmarks/bench_serve.py``).
@@ -189,38 +188,6 @@ class VectorHeadlineResult:
 
 
 @dataclass(frozen=True)
-class BatchCell:
-    """The pinned batched-cohort acceptance cell (fuzz ``--smoke`` grid)."""
-
-    source: str
-    cohort: str
-    heuristic: str
-    requests: int
-    unique_solves: int
-    batched_seconds: float
-    length_sum: int
-
-    def label(self) -> str:
-        return f"batch:{self.cohort}/{self.heuristic}"
-
-
-@dataclass
-class BatchResult:
-    """Outcome of replaying the batched cohort."""
-
-    cell: BatchCell
-    batched_seconds: float = 0.0
-    requests: Optional[int] = None
-    unique_solves: Optional[int] = None
-    length_sum: Optional[int] = None
-    problems: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
-@dataclass(frozen=True)
 class ServeCell:
     """The pinned serve-vs-uncached acceptance cell of ``BENCH_serve.json``."""
 
@@ -316,7 +283,7 @@ class PerfReport:
     elapsed: float = 0.0
     skipped_baselines: List[str] = field(default_factory=list)
     incremental: List[IncrementalResult] = field(default_factory=list)
-    vector: List[Any] = field(default_factory=list)
+    vector: List[VectorHeadlineResult] = field(default_factory=list)
     serve: List[ServeResult] = field(default_factory=list)
     explore: List[ExploreResult] = field(default_factory=list)
 
@@ -392,18 +359,11 @@ class PerfReport:
                 lines.append(f"       - {p}")
         for r in self.vector:
             status = "ok" if r.ok else "FAIL"
-            if isinstance(r, BatchResult):
-                lines.append(
-                    f"  {status:<4} {r.cell.label():<28} "
-                    f"batched {r.batched_seconds:.4f}s  "
-                    f"pinned {r.cell.batched_seconds:.4f}s"
-                )
-            else:
-                lines.append(
-                    f"  {status:<4} {r.cell.label():<28} "
-                    f"default {r.seconds:.4f}s  "
-                    f"pinned vector {r.cell.vector_seconds:.4f}s"
-                )
+            lines.append(
+                f"  {status:<4} {r.cell.label():<28} "
+                f"default {r.seconds:.4f}s  "
+                f"pinned vector {r.cell.vector_seconds:.4f}s"
+            )
             for p in r.problems:
                 lines.append(f"       - {p}")
         for r in self.serve:
@@ -493,27 +453,19 @@ def load_incremental_cells(path: str) -> List[IncrementalCell]:
     return cells
 
 
-def load_vector_cells(
-    path: str,
-) -> Tuple[Optional[VectorHeadlineCell], Optional[BatchCell]]:
-    """Extract the two acceptance cells from ``BENCH_vector.json``.
-
-    The single-solve cell is the entry marked ``headline: single_solve``
-    (h2 on elliptic @ 3A2M), the cohort cell the ``batched_smoke`` entry;
-    the remaining end-to-end entries are ordinary golden cells and flow
+def load_vector_headline(path: str) -> VectorHeadlineCell:
+    """Extract the single-solve acceptance cell from ``BENCH_vector.json``:
+    the entry marked ``headline: single_solve`` (h2 on elliptic @ 3A2M).
+    The file's end-to-end entries are ordinary golden cells and flow
     through :func:`load_golden_cells` via :data:`BASELINE_SPECS`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    source = os.path.basename(path)
-    headline: Optional[VectorHeadlineCell] = None
-    batch: Optional[BatchCell] = None
     for entry in data.get("benchmarks", ()):
         info = entry.get("extra_info") or {}
-        kind = info.get("headline")
-        if kind == "single_solve":
-            headline = VectorHeadlineCell(
-                source=source,
+        if info.get("headline") == "single_solve":
+            return VectorHeadlineCell(
+                source=os.path.basename(path),
                 bench=info.get("bench", "elliptic"),
                 config=info.get("config", "3A2M"),
                 heuristic=info.get("heuristic", "h2"),
@@ -521,19 +473,7 @@ def load_vector_cells(
                 length=int(info["length"]),
                 rotations=int(info["rotations"]),
             )
-        elif kind == "batched_smoke":
-            batch = BatchCell(
-                source=source,
-                cohort=info["cohort"],
-                heuristic=info["heuristic"],
-                requests=int(info["requests"]),
-                unique_solves=int(info["unique_solves"]),
-                batched_seconds=float(info["batched_seconds"]),
-                length_sum=int(info["length_sum"]),
-            )
-    if headline is None and batch is None:
-        raise ReproError(f"no vector acceptance cells found in {path}")
-    return headline, batch
+    raise ReproError(f"no single-solve headline cell found in {path}")
 
 
 def load_serve_cells(path: str) -> List[ServeCell]:
@@ -604,7 +544,7 @@ def measure_explore_grid(specs, repeats: int):
 
     Returns ``(explore_seconds, exhaustive_seconds, explore_report,
     exhaustive_report)`` — min-of-N *wall clock* on both sides (the
-    explorer is an orchestration layer: warm-chain hops, cohort stacking
+    explorer is an orchestration layer: warm-chain hops, memo hits
     and pool plumbing are real elapsed time, not just CPU).  Every repeat
     starts from cleared bound/graph caches and a fresh solver so later
     runs cannot ride earlier runs' memos.  Shared by
@@ -837,60 +777,6 @@ def _measure_vector_headline(
     return vr
 
 
-def _measure_batch_cell(
-    cell: BatchCell, repeats: int, tolerance: float
-) -> BatchResult:
-    """Replay the batched cohort: ``solve_batch`` per config group, min-of-N
-    against the pinned ``batched_seconds``."""
-    from repro.core.vector.batch import solve_batch
-    from repro.qa import smoke_cases
-    from repro.qa.runner import batch_groups, config_model
-
-    groups = [
-        (config_model(cfg), [g for _, g in pairs])
-        for cfg, pairs in batch_groups(smoke_cases())
-    ]
-    best = float("inf")
-    outcome = None
-    for _ in range(max(repeats, 1)):
-        t0 = time.process_time()
-        results = []
-        unique = 0
-        for model, gs in groups:
-            stats: Dict[str, Any] = {}
-            results.extend(
-                solve_batch(gs, model, heuristic=cell.heuristic, stats=stats)
-            )
-            unique += stats["unique"]
-        dt = time.process_time() - t0
-        if dt < best:
-            best = dt
-            outcome = (len(results), unique, sum(r.length for r in results))
-    br = BatchResult(
-        cell,
-        batched_seconds=best,
-        requests=outcome[0],
-        unique_solves=outcome[1],
-        length_sum=outcome[2],
-    )
-    for name, measured, pinned in (
-        ("requests", br.requests, cell.requests),
-        ("unique_solves", br.unique_solves, cell.unique_solves),
-        ("length_sum", br.length_sum, cell.length_sum),
-    ):
-        if measured != pinned:
-            br.problems.append(
-                f"counter delta: {name} {measured} != pinned {pinned}"
-            )
-    limit = cell.batched_seconds * (1.0 + tolerance)
-    if best > limit:
-        br.problems.append(
-            f"wall-time regression: batched {best:.4f}s > "
-            f"{cell.batched_seconds:.4f}s * {1.0 + tolerance:.2f} = {limit:.4f}s"
-        )
-    return br
-
-
 def _measure_incremental_cell(
     cell: IncrementalCell, repeats: int, tolerance: float
 ) -> IncrementalResult:
@@ -1022,19 +908,16 @@ def run_perfcheck(
         tolerance: allowed wall-time slack as a fraction of the baseline
             (0.5 == fail past +50%).
         repeats: min-of-N timing runs per cell.
-        smoke: the pre-merge tier — flat and vector cells only,
+        smoke: the pre-merge tier — no explore grid,
             ``min(repeats, 2)`` timing runs, and tolerance floored at
             ±50% so CI noise does not flake the gate.
         incremental_baseline: filename of the committed session-repair
             envelope (``None`` disables the incremental tier).  Repair
             cells gate the ``MIN_REPAIR_SPEEDUP`` floor on top of the
             usual counter pins and wall tolerance.
-        vector_baseline: filename of the committed vector-backend
-            envelope (``None`` disables the vector tier).  Its acceptance
-            cells gate the default backend's single-solve headline
-            against the pinned vector time and the ``solve_batch`` cohort
-            against its pinned time; all vector cells are skipped (not
-            failed) when numpy is unavailable.
+        vector_baseline: filename of the committed envelope holding the
+            single-solve headline (``None`` disables that tier); the
+            default backend must meet its pinned vector time.
         serve_baseline: filename of the committed serve-daemon envelope
             (``None`` disables the serve tier).  Its cells gate the
             ``MIN_SERVE_SPEEDUP`` cached-vs-uncached floor, pin the
@@ -1047,25 +930,17 @@ def run_perfcheck(
             oracle and the exploration counters pinned exactly.  The
             tier replays the full committed grid, so it is skipped on
             ``--smoke`` (``rotsched gate`` runs its own small explore
-            smoke instead) and skipped (not failed) without numpy — the
-            pinned counters assume the vector backend's cohort stacking.
+            smoke instead).
     """
-    from repro.core.vector import have_numpy
-
     t0 = time.perf_counter()
     if smoke:
-        baselines = [spec for spec in baselines if spec[1] in ("flat", "vector")]
         repeats = min(repeats, 2)
         tolerance = max(tolerance, 0.5)
     report = PerfReport(tolerance=tolerance, repeats=repeats)
-    numpy_ok = have_numpy()
     for filename, backend, seconds_key in baselines:
         path = os.path.join(root, filename)
         if not os.path.exists(path):
             report.skipped_baselines.append(filename)
-            continue
-        if backend == "vector" and not numpy_ok:
-            report.skipped_baselines.append(f"{filename} (numpy unavailable)")
             continue
         for cell in load_golden_cells(path, backend, seconds_key):
             cr = _measure_cell(cell, repeats)
@@ -1091,18 +966,10 @@ def run_perfcheck(
         if not os.path.exists(path):
             if vector_baseline not in report.skipped_baselines:
                 report.skipped_baselines.append(vector_baseline)
-        elif not numpy_ok:
-            skip = f"{vector_baseline} (numpy unavailable)"
-            if skip not in report.skipped_baselines:
-                report.skipped_baselines.append(skip)
         else:
-            headline, batch = load_vector_cells(path)
-            if headline is not None:
-                report.vector.append(
-                    _measure_vector_headline(headline, repeats, tolerance)
-                )
-            if batch is not None:
-                report.vector.append(_measure_batch_cell(batch, repeats, tolerance))
+            report.vector.append(_measure_vector_headline(
+                load_vector_headline(path), repeats, tolerance
+            ))
     if serve_baseline is not None:
         path = os.path.join(root, serve_baseline)
         if not os.path.exists(path):
@@ -1114,8 +981,6 @@ def run_perfcheck(
         path = os.path.join(root, explore_baseline)
         if not os.path.exists(path):
             report.skipped_baselines.append(explore_baseline)
-        elif not numpy_ok:
-            report.skipped_baselines.append(f"{explore_baseline} (numpy unavailable)")
         else:
             for ecell in load_explore_cells(path):
                 report.explore.append(

@@ -40,13 +40,11 @@ from repro.qa.serve import (
     check_serve_differential,
 )
 from repro.qa.runner import (
-    BATCHED_PATHS,
     DEFAULT_CONFIGS,
     PATHS,
     FailureRecord,
     FuzzCase,
     FuzzReport,
-    batch_groups,
     config_model,
     grid_cases,
     run_cell,
@@ -56,7 +54,6 @@ from repro.qa.runner import (
 )
 
 __all__ = [
-    "BATCHED_PATHS",
     "DEFAULT_CONFIGS",
     "FailureRecord",
     "FuzzCase",
@@ -67,7 +64,6 @@ __all__ = [
     "PINNED_EDIT_SCRIPTS",
     "ReproBundle",
     "ServeOracleReport",
-    "batch_groups",
     "certify_rotation",
     "certify_wrapped",
     "check_envelope",

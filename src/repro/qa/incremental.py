@@ -13,8 +13,7 @@ promises into a fuzzable oracle:
   through a session never dead-ends (no zero-delay cycles, no dangling
   references).
 * :func:`check_incremental_session` replays the script step-by-step
-  through one session per backend (flat / vector / views / naive; vector
-  drops out cleanly when numpy is missing), checks every repaired
+  through one session per backend (flat / naive), checks every repaired
   result bit-for-bit across backends (``check_parity``), certifies the
   naive result against the retiming / lower-bound / modulo oracles, and
   finally pins the session's solve mode against ``rotation_schedule`` on
@@ -232,11 +231,8 @@ def check_incremental_session(
         seed = graph.num_nodes * 1_000_003 + graph.num_edges * 10_007 + graph.total_delay()
     rng = random.Random(seed)
     script = random_edit_script(graph, model, rng, steps)
-    from repro.core.vector import have_numpy
-
-    backends = [b for b in BACKENDS if b != "vector" or have_numpy()]
     sessions: Dict[str, MutableSchedulingSession] = {
-        b: open_session(graph, model, backend=b) for b in backends
+        b: open_session(graph, model, backend=b) for b in BACKENDS
     }
     results = {b: s.resolve() for b, s in sessions.items()}
     failures = _compare_backends(results, "initial solve")

@@ -13,11 +13,7 @@ Scheduler paths:
 ========== ==========================================================
 ``h1``      rotation scheduling, heuristic 1, incremental engine on
 ``h2``      rotation scheduling, heuristic 2, incremental engine on
-``parity``  h2 under every backend (flat / views / naive, plus vector
-            when numpy is importable); bit-identical
-``vector``  numpy backend h2 solve, pinned against flat and certified
-            (skips clean when numpy is missing — the scalar backends
-            stay covered by ``parity``)
+``parity``  h2 under both backends (flat / naive); bit-identical
 ``dag_list``   non-pipelined DAG list-scheduling baseline
 ``modulo``     iterative modulo scheduling baseline (flat + kernel forms)
 ``retime_ls``  retime-then-list-schedule baseline
@@ -56,17 +52,8 @@ from repro.suite.random_graphs import build_case_graph, generator_grid
 
 #: scheduler paths a cell can exercise.
 PATHS: Tuple[str, ...] = (
-    "h1", "h2", "parity", "vector", "dag_list", "modulo", "retime_ls",
-    "incremental",
+    "h1", "h2", "parity", "dag_list", "modulo", "retime_ls", "incremental",
 )
-
-#: paths whose cells consume an h2 solve the batched prepass can serve —
-#: "h2" certifies the solve itself, "parity" and "vector" pin their
-#: vector solve against the scalar backends.  All backends are pinned
-#: bit-identical (golden parity suite + the parity cells themselves), so
-#: one :func:`repro.core.vector.solve_batch` result per unique
-#: ``(graph, config)`` serves every one of these cells verbatim.
-BATCHED_PATHS: Tuple[str, ...] = ("h2", "parity", "vector")
 
 #: default resource configs — small enough to stress contention.
 DEFAULT_CONFIGS: Tuple[str, ...] = ("1A1M", "2A1M", "2A1Mp")
@@ -129,11 +116,6 @@ class FuzzReport:
     skipped: int = 0
     elapsed: float = 0.0
     failures: List[FailureRecord] = field(default_factory=list)
-    #: cells run on the ``vector`` path — the delta the vector backend
-    #: added to the grid (0 on pre-vector grids or when filtered out).
-    vector_cells: int = 0
-    #: ``solve_batch`` dedup accounting when the run was batched.
-    batch_stats: Optional[Dict[str, Any]] = None
     #: Unified repro.obs metrics snapshot (schema repro.obs/metrics/v1):
     #: per-cell wall-time timer, per-oracle verdict counters, shrink steps.
     metrics: Optional[Dict[str, Any]] = None
@@ -145,14 +127,6 @@ class FuzzReport:
         )
         if self.skipped:
             head += f" ({self.skipped} cells skipped by budget)"
-        if self.vector_cells:
-            head += f"; +{self.vector_cells} vector cells"
-        if self.batch_stats:
-            s = self.batch_stats
-            head += (
-                f" (batched: {s['requests']} vector solves -> "
-                f"{s['unique']} unique, {s['deduped']} deduped)"
-            )
         if self.failures:
             head += f"; {len(self.failures)} FAILING cell(s), bundles written"
         return head
@@ -161,69 +135,29 @@ class FuzzReport:
 # ----------------------------------------------------------------------
 # cell execution
 # ----------------------------------------------------------------------
-def run_cell_on_graph(
-    graph: DFG, config: str, path: str, precomputed=None
-) -> List[OracleFailure]:
+def run_cell_on_graph(graph: DFG, config: str, path: str) -> List[OracleFailure]:
     """Run one scheduler path on an already-built graph; full oracle stack.
 
-    ``precomputed`` optionally supplies the cell's h2 RotationResult
-    (solved up front by the batched prepass); paths outside
-    :data:`BATCHED_PATHS` ignore it.  Any unexpected exception
-    becomes a ``crash`` failure so the fuzzer keeps going and the
-    shrinker can minimize crashing inputs too.
+    Any unexpected exception becomes a ``crash`` failure so the fuzzer
+    keeps going and the shrinker can minimize crashing inputs too.
     """
     model = config_model(config)
     failures = check_roundtrip(graph)
     try:
-        failures += _run_path(graph, model, path, precomputed)
+        failures += _run_path(graph, model, path)
     except Exception as exc:
         failures.append(OracleFailure("crash", f"{type(exc).__name__}: {exc}"))
     return failures
 
 
-def _vector_solve(graph: DFG, model: ResourceModel, precomputed):
-    if precomputed is not None:
-        return precomputed
-    return rotation_schedule(graph, model, heuristic="h2", backend="vector")
-
-
-def _run_path(
-    graph: DFG, model: ResourceModel, path: str, precomputed=None
-) -> List[OracleFailure]:
+def _run_path(graph: DFG, model: ResourceModel, path: str) -> List[OracleFailure]:
     if path in ("h1", "h2"):
-        # A batched prepass may have solved the h2 cell already (the
-        # backends are pinned bit-identical, so whose result this is
-        # cannot matter); the full oracle stack still runs on it.
-        result = precomputed
-        if result is None or path != "h2":
-            result = rotation_schedule(graph, model, heuristic=path)
+        result = rotation_schedule(graph, model, heuristic=path)
         return certify_rotation(graph, model, result)
     if path == "parity":
-        from repro.core.vector import have_numpy
-
         flat = rotation_schedule(graph, model, heuristic="h2", backend="flat")
-        views = rotation_schedule(graph, model, heuristic="h2", backend="views")
         naive = rotation_schedule(graph, model, heuristic="h2", backend="naive")
-        failures = (
-            check_parity(flat, naive, "flat vs naive")
-            + check_parity(views, naive, "views vs naive")
-        )
-        if have_numpy():
-            vector = _vector_solve(graph, model, precomputed)
-            failures += check_parity(vector, naive, "vector vs naive")
-        return failures + certify_rotation(graph, model, flat)
-    if path == "vector":
-        from repro.core.vector import have_numpy
-
-        if not have_numpy():
-            # Clean skip: the scalar backends stay covered by "parity".
-            return []
-        vector = _vector_solve(graph, model, precomputed)
-        flat = rotation_schedule(graph, model, heuristic="h2", backend="flat")
-        return (
-            check_parity(vector, flat, "vector vs flat")
-            + certify_rotation(graph, model, vector)
-        )
+        return check_parity(flat, naive, "flat vs naive") + certify_rotation(graph, model, flat)
     if path == "dag_list":
         from repro.baselines.dag_list import dag_list_schedule
 
@@ -295,60 +229,6 @@ def smoke_cases() -> List[FuzzCase]:
     the deterministic fuzz-smoke test pins a subset of it in tier 1.
     """
     return grid_cases(seeds=range(3))
-
-
-def batch_groups(
-    cases: Sequence[FuzzCase],
-) -> List[Tuple[str, List[Tuple[int, DFG]]]]:
-    """Group a grid's vector-solving cells by resource config.
-
-    Returns ``[(config, [(case_index, graph), ...]), ...]`` covering every
-    cell whose path consumes an h2 solve (:data:`BATCHED_PATHS`) — the
-    cohort :func:`repro.core.vector.solve_batch` collapses because grid
-    cells regenerate the same seeded graphs across paths.  Shared by the
-    batched fuzz prepass and ``benchmarks/bench_vector_kernels.py``.
-    """
-    groups: Dict[str, List[Tuple[int, DFG]]] = {}
-    for idx, case in enumerate(cases):
-        if case.path in BATCHED_PATHS:
-            groups.setdefault(case.config, []).append((idx, case.build_graph()))
-    return sorted(groups.items())
-
-
-def _batched_prepass(
-    cases: Sequence[FuzzCase], reg: MetricsRegistry, report: FuzzReport
-) -> Dict[int, Any]:
-    """Solve every vector-solving cell up front through ``solve_batch``.
-
-    Returns ``{case_index: RotationResult}``; groups whose batch solve
-    raises are left out so the per-cell path re-runs them and attributes
-    the crash to the exact cell.  A no-op (empty map) when numpy is
-    missing.
-    """
-    from repro.core.vector import have_numpy
-
-    if not have_numpy():
-        return {}
-    from repro.core.vector import solve_batch
-
-    pre: Dict[int, Any] = {}
-    totals = {"requests": 0, "unique": 0, "deduped": 0}
-    for config, members in batch_groups(cases):
-        stats: Dict[str, Any] = {}
-        try:
-            results = solve_batch(
-                [g for _, g in members], config_model(config), stats=stats
-            )
-        except Exception:
-            continue  # the per-cell run will report it with attribution
-        for (idx, _g), result in zip(members, results):
-            pre[idx] = result
-        for key in totals:
-            totals[key] += stats.get(key, 0)
-    report.batch_stats = totals
-    for key, value in totals.items():
-        reg.set_counter(f"batch_{key}", value)
-    return pre
 
 
 # ----------------------------------------------------------------------
@@ -434,8 +314,6 @@ def _run_fuzz_parallel(
                 cell_seconds, failures = future.result()
                 reg.observe("cell", cell_seconds)
                 report.cells += 1
-                if case.path == "vector":
-                    report.vector_cells += 1
                 if not failures:
                     report.clean += 1
                     continue
@@ -457,7 +335,6 @@ def run_fuzz(
     out_dir: str = "artifacts/qa",
     shrink: bool = True,
     jobs: Optional[int] = None,
-    batched: bool = False,
 ) -> FuzzReport:
     """Certify every cell; shrink and bundle each failure.
 
@@ -473,15 +350,9 @@ def run_fuzz(
             are still reported deterministically in case order); ``None``
             or ``1`` runs in-process.  Falls back to the sequential loop
             when multiprocessing is unavailable.
-        batched: collapse the grid's vector-solving cells (the parity and
-            vector paths) into per-config ``solve_batch`` cohorts up
-            front, then thread each precomputed result into its cell —
-            same verdicts, shared compile/dedup work.  Implies the
-            sequential loop (results live in this process); a no-op when
-            numpy is unavailable.
     """
     t0 = time.perf_counter()
-    if not batched and jobs is not None and jobs > 1 and len(cases) > 1:
+    if jobs is not None and jobs > 1 and len(cases) > 1:
         report = _run_fuzz_parallel(
             cases, jobs, budget_seconds, max_cells, out_dir, shrink, t0
         )
@@ -489,10 +360,6 @@ def run_fuzz(
             return report
     report = FuzzReport()
     reg = MetricsRegistry("repro.qa.runner", mode="sequential")
-    pre: Dict[int, Any] = {}
-    if batched:
-        with reg.timer("batch_prepass"):
-            pre = _batched_prepass(cases, reg, report)
     for idx, case in enumerate(cases):
         if max_cells is not None and idx >= max_cells:
             report.skipped = len(cases) - idx
@@ -502,12 +369,8 @@ def run_fuzz(
             break
         graph = case.build_graph()
         with reg.timer("cell"):
-            failures = run_cell_on_graph(
-                graph, case.config, case.path, pre.get(idx)
-            )
+            failures = run_cell_on_graph(graph, case.config, case.path)
         report.cells += 1
-        if case.path == "vector":
-            report.vector_cells += 1
         if not failures:
             report.clean += 1
             continue
@@ -521,7 +384,6 @@ def _finish_metrics(report: FuzzReport, reg: MetricsRegistry) -> None:
     """Fold the run totals into the registry and snapshot it onto the report."""
     reg.set_counter("cells", report.cells)
     reg.set_counter("clean", report.clean)
-    reg.set_counter("vector_cells", report.vector_cells)
     reg.set_counter("failing", len(report.failures))
     reg.set_counter("skipped", report.skipped)
     report.metrics = reg.as_dict()

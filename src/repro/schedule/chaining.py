@@ -159,8 +159,6 @@ def chained_full_schedule(
     priority="descendants",
     fixed: Optional[Mapping[NodeId, ChainedScheduleEntry]] = None,
     floor_time: int = 0,
-    prio_table: Optional[Dict[NodeId, Tuple]] = None,
-    adj: Optional[Tuple[Dict[NodeId, List[NodeId]], Dict[NodeId, List[NodeId]]]] = None,
 ) -> ChainedSchedule:
     """List scheduling with chaining over the zero-delay DAG of ``Gr``.
 
@@ -175,11 +173,6 @@ def chained_full_schedule(
         fixed: pre-placed entries that must not move (the partial form the
             rotation driver uses).
         floor_time: earliest time unit for newly placed operations.
-        prio_table: precomputed priority table for ``Gr`` (the chained
-            rotation driver injects its view cache's table; values must
-            equal what ``priority`` would compute).
-        adj: precomputed ``(zero-delay successors, predecessors)`` maps of
-            ``Gr``, likewise injectable from a cache.
     """
     if cs_length <= 0:
         raise SchedulingError(f"nonpositive control step length {cs_length}")
@@ -189,11 +182,8 @@ def chained_full_schedule(
         if op_units[op] not in unit_counts:
             raise ResourceError(f"unit {op_units[op]!r} has no count")
 
-    prio = prio_table if prio_table is not None else get_priority(priority)(graph, timing, r)
-    if adj is None:
-        zsucc, zpred = zero_delay_adjacency(graph, r)
-    else:
-        zsucc, zpred = adj
+    prio = get_priority(priority)(graph, timing, r)
+    zsucc, zpred = zero_delay_adjacency(graph, r)
     node_index = {v: i for i, v in enumerate(graph.nodes)}
 
     # busy[(unit, instance)] = list of (start, finish) intervals, time units

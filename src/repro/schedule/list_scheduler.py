@@ -128,35 +128,6 @@ class OccupancyGrid:
                 slot.discard(inst)
 
 
-class SchedulingContext:
-    """Supplies the list scheduler's graph-derived inputs.
-
-    The base implementation recomputes everything per call — the priority
-    table from scratch and zero-delay neighbourhoods by scanning incident
-    edges — which is the paper-faithful but cache-free path.  The rotation
-    engine substitutes a view-backed subclass whose lookups hit per-
-    retiming caches maintained incrementally across rotations.
-    """
-
-    def __init__(self, graph: DFG, model: ResourceModel, r: Optional[Retiming], priority):
-        self.graph = graph
-        self.model = model
-        self.r = r
-        self.priority = priority
-
-    def priority_table(self) -> Dict[NodeId, Tuple]:
-        return get_priority(self.priority)(self.graph, self.model.timing(), self.r)
-
-    def zero_delay_preds(self, node: NodeId) -> List[NodeId]:
-        return zero_delay_predecessors(self.graph, node, self.r)
-
-    def zero_delay_succs(self, node: NodeId) -> List[NodeId]:
-        return zero_delay_successors(self.graph, node, self.r)
-
-    def node_index(self) -> Dict[NodeId, int]:
-        return {v: i for i, v in enumerate(self.graph.nodes)}
-
-
 def _earliest_start(
     graph: DFG,
     model: ResourceModel,
@@ -181,29 +152,24 @@ def _list_schedule(
     r: Optional[Retiming],
     priority,
     floor_cs: int,
-    ctx: Optional[SchedulingContext] = None,
-    grid: Optional[OccupancyGrid] = None,
 ) -> Schedule:
     """Core list scheduler: place ``todo`` nodes given fixed placements.
 
-    ``ctx`` injects cached graph analyses (the rotation engine's per-
-    retiming views); ``grid`` injects an occupancy grid that already holds
-    the fixed placements, skipping the per-call reseed.  Both default to
-    the recompute-everything behavior.
+    Recomputes everything per call — the priority table from scratch and
+    zero-delay neighbourhoods by scanning incident edges — which is the
+    paper-faithful, cache-free path the flat engine is pinned against.
     """
     tr = _obs.active
     if tr.enabled:
         tr.begin("list_schedule", todo=len(todo))
         try:
             return _list_schedule_inner(
-                graph, model, fixed_start, fixed_units, todo, r, priority,
-                floor_cs, ctx, grid,
+                graph, model, fixed_start, fixed_units, todo, r, priority, floor_cs,
             )
         finally:
             tr.end()
     return _list_schedule_inner(
         graph, model, fixed_start, fixed_units, todo, r, priority, floor_cs,
-        ctx, grid,
     )
 
 
@@ -216,29 +182,28 @@ def _list_schedule_inner(
     r: Optional[Retiming],
     priority,
     floor_cs: int,
-    ctx: Optional[SchedulingContext] = None,
-    grid: Optional[OccupancyGrid] = None,
 ) -> Schedule:
-    if ctx is None:
-        ctx = SchedulingContext(graph, model, r, priority)
-    prio = ctx.priority_table()
-    node_index = ctx.node_index()
+    prio = get_priority(priority)(graph, model.timing(), r)
+    node_index = {v: i for i, v in enumerate(graph.nodes)}
+
+    def zero_delay_preds(node: NodeId) -> List[NodeId]:
+        return zero_delay_predecessors(graph, node, r)
+
     # Sort keys are loop-invariant; resolve them once instead of per sort.
     sort_key = {
         v: (tuple(-x for x in prio[v]), node_index[v]) for v in todo
     }.__getitem__
 
-    if grid is None:
-        grid = OccupancyGrid(model)
-        for v, cs in fixed_start.items():
-            inst = fixed_units.get(v)
+    grid = OccupancyGrid(model)
+    for v, cs in fixed_start.items():
+        inst = fixed_units.get(v)
+        if inst is None:
+            inst = grid.find_instance(graph.op(v), cs)
             if inst is None:
-                inst = grid.find_instance(graph.op(v), cs)
-                if inst is None:
-                    raise SchedulingError(
-                        f"fixed placement infeasible: no {graph.op(v)} unit at CS {cs} for {v!r}"
-                    )
-            grid.occupy(graph.op(v), cs, inst)
+                raise SchedulingError(
+                    f"fixed placement infeasible: no {graph.op(v)} unit at CS {cs} for {v!r}"
+                )
+        grid.occupy(graph.op(v), cs, inst)
 
     start: Dict[NodeId, int] = dict(fixed_start)
     units: Dict[NodeId, int] = dict(fixed_units)
@@ -248,7 +213,7 @@ def _list_schedule_inner(
     # unresolved zero-delay predecessor counts within todo
     pending: Dict[NodeId, int] = {}
     for v in todo_set:
-        preds = ctx.zero_delay_preds(v)
+        preds = zero_delay_preds(v)
         for u in preds:
             if u not in start and u not in todo_set:
                 raise SchedulingError(
@@ -263,7 +228,7 @@ def _list_schedule_inner(
     est: Dict[NodeId, int] = {}
     for v in ready:
         e = floor_cs
-        for u in ctx.zero_delay_preds(v):
+        for u in zero_delay_preds(v):
             f = start[u] + latency(op_of(u))
             if f > e:
                 e = f
@@ -291,13 +256,13 @@ def _list_schedule_inner(
             ready.discard(v)
             unplaced.discard(v)
             placed_any = True
-            for w in ctx.zero_delay_succs(v):
+            for w in zero_delay_successors(graph, v, r):
                 if w in unplaced:
                     pending[w] -= 1
                     if pending[w] == 0:
                         ready.add(w)
                         e = floor_cs
-                        for u in ctx.zero_delay_preds(w):
+                        for u in zero_delay_preds(w):
                             f = start[u] + latency(op_of(u))
                             if f > e:
                                 e = f

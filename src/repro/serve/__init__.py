@@ -4,8 +4,8 @@ A long-running stdlib-``asyncio`` HTTP/JSON daemon that answers DFG +
 resource-model + option requests from a two-level memo cache (in-process
 LRU over an on-disk ``repro.qa``-bundle artifact store), falling through
 to a fingerprint-sharded worker pool with single-flight coalescing,
-``solve_batch`` cohort batching, and session-based warm re-solves of
-edited graphs.  Entry points::
+same-model cohorts sent as one worker call, and session-based warm
+re-solves of edited graphs.  Entry points::
 
     rotsched serve --port 8347 --workers 4 --artifacts artifacts/serve
     rotsched loadgen --port 8347 --repeats 8

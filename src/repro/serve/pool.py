@@ -11,10 +11,8 @@ request.
 Three worker entry points, all pure functions of their payloads:
 
 * :func:`solve_one` — a single canonical request;
-* :func:`solve_cohort` — same-model cohorts through
-  :func:`repro.core.vector.solve_batch` when numpy is available, falling
-  back to sequential flat solves when it is not (the numpy gate turns
-  into a strategy choice here, never an ImportError);
+* :func:`solve_cohort` — a same-model cohort solved member by member in
+  one worker call, so the cohort shares one shard and one round trip;
 * :func:`solve_warm` — a warm re-solve of an edited graph through a
   worker-resident :class:`~repro.core.session.MutableSchedulingSession`
   (repair, not re-search); the session store is keyed by fingerprint so
@@ -78,49 +76,10 @@ def solve_one(fp: str, canonical: Mapping[str, Any]) -> Dict[str, Any]:
 def solve_cohort(
     items: Sequence[Tuple[str, Mapping[str, Any]]]
 ) -> List[Dict[str, Any]]:
-    """Solve a same-(model, options) cohort in one worker call.
-
-    With numpy present the cohort goes through ``solve_batch`` so
-    FlatGraph compilation and the initial pass amortize; without it, each
-    member takes the sequential flat path — identical bits either way
-    (the parity suite pins vector == flat).
-    """
-    from repro.serve.protocol import (
-        graph_from_canonical,
-        model_from_canonical,
-        result_payload,
-    )
-    from repro.core.vector._compat import have_numpy
-
-    if not items:
-        return []
-    canonicals = [dict(c) for _fp, c in items]
-    opts = canonicals[0]["options"]
-    batchable = (
-        len(items) > 1
-        and have_numpy()
-        and opts["clock"] is None
-        and opts["unfold"] == 1
-    )
-    if not batchable:
-        return [solve_one(fp, c) for (fp, _), c in zip(items, canonicals)]
-    try:
-        from repro.core.vector.batch import solve_batch
-
-        graphs = [graph_from_canonical(c) for c in canonicals]
-        model = model_from_canonical(canonicals[0])
-        results = solve_batch(
-            graphs,
-            model,
-            heuristic=opts["heuristic"],
-            priority=opts["priority"],
-            beta=opts["beta"],
-            sigma=opts["sigma"],
-        )
-        return [result_payload(r) for r in results]
-    except ReproError:
-        # e.g. a callable-priority or numpy edge case: fall back per item.
-        return [solve_one(fp, c) for (fp, _), c in zip(items, canonicals)]
+    """Solve a same-(model, options) cohort in one worker call: each
+    member in order through :func:`solve_one`, so one member's error
+    never spoils the others."""
+    return [solve_one(fp, canonical) for fp, canonical in items]
 
 
 def solve_warm(

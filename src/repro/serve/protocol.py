@@ -26,9 +26,7 @@ every input that can change a schedule, and nothing else.  The
   share the schedule-bits contract; the property test in
   ``tests/property/test_fingerprint.py`` enforces it end to end);
 * the graph half is :func:`repro.core.flat.structural_signature` and the
-  model half :func:`repro.core.flat.model_signature` — the same keys
-  ``solve_batch`` dedups on, so the serve cache and the batch dedup can
-  never disagree about which requests are "the same";
+  model half :func:`repro.core.flat.model_signature`;
 * execution-only knobs (``workers``, tracing) are excluded; ``backend``
   *is* included so a response's engine metrics always describe the
   backend that was asked for, even though schedule bits are
@@ -227,9 +225,8 @@ def parse_request(payload: Mapping[str, Any]) -> SolveRequest:
 def canonical_request(request: SolveRequest) -> Dict[str, Any]:
     """The canonical, JSON-able form the cache keys on.
 
-    Reuses the engine-layer signatures (the FlatEngine/solve_batch dedup
-    path) for the graph and model halves, then appends the full option
-    surface in sorted key order.
+    Reuses the engine-layer signatures for the graph and model halves,
+    then appends the full option surface in sorted key order.
     """
     g_nodes, g_ops, g_times, g_edges = structural_signature(request.graph)
     m_units, m_binding = model_signature(request.model)

@@ -10,7 +10,9 @@ pipeline per request::
   in-flight solve (an ``asyncio.Future``); only the first dispatches.
 * **Micro-batching**: misses arriving in the same event-loop tick (or
   inside ``batch_window`` seconds) that share a (model, options) cohort
-  key are dispatched as *one* worker call through ``solve_batch``.
+  key are dispatched as *one* worker call
+  (:func:`repro.serve.pool.solve_cohort`), solved one after another on
+  one shard.
 * **Warm path**: a request carrying ``base`` + ``edits`` routes to the
   shard whose worker holds the base session and repairs instead of
   re-searching.
@@ -50,7 +52,7 @@ _MAX_BODY = 32 * 1024 * 1024
 
 
 def _cohort_key(canonical: Mapping[str, Any]) -> str:
-    """Requests sharing this key may solve as one ``solve_batch`` cohort."""
+    """Requests sharing this key may solve as one worker-call cohort."""
     return json.dumps(
         {"model": canonical["model"], "options": canonical["options"]},
         sort_keys=True,

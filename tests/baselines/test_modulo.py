@@ -4,7 +4,9 @@ import pytest
 
 from repro.schedule import ResourceModel, is_legal_modulo_schedule
 from repro.baselines import min_initiation_interval, modulo_schedule
-from repro.suite import all_benchmarks, diffeq, lattice, biquad
+from repro.errors import SchedulingError
+from repro.schedule.list_scheduler import full_schedule
+from repro.suite import all_benchmarks, diffeq, lattice, biquad, random_dfg
 
 
 class TestMII:
@@ -73,3 +75,19 @@ class TestModuloSchedule:
         model = ResourceModel.adders_mults(2, 2)
         res = modulo_schedule(diffeq(), model)
         assert res.length == res.ii
+
+    def test_list_schedule_fallback_when_search_fails(self):
+        """Regression: the iterative search fails at every II up to the
+        default max_ii (the list length, 8, which is also the exact II);
+        the documented fallback returns the list schedule there instead
+        of raising."""
+        g = random_dfg(8, seed=824, forward_density=0.2, backward_density=0.15, max_delay=2)
+        model = ResourceModel.adders_mults(2, 1)
+        listed = full_schedule(g, model)
+        assert listed.length == 8
+        with pytest.raises(SchedulingError, match="up to II=8"):
+            modulo_schedule(g, model, max_ii=8)
+        res = modulo_schedule(g, model)
+        assert res.ii == 8
+        assert res.start == listed.start_map
+        assert is_legal_modulo_schedule(g, model, res.start, res.ii)

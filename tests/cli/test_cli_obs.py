@@ -59,11 +59,11 @@ class TestTraceCommand:
         assert main(
             [
                 "trace", "diffeq", "-r", "2A2M",
-                "--backend", "views", "--out", str(out_path),
+                "--backend", "naive", "--out", str(out_path),
             ]
         ) == 0
         header = json.loads(out_path.read_text().splitlines()[0])
-        assert header["meta"]["backend"] == "views"
+        assert header["meta"]["backend"] == "naive"
 
 
 class TestProfileCommand:

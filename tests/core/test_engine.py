@@ -1,4 +1,4 @@
-"""Unit tests for the incremental rotation engine's internals."""
+"""Unit tests for the default (flat) rotation engine's counters and plumbing."""
 
 import pickle
 import random
@@ -6,8 +6,8 @@ import random
 import pytest
 
 from repro.dfg.graph import DFG
-from repro.dfg.retiming import Retiming
-from repro.core.engine import RotationEngine, ViewCache, strip_funcs
+from repro.core.engine import strip_funcs
+from repro.core.flat import FlatEngine
 from repro.core.phases import BestTracker, heuristic_1
 from repro.core.rotation import RotationState
 from repro.core.scheduler import rotation_schedule
@@ -35,29 +35,29 @@ def random_cyclic_dfg(seed: int) -> DFG:
 
 
 class TestViewDerivation:
+    """The flat engine derives each rotation's struct view (adjacency and
+    priority sort keys) from its parent's; every priority must still
+    reproduce the naive path's placements."""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_derived_views_match_full_builds(self, seed):
         """After every rotation of a random walk, the incrementally derived
-        view equals a from-scratch build of the same retiming."""
+        struct view equals a from-scratch build of the same ``dr``."""
         graph = random_cyclic_dfg(seed)
         model = ResourceModel.adders_mults(2, 2)
-        engine = RotationEngine(graph, model)
+        engine = FlatEngine(graph, model)
         state = RotationState.initial(graph, model, engine=engine)
         rng = random.Random(seed + 1000)
         for _ in range(25):
             if state.length <= 1:
                 break
             state = state.down_rotate(rng.randint(1, state.length - 1))
-            view = engine.views.get(state.retiming)
-            fresh = ViewCache(graph, model.timing())._build(state.retiming)
-            assert view.dr == fresh.dr
-            assert {v: sorted(map(str, view.zsucc[v])) for v in graph.nodes} == {
-                v: sorted(map(str, fresh.zsucc[v])) for v in graph.nodes
-            }
-            assert {v: sorted(map(str, view.zpred[v])) for v in graph.nodes} == {
-                v: sorted(map(str, fresh.zpred[v])) for v in graph.nodes
-            }
-            assert view.prio == fresh.prio
+            dr = engine._vstates[state.engine_token].dr
+            view = engine._svs[dr]
+            fresh = FlatEngine(graph, model)._sv_for(dr, lambda: state.retiming)
+            assert [sorted(x) for x in view.zsucc] == [sorted(x) for x in fresh.zsucc]
+            assert [sorted(x) for x in view.zpred] == [sorted(x) for x in fresh.zpred]
+            assert view.skey == fresh.skey
             assert view.reach == fresh.reach
         assert engine.stats()["view_derives"] > 0
 
@@ -85,24 +85,26 @@ class TestEngineStats:
         # rotating a state that is no longer the engine's chain tip.
         assert stats["grid_delta_rotations"] > 0
         assert stats["priority_entries_reused"] > 0
+        assert result.engine_metrics["extras"]["rotation_memo_hits"] > 0
 
     def test_rotating_an_old_state_reseeds_the_grid(self):
         graph = diffeq()
         model = ResourceModel.unit_time(1, 1)
-        engine = RotationEngine(graph, model)
+        engine = FlatEngine(graph, model)
         s0 = RotationState.initial(graph, model, engine=engine)
         s0.down_rotate(1)  # moves the chain tip past s0
-        s0.down_rotate(1)  # rotating s0 again must reseed, not corrupt
+        # A new transition from s0 (size 2 is no memo hit) must reseed,
+        # not corrupt the tip's grid.
+        again = s0.down_rotate(2)
         assert engine.stats()["grid_reseeds"] >= 1
         # and the reseeded result still matches the naive path
-        naive = RotationState.initial(graph, model, engine=False).down_rotate(1)
-        again = s0.down_rotate(1)
+        naive = RotationState.initial(graph, model, engine=False).down_rotate(2)
         assert again.schedule.normalized().start_map == naive.schedule.normalized().start_map
 
     def test_incompatible_engine_is_rejected(self):
         graph, other = diffeq(), elliptic()
         model = ResourceModel.unit_time(1, 1)
-        engine = RotationEngine(other, model)
+        engine = FlatEngine(other, model)
         with pytest.raises(RotationError):
             RotationState.initial(graph, model, engine=engine)
 

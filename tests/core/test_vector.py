@@ -1,15 +1,19 @@
-"""Property tests for the numpy scheduling core (``repro.core.vector``).
+"""Cross-checks carried over from the retired numpy backend.
 
-Each vector kernel is pinned value-identical to its flat integer
-counterpart over seeded random graphs — including tuple-id unfolded
-graphs and multi-edges with distinct delays — plus engine walks that
-exercise the rotation/wrap/initial memos, the lazy schedule/retiming
-objects (pickling and survival across ``apply_delta``), the batched
-struct-of-arrays solver, and the guarded-numpy degradation path.
+The numpy kernels of ``repro.core.vector`` used to be pinned here against
+their flat counterparts.  That backend is folded into ``flat``, so the
+same cases now pin each flat kernel against an independent statement of
+what it computes — the dict-based analysis in ``repro.dfg.analysis`` /
+``repro.schedule`` or a structural invariant — over a graph set that also
+carries a duplicated zero-delay edge.  The engine cases cover the flat
+engine's transition memos and lazy objects (pickling and survival across
+``apply_delta``), the rejection of the removed backend names, and runs
+with numpy made unimportable.
 """
 
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -23,16 +27,20 @@ from repro.core.flat import (
     zero_delay_lists,
 )
 from repro.core.rotation import RotationState
-from repro.core.vector import have_numpy
+from repro.dfg.analysis import (
+    descendant_reach,
+    height_times,
+    retimed_delay,
+    topological_order,
+    zero_delay_adjacency,
+)
 from repro.dfg.graph import DFG
 from repro.dfg.retiming import Retiming
 from repro.dfg.unfold import unfold
 from repro.errors import ReproError, ZeroDelayCycleError
-from repro.schedule.list_scheduler import full_schedule
+from repro.schedule.priorities import get_priority
 from repro.schedule.resources import ResourceModel
 from repro.suite.random_graphs import random_dfg, random_dsp_kernel
-
-needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
 
 MODEL = ResourceModel.adders_mults(2, 1)
 PRIORITIES = ("descendants", "height", "combined", "mobility")
@@ -63,8 +71,6 @@ def sample_graphs():
 
 
 def legal_retimings(graph, count=4, seed=0):
-    from repro.dfg.analysis import retimed_delay, topological_order
-
     rng = random.Random(seed)
     out = [Retiming.zero()]
     nodes = graph.nodes
@@ -82,171 +88,145 @@ def legal_retimings(graph, count=4, seed=0):
     return out
 
 
-def _columns(graph, model=MODEL):
-    from repro.core.vector.columns import VectorColumns
+def _zero_edges(graph, fg, dr):
+    """The zero-delay ``(src, dst)`` index pairs, straight from ``dr``."""
+    return {
+        (fg.index[e.src], fg.index[e.dst])
+        for e, d in zip(graph.edges, dr)
+        if d == 0
+    }
 
-    fg = FlatGraph(graph)
-    fm = FlatModel(fg, model)
-    return fg, fm, VectorColumns(fg, fm)
+
+@pytest.fixture
+def no_numpy(monkeypatch):
+    """Make ``import numpy`` fail for the duration of a test."""
+    monkeypatch.setitem(sys.modules, "numpy", None)
 
 
 # ----------------------------------------------------------------------
-# kernels vs their flat counterparts
+# flat kernels vs independent references
 # ----------------------------------------------------------------------
-@needs_numpy
 @pytest.mark.parametrize("tag,graph", sample_graphs())
 def test_vec_retimed_delays_matches_flat(tag, graph):
-    import numpy as np
-
-    from repro.core.vector.kernels import vec_retimed_delays
-
-    fg, _fm, vc = _columns(graph)
+    fg = FlatGraph(graph)
     for r in legal_retimings(graph):
-        rv = np.array(fg.rvec(r), dtype=np.int64)
-        assert vec_retimed_delays(vc, rv).tolist() == retimed_delays(fg, fg.rvec(r))
+        dr = retimed_delays(fg, fg.rvec(r))
+        assert dr == [retimed_delay(e, r) for e in graph.edges]
+        assert min(dr) >= 0  # legal retimings keep every delay non-negative
 
 
-@needs_numpy
 @pytest.mark.parametrize("tag,graph", sample_graphs())
 def test_vec_zero_delay_lists_match_flat(tag, graph):
-    import numpy as np
-
-    from repro.core.vector.kernels import (
-        vec_retimed_delays,
-        vec_zero_delay_lists,
-        vec_zero_edges,
-    )
-
-    fg, _fm, vc = _columns(graph)
+    """Successor and predecessor lists are mutual inverses, hold each
+    zero-delay pair once (parallel edges collapse), and cover exactly the
+    edges whose retimed delay is zero."""
+    fg = FlatGraph(graph)
     for r in legal_retimings(graph):
-        dr_arr = vec_retimed_delays(vc, np.array(fg.rvec(r), dtype=np.int64))
-        zs, zd = vec_zero_edges(vc, dr_arr)
-        fsucc, fpred = zero_delay_lists(fg, dr_arr.tolist())
-        vsucc, vpred = vec_zero_delay_lists(fg.n, zs, zd)
-        assert vsucc == fsucc
-        assert vpred == fpred
+        dr = retimed_delays(fg, fg.rvec(r))
+        zsucc, zpred = zero_delay_lists(fg, dr)
+        succ_pairs = [(u, w) for u in range(fg.n) for w in zsucc[u]]
+        pred_pairs = [(u, w) for w in range(fg.n) for u in zpred[w]]
+        assert len(succ_pairs) == len(set(succ_pairs))
+        assert sorted(succ_pairs) == sorted(pred_pairs)
+        assert set(succ_pairs) == _zero_edges(graph, fg, dr)
 
 
-@needs_numpy
 @pytest.mark.parametrize("tag,graph", sample_graphs())
 def test_vec_topo_layers_are_valid_and_detect_cycles(tag, graph):
-    import numpy as np
-
-    from repro.core.vector.kernels import (
-        vec_retimed_delays,
-        vec_topo_layers,
-        vec_zero_edges,
-    )
-
-    fg, _fm, vc = _columns(graph)
-    for r in legal_retimings(graph):
-        dr_arr = vec_retimed_delays(vc, np.array(fg.rvec(r), dtype=np.int64))
-        zs, zd = vec_zero_edges(vc, dr_arr)
-        layers = vec_topo_layers(fg.n, zs, zd)
-        assert layers is not None
-        level = {}
-        for i, layer in enumerate(layers):
-            for v in layer.tolist():
-                level[v] = i
-        # every node exactly once, every zero-delay edge strictly downward
-        assert sorted(level) == list(range(fg.n))
-        for u, w in zip(zs.tolist(), zd.tolist()):
-            assert level[u] < level[w]
-
-
-@needs_numpy
-def test_vec_topo_layers_cycle_returns_none():
-    import numpy as np
-
-    from repro.core.vector.kernels import vec_topo_layers
-
-    zs = np.array([0, 1], dtype=np.int64)
-    zd = np.array([1, 0], dtype=np.int64)
-    assert vec_topo_layers(2, zs, zd) is None
-
-
-@needs_numpy
-@pytest.mark.parametrize("priority", PRIORITIES)
-@pytest.mark.parametrize("tag,graph", sample_graphs())
-def test_vec_priority_columns_match_flat(tag, graph, priority):
-    import numpy as np
-
-    from repro.core.vector.kernels import (
-        vec_priority_columns,
-        vec_retimed_delays,
-        vec_zero_edges,
-    )
-
-    fg, fm, vc = _columns(graph)
+    fg = FlatGraph(graph)
     for r in legal_retimings(graph):
         dr = retimed_delays(fg, fg.rvec(r))
         zsucc, _ = zero_delay_lists(fg, dr)
         order = flat_topological_order(zsucc)
-        f_reach, f_heights, f_skey = flat_priority_columns(
+        assert order is not None
+        level = {v: i for i, v in enumerate(order)}
+        # every node exactly once, every zero-delay edge strictly downward
+        assert sorted(level) == list(range(fg.n))
+        for u, w in _zero_edges(graph, fg, dr):
+            assert level[u] < level[w]
+
+
+def test_vec_topo_layers_cycle_returns_none():
+    assert flat_topological_order([[1], [0]]) is None
+    assert flat_topological_order([[0]]) is None  # zero-delay self-loop
+    assert flat_topological_order([[1], [2], [1]]) is None  # cycle past a prefix
+
+
+@pytest.mark.parametrize("priority", PRIORITIES)
+@pytest.mark.parametrize("tag,graph", sample_graphs())
+def test_vec_priority_columns_match_flat(tag, graph, priority):
+    """The fused ``(reach, heights, skey)`` columns match the dict-based
+    analyses, and each sort key is the dict scheduler's
+    ``(-p0, -p1, ..., node_index)`` for the named priority."""
+    fg = FlatGraph(graph)
+    fm = FlatModel(fg, MODEL)
+    timing = MODEL.timing()
+    prio_fn = get_priority(priority)
+    for r in legal_retimings(graph):
+        dr = retimed_delays(fg, fg.rvec(r))
+        zsucc, _ = zero_delay_lists(fg, dr)
+        order = flat_topological_order(zsucc)
+        reach, heights, skey = flat_priority_columns(
             priority, fm.node_time, zsucc, order
         )
-        dr_arr = vec_retimed_delays(vc, np.array(fg.rvec(r), dtype=np.int64))
-        zs, zd = vec_zero_edges(vc, dr_arr)
-        cols = vec_priority_columns(priority, vc.node_time, fg.n, zs, zd)
-        assert cols is not None
-        v_reach, v_heights, v_skey = cols
-        assert v_skey == f_skey
-        if f_reach is not None:
-            assert v_reach == f_reach
-        if f_heights is not None:
-            assert v_heights == f_heights
+        if reach is not None:
+            dict_reach = descendant_reach(graph, r)
+            for v, i in fg.index.items():
+                got = {fg.nodes[j] for j in range(fg.n) if reach[i] >> j & 1}
+                assert got == dict_reach[v]
+        if heights is not None:
+            dict_heights = height_times(graph, timing, r)
+            assert {v: heights[i] for v, i in fg.index.items()} == dict_heights
+        prio = prio_fn(graph, timing, r)
+        assert skey == [
+            tuple(-p for p in prio[v]) + (i,) for i, v in enumerate(fg.nodes)
+        ]
 
 
-@needs_numpy
 def test_vec_priority_columns_rejects_unknown_priority():
-    import numpy as np
-
-    from repro.core.vector.kernels import vec_priority_columns
-
-    empty = np.zeros(0, dtype=np.int64)
-    with pytest.raises(ValueError, match="no vector sort keys"):
-        vec_priority_columns("zigzag", np.ones(2, dtype=np.int64), 2, empty, empty)
+    with pytest.raises(ValueError, match="no flat sort keys"):
+        flat_priority_columns("zigzag", [1, 1], [[], []], [0, 1])
 
 
-@needs_numpy
 @pytest.mark.parametrize("tag,graph", sample_graphs())
 def test_vec_wrap_period_matches_flat(tag, graph):
-    import numpy as np
-
-    from repro.core.vector.kernels import vec_retimed_delays, vec_wrap_period
-
-    fg, fm, vc = _columns(graph)
-    for r in legal_retimings(graph, count=2):
-        sched = full_schedule(graph, MODEL, r).normalized()
+    """Along a rotation walk, the flat wrap kernel over each state's
+    starts and retimed delays gives the naive state's wrapped period."""
+    fg = FlatGraph(graph)
+    fm = FlatModel(fg, MODEL)
+    state = RotationState.initial(graph, MODEL, engine=False)
+    for _ in range(4):
+        sched = state.schedule.normalized()
         starts = [sched.start(v) for v in fg.nodes]
-        dr = retimed_delays(fg, fg.rvec(r))
-        expected = flat_wrap_period(fg, fm, starts, dr)
-        got = vec_wrap_period(
-            vc,
-            np.array(starts, dtype=np.int64),
-            vec_retimed_delays(vc, np.array(fg.rvec(r), dtype=np.int64)),
-        )
-        assert got == expected
+        dr = retimed_delays(fg, fg.rvec(state.retiming))
+        assert flat_wrap_period(fg, fm, starts, dr) == state.wrapped().period
+        if state.length <= 1:
+            break
+        state = state.down_rotate(1)
 
 
 # ----------------------------------------------------------------------
 # engine walks: memos, laziness, pickling
 # ----------------------------------------------------------------------
-@needs_numpy
 @pytest.mark.parametrize("tag,graph", sample_graphs())
 def test_vector_rotation_walk_matches_naive(tag, graph):
+    """Down- and up-rotations through an explicit flat engine match the
+    naive path state by state."""
     from repro.core.engine import make_engine
 
     fast = RotationState.initial(
-        graph, MODEL, engine=make_engine("vector", graph, MODEL)
+        graph, MODEL, engine=make_engine("flat", graph, MODEL)
     )
     slow = RotationState.initial(graph, MODEL, engine=False)
     rng = random.Random(42)
-    for _ in range(6):
+    for step in range(8):
         if slow.length <= 1:
             break
         size = rng.randint(1, min(3, slow.length - 1))
-        fast, slow = fast.down_rotate(size), slow.down_rotate(size)
+        if step % 4 == 3:
+            fast, slow = fast.up_rotate(size), slow.up_rotate(size)
+        else:
+            fast, slow = fast.down_rotate(size), slow.down_rotate(size)
         assert fast.retiming == slow.retiming
         assert (
             fast.schedule.normalized().start_map
@@ -255,14 +235,13 @@ def test_vector_rotation_walk_matches_naive(tag, graph):
         assert fast.wrapped().period == slow.wrapped().period
 
 
-@needs_numpy
 def test_rotation_memo_replays_bit_identically():
     """Replaying the same transition must be a pure cache hit: identical
     state, one more rotation_memo_hits, no extra miss."""
     from repro.core.engine import make_engine
 
     graph = random_dsp_kernel(taps=4, seed=5)
-    engine = make_engine("vector", graph, MODEL)
+    engine = make_engine("flat", graph, MODEL)
     s0 = RotationState.initial(graph, MODEL, engine=engine)
     first = s0.down_rotate(2)
     hits0 = engine.metrics()["extras"]["rotation_memo_hits"]
@@ -276,12 +255,11 @@ def test_rotation_memo_replays_bit_identically():
     assert again.wrapped().period == first.wrapped().period
 
 
-@needs_numpy
 def test_initial_memo_hits_on_reseed():
     from repro.core.engine import make_engine
 
     graph = random_dfg(10, seed=2)
-    engine = make_engine("vector", graph, MODEL)
+    engine = make_engine("flat", graph, MODEL)
     a = engine.initial_state()
     before = engine.metrics()["extras"]["initial_memo_hits"]
     b = engine.initial_state()
@@ -289,12 +267,11 @@ def test_initial_memo_hits_on_reseed():
     assert a.schedule.start_map == b.schedule.start_map
 
 
-@needs_numpy
 def test_lazy_state_pickles_and_materializes():
     from repro.core.engine import make_engine
 
     graph = random_dfg(9, seed=4)
-    engine = make_engine("vector", graph, MODEL)
+    engine = make_engine("flat", graph, MODEL)
     state = RotationState.initial(graph, MODEL, engine=engine).down_rotate(1)
     blob = pickle.loads(pickle.dumps(state))  # engine stripped by __getstate__
     assert blob.retiming == state.retiming
@@ -309,7 +286,6 @@ def test_lazy_state_pickles_and_materializes():
     )
 
 
-@needs_numpy
 def test_lazy_objects_survive_apply_delta():
     """Regression: lazy schedules/retimings must materialize against the
     node order they were minted under, even after ``apply_delta`` has
@@ -319,114 +295,32 @@ def test_lazy_objects_survive_apply_delta():
 
     graph = random_dsp_kernel(taps=3, seed=0, recursive=True)
     sessions = {
-        b: open_session(graph, MODEL, backend=b) for b in ("vector", "naive")
+        b: open_session(graph, MODEL, backend=b) for b in ("flat", "naive")
     }
     for s in sessions.values():
         s.resolve()
     victim = graph.nodes[len(graph.nodes) // 2]
     for s in sessions.values():
         s.apply_edit({"edit": "remove_node", "node": victim})
-    vec = sessions["vector"].resolve()
+    flat = sessions["flat"].resolve()
     ref = sessions["naive"].resolve()
-    assert vec.length == ref.length
-    assert vec.retiming == ref.retiming
-    assert vec.schedule.start_map == ref.schedule.start_map
+    assert flat.length == ref.length
+    assert flat.retiming == ref.retiming
+    assert flat.schedule.start_map == ref.schedule.start_map
 
 
-@needs_numpy
-def test_vector_engine_rejects_callable_priority_eagerly():
-    from repro.core.vector.engine import VectorEngine
-
-    with pytest.raises(ValueError):
-        VectorEngine(random_dfg(6, seed=1), MODEL, priority=lambda g, t, r: {})
-
-
-@needs_numpy
 def test_make_engine_vector_resolution():
-    from repro.core.engine import RotationEngine, make_engine
-    from repro.core.vector.engine import VectorEngine
-
-    graph = random_dfg(6, seed=2)
-    assert isinstance(make_engine("vector", graph, MODEL), VectorEngine)
-    # Callable priorities fall back to the dict engine, like flat.
-    fn = lambda g, t, r: {v: (0,) for v in g.nodes}  # noqa: E731
-    assert isinstance(make_engine("vector", graph, MODEL, priority=fn), RotationEngine)
-
-
-# ----------------------------------------------------------------------
-# batched solving
-# ----------------------------------------------------------------------
-@needs_numpy
-@pytest.mark.parametrize("priority", PRIORITIES)
-def test_solve_batch_matches_per_graph_solves(priority):
+    """The removed ``vector`` backend name is rejected, naming the two
+    backends that remain."""
+    from repro.core.engine import BACKENDS, make_engine
     from repro.core.scheduler import rotation_schedule
-    from repro.core.vector import solve_batch
 
-    graphs = [
-        random_dfg(8, seed=3),
-        random_dsp_kernel(taps=4, seed=5),
-        random_dfg(8, seed=3),  # duplicate of the first
-    ]
-    stats = {}
-    results = solve_batch(graphs, MODEL, priority=priority, stats=stats)
-    assert stats["requests"] == 3
-    assert stats["unique"] == 2
-    assert stats["deduped"] == 1
-    assert stats["seeded_views"] == 2
-    assert results[0] is results[2]  # duplicates share one solved result
-    for g, got in zip(graphs, results):
-        ref = rotation_schedule(g, MODEL, priority=priority, backend="flat")
-        assert got.length == ref.length
-        assert got.retiming == ref.retiming
-        assert got.schedule.start_map == ref.schedule.start_map
-        assert got.optimal_count == ref.optimal_count
-        assert [a.schedule.start_map for a in got.alternates] == [
-            a.schedule.start_map for a in ref.alternates
-        ]
-
-
-@needs_numpy
-def test_batched_initial_pass_seeds_engines():
-    from repro.core.vector.batch import BatchedFlatGraph, graph_signature
-    from repro.core.vector.engine import VectorEngine
-
-    graphs = [random_dfg(8, seed=3), random_dsp_kernel(taps=4, seed=5)]
-    compiled = []
-    for g in graphs:
-        fg = FlatGraph(g)
-        compiled.append((fg, FlatModel(fg, MODEL)))
-    batched = BatchedFlatGraph(compiled)
-    assert batched.n_total == sum(fg.n for fg, _ in compiled)
-    assert batched.m_total == sum(fg.m for fg, _ in compiled)
-    seeds = batched.initial_pass("descendants")
-    assert seeds is not None and len(seeds) == 2
-    for g, pair, seed in zip(graphs, compiled, seeds):
-        seeded = VectorEngine(g, MODEL, precompiled=pair)
-        seeded.seed_struct_view(*seed)
-        cold = VectorEngine(g, MODEL)
-        a = seeded.initial_state()
-        b = cold.initial_state()
-        assert a.schedule.start_map == b.schedule.start_map
-        assert seeded.metrics()["extras"]["batched_seeds"] == 1
-        assert seeded.metrics()["extras"]["struct_view_builds"] == 0
-
-    # distinct graphs, distinct signatures; equal graphs, equal signatures
-    assert graph_signature(graphs[0]) != graph_signature(graphs[1])
-    assert graph_signature(graphs[0]) == graph_signature(random_dfg(8, seed=3))
-
-
-@needs_numpy
-def test_batched_initial_pass_reports_cycles():
-    from repro.core.vector.batch import BatchedFlatGraph
-
-    g = DFG("cycle")
-    g.add_node("a", "add")
-    g.add_node("b", "add")
-    g.add_edge("a", "b", 0)
-    g.add_edge("b", "a", 0)
-    fg = FlatGraph(g)
-    batched = BatchedFlatGraph([(fg, FlatModel(fg, MODEL))])
-    assert batched.initial_pass("descendants") is None
+    assert BACKENDS == ("flat", "naive")
+    graph = random_dfg(6, seed=2)
+    with pytest.raises(ValueError, match=r"unknown backend 'vector'.*'flat'"):
+        make_engine("vector", graph, MODEL)
+    with pytest.raises(ReproError, match="unknown backend 'vector'"):
+        rotation_schedule(graph, MODEL, backend="vector")
 
 
 try:
@@ -439,7 +333,6 @@ except ImportError:  # pragma: no cover - hypothesis is an optional dev dep
 
 if HAVE_HYPOTHESIS:
 
-    @needs_numpy
     @settings(max_examples=30, deadline=None)
     @given(
         n=st.integers(3, 9),
@@ -452,113 +345,68 @@ if HAVE_HYPOTHESIS:
         ),
     )
     def test_vec_structural_kernels_on_arbitrary_graphs(n, edges):
-        """Arbitrary multigraphs (cycles included): the vector kernels and
-        the flat kernels agree edge-for-edge — same dr, same adjacency,
-        same cycle verdict, same sort keys when acyclic."""
-        import numpy as np
-
-        from repro.core.vector.kernels import (
-            vec_priority_columns,
-            vec_retimed_delays,
-            vec_zero_delay_lists,
-            vec_zero_edges,
-        )
-
+        """Arbitrary multigraphs (cycles included): the flat kernels and
+        the dict-based analyses agree — same dr, same adjacency, same
+        cycle verdict, same sort keys when acyclic."""
         g = DFG("hyp")
         for i in range(n):
             g.add_node(f"v{i}", "add" if i % 2 else "mul")
         for a, b, d in edges:
             g.add_edge(f"v{a % n}", f"v{b % n}", d)
-        fg, fm, vc = _columns(g)
-        rv = fg.rvec(Retiming.zero())
-        dr = retimed_delays(fg, rv)
-        dr_arr = vec_retimed_delays(vc, np.array(rv, dtype=np.int64))
-        assert dr_arr.tolist() == dr
-        zs, zd = vec_zero_edges(vc, dr_arr)
-        fsucc, fpred = zero_delay_lists(fg, dr)
-        vsucc, vpred = vec_zero_delay_lists(fg.n, zs, zd)
-        assert (vsucc, vpred) == (fsucc, fpred)
-        order = flat_topological_order(fsucc)
-        cols = vec_priority_columns("combined", vc.node_time, fg.n, zs, zd)
-        if order is None:
-            assert cols is None
-        else:
-            assert cols is not None
-            assert cols[2] == flat_priority_columns(
-                "combined", fm.node_time, fsucc, order
-            )[2]
+        fg = FlatGraph(g)
+        fm = FlatModel(fg, MODEL)
+        r = Retiming.zero()
+        dr = retimed_delays(fg, fg.rvec(r))
+        assert dr == [e.delay for e in g.edges]
+        zsucc, zpred = zero_delay_lists(fg, dr)
+        succs, preds = zero_delay_adjacency(g, r)
+        for v, i in fg.index.items():
+            assert [fg.nodes[w] for w in zsucc[i]] == succs[v]
+            assert [fg.nodes[w] for w in zpred[i]] == preds[v]
+        order = flat_topological_order(zsucc)
+        try:
+            topological_order(g, r)
+        except ZeroDelayCycleError:
+            assert order is None
+            return
+        assert order is not None
+        _, _, skey = flat_priority_columns("combined", fm.node_time, zsucc, order)
+        prio = get_priority("combined")(g, MODEL.timing(), r)
+        assert skey == [
+            tuple(-p for p in prio[v]) + (i,) for i, v in enumerate(fg.nodes)
+        ]
 
 
 # ----------------------------------------------------------------------
-# guarded numpy import
+# numpy made unimportable: nothing under ``repro`` may need it
 # ----------------------------------------------------------------------
 class TestMissingNumpy:
-    def test_vector_backend_raises_clear_error(self, monkeypatch):
-        import repro.core.vector._compat as compat
+    def test_vector_backend_raises_clear_error(self, no_numpy):
         from repro.core.engine import make_engine
         from repro.core.scheduler import rotation_schedule
 
-        monkeypatch.setattr(compat, "np", None)
-        monkeypatch.setattr(compat, "NUMPY_ERROR", ImportError("no module named numpy"))
-        assert not have_numpy()
         graph = random_dfg(6, seed=1)
-        with pytest.raises(ReproError, match="pip install numpy"):
+        with pytest.raises(ValueError, match="choose from"):
             make_engine("vector", graph, MODEL)
-        with pytest.raises(ReproError, match="backend='flat'"):
+        with pytest.raises(ReproError, match="'flat', 'naive'"):
             rotation_schedule(graph, MODEL, backend="vector")
 
-    def test_scalar_backends_keep_working(self, monkeypatch):
-        import repro.core.vector._compat as compat
+    def test_scalar_backends_keep_working(self, no_numpy):
         from repro.core.scheduler import rotation_schedule
 
-        monkeypatch.setattr(compat, "np", None)
         graph = random_dfg(6, seed=1)
-        results = {
-            b: rotation_schedule(graph, MODEL, backend=b)
-            for b in ("flat", "views", "naive")
-        }
-        assert len({r.length for r in results.values()}) == 1
+        flat = rotation_schedule(graph, MODEL, backend="flat")
+        naive = rotation_schedule(graph, MODEL, backend="naive")
+        assert flat.length == naive.length
+        assert flat.retiming == naive.retiming
+        assert flat.schedule.start_map == naive.schedule.start_map
 
-    def test_fuzz_vector_path_skips_clean(self, monkeypatch):
-        import repro.core.vector._compat as compat
-        from repro.qa.runner import run_cell_on_graph
-
-        monkeypatch.setattr(compat, "np", None)
-        failures = run_cell_on_graph(random_dfg(6, seed=1), "1A1M", "vector")
-        assert failures == []
-
-    def test_parity_path_still_covers_scalar_backends(self, monkeypatch):
-        import repro.core.vector._compat as compat
+    def test_parity_path_still_covers_scalar_backends(self, no_numpy):
         from repro.qa.runner import run_cell_on_graph
         from repro.suite.random_graphs import build_case_graph
 
-        monkeypatch.setattr(compat, "np", None)
         # build_case_graph attaches the simulable affine semantics the
         # parity path's certification oracle executes
         graph = build_case_graph("random_dfg", {"num_nodes": 6, "seed": 1})
         failures = run_cell_on_graph(graph, "1A1M", "parity")
         assert failures == []
-
-
-class TestMissingNumpyBatchAndFuzz:
-    """Forced-import-failure coverage for the remaining vector entry points."""
-
-    def test_solve_batch_raises_clear_repro_error(self, monkeypatch):
-        import repro.core.vector._compat as compat
-        from repro.core.vector.batch import solve_batch
-
-        monkeypatch.setattr(compat, "np", None)
-        monkeypatch.setattr(compat, "NUMPY_ERROR", ImportError("forced"))
-        with pytest.raises(ReproError, match="numpy"):
-            solve_batch([random_dfg(5, seed=2)], MODEL)
-
-    def test_batched_prepass_degrades_to_empty_map(self, monkeypatch):
-        import repro.core.vector._compat as compat
-        from repro.obs.metrics import MetricsRegistry
-        from repro.qa.runner import FuzzReport, smoke_cases, _batched_prepass
-
-        monkeypatch.setattr(compat, "np", None)
-        out = _batched_prepass(
-            list(smoke_cases()), MetricsRegistry("test"), FuzzReport()
-        )
-        assert out == {}

@@ -1,4 +1,4 @@
-"""Cell execution parity: cold vs warm vs memo vs cohort vs serve."""
+"""Cell execution parity: cold vs warm vs memo vs serve."""
 
 import asyncio
 
@@ -7,16 +7,10 @@ import pytest
 from repro.core.engine import BACKENDS
 from repro.core.scheduler import rotation_schedule
 from repro.core.session import MutableSchedulingSession
-from repro.core.vector._compat import have_numpy
 from repro.explore import CellSolver, CellSpec, ServeCellSolver, run_grid
 from repro.explore.bounds import bound_graph
 from repro.explore.space import cell_model, with_counts
 from repro.qa.oracles import check_parity
-
-
-def _needs_numpy(backend):
-    if backend == "vector" and not have_numpy():
-        pytest.skip("numpy unavailable")
 
 
 class TestWarmSeedingParity:
@@ -26,7 +20,6 @@ class TestWarmSeedingParity:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_warm_equals_cold_on_backend(self, backend):
-        _needs_numpy(backend)
         seed = CellSpec("diffeq", 1, 1, clock_ns=50)
         target = with_counts(seed, 2, 1)
         session = MutableSchedulingSession(
@@ -48,7 +41,6 @@ class TestWarmSeedingParity:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_solver_warm_point_equals_cold_point(self, backend):
-        _needs_numpy(backend)
         solver = CellSolver(backend=backend)
         cells = [
             CellSpec("diffeq", 1, 1, clock_ns=50),
@@ -62,6 +54,9 @@ class TestWarmSeedingParity:
 
 
 class TestMemoAndCohort:
+    """The solve-key memo: the dedup the removed ``solve_batch`` cohorts
+    used to do now happens here."""
+
     def test_clock_collapse_hits_memo(self):
         solver = CellSolver(backend="flat")
         a = solver.solve(CellSpec("diffeq", 1, 1, clock_ns=40))
@@ -71,26 +66,19 @@ class TestMemoAndCohort:
         # same length, but the 40 ns cell's point is faster in ns
         assert a.point.period_ns < b.point.period_ns
 
-    @pytest.mark.skipif(not have_numpy(), reason="solve_batch needs numpy")
-    def test_cohort_matches_individual_solves(self):
+    def test_duplicate_solve_keys_match_individual_solves(self):
+        """Cells of different graphs under one model solve separately;
+        a repeated solve key is a memo hit with the cold solve's point."""
         specs = [
             CellSpec("diffeq", 2, 1, clock_ns=50),
             CellSpec("biquad", 2, 1, clock_ns=50),
             CellSpec("biquad", 2, 1, clock_ns=40),  # same solve key as above
         ]
-        batched = CellSolver(backend="vector").solve_cohort(specs)
-        singles = [CellSolver(backend="flat").solve_cold(s) for s in specs]
-        assert [o.point for o in batched] == [o.point for o in singles]
-        assert batched[0].source == "batch"
-        assert batched[2].source == "batch-dedup"
-
-    def test_cohort_rejects_mixed_models(self):
-        from repro.explore.space import ExploreError
-
-        with pytest.raises(ExploreError):
-            CellSolver(backend="flat").solve_cohort(
-                [CellSpec("diffeq", 1, 1), CellSpec("diffeq", 2, 1)]
-            )
+        got = run_grid(specs, CellSolver())
+        singles = [CellSolver().solve_cold(s) for s in specs]
+        assert [o.point for o in got] == [o.point for o in singles]
+        assert [o.source for o in got] == ["solve", "solve", "memo"]
+        assert got[2].deduped
 
 
 class _InlineClient:

@@ -14,7 +14,7 @@ from repro.explore import (
     objective_point,
     solve_key,
 )
-from repro.explore.space import ExploreError, cohort_key, neighbors, with_counts
+from repro.explore.space import ExploreError, neighbors, with_counts
 
 
 class TestCellSpec:
@@ -42,12 +42,6 @@ class TestCellSpec:
         assert family_key(a) != family_key(
             CellSpec("diffeq", 1, 1, clock_ns=100)
         )
-
-    def test_cohort_key_drops_bench_and_unfold(self):
-        a = CellSpec("diffeq", 2, 1, clock_ns=50)
-        b = CellSpec("biquad", 2, 1, clock_ns=40, unfold=1)
-        assert cohort_key(a) == cohort_key(b)
-        assert cohort_key(a) != cohort_key(with_counts(a, 1, 1))
 
     def test_validation(self):
         with pytest.raises(ExploreError):

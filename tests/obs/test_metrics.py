@@ -87,15 +87,6 @@ class TestEngineMetrics:
         assert extras["struct_view_derives"] == snap["counters"]["view_derives"]
         assert extras["struct_view_builds"] == snap["counters"]["view_builds"]
 
-    def test_views_backend_has_no_extras(self):
-        graph = get_benchmark("diffeq")
-        model = config_model("2A2M")
-        result = rotation_schedule(graph, model, heuristic="h1", backend="views")
-        snap = result.engine_metrics
-        assert snap["source"] == "repro.core.engine"
-        assert snap["backend"] == "views"
-        assert snap["extras"] == {}
-
     def test_naive_backend_has_no_metrics(self):
         graph = get_benchmark("diffeq")
         model = config_model("2A2M")

@@ -8,7 +8,7 @@ from repro.errors import ReproError
 from repro.obs import (
     load_golden_cells,
     load_incremental_cells,
-    load_vector_cells,
+    load_vector_headline,
     run_perfcheck,
 )
 from repro.obs.perfcheck import (
@@ -16,7 +16,6 @@ from repro.obs.perfcheck import (
     INCREMENTAL_BASELINE,
     MIN_REPAIR_SPEEDUP,
     VECTOR_BASELINE,
-    _measure_batch_cell,
     _measure_incremental_cell,
     _measure_vector_headline,
 )
@@ -92,7 +91,7 @@ class TestRunPerfcheck:
             root=str(tmp_path),
             baselines=(
                 ("b.json", "flat", "flat_seconds"),
-                ("nope.json", "views", "views_seconds"),
+                ("nope.json", "flat", "flat_seconds"),
             ),
             repeats=1,
         )
@@ -168,32 +167,31 @@ class TestIncrementalCells:
 
 class TestVectorCells:
     def test_loads_committed_vector_baseline(self):
-        headline, batch = load_vector_cells(VECTOR_BASELINE)
-        assert headline is not None and batch is not None
+        headline = load_vector_headline(VECTOR_BASELINE)
         assert headline.bench == "elliptic" and headline.config == "3A2M"
+        assert headline.heuristic == "h2"
         assert headline.vector_seconds > 0
-        assert batch.cohort == "smoke"
-        assert batch.batched_seconds > 0
-        assert batch.requests == 189
-        assert batch.unique_solves < batch.requests  # dedup must bite
+        assert (headline.length, headline.rotations) == (16, 1173)
 
     def test_vector_golden_cells_load_via_baseline_specs(self):
-        cells = load_golden_cells(VECTOR_BASELINE, "vector", "vector_seconds")
+        (spec,) = [s for s in BASELINE_SPECS if s[0] == VECTOR_BASELINE]
+        assert spec[1:] == ("flat", "vector_seconds")
+        cells = load_golden_cells(*spec)
         assert cells
         for cell in cells:
-            assert cell.backend == "vector"
+            assert cell.backend == "flat"
             assert cell.baseline_seconds > 0
 
     def test_no_acceptance_cells_raises(self, tmp_path):
         path = tmp_path / "v.json"
         _write_baseline(path, [_diffeq_cell(seconds=30.0)])
         with pytest.raises(ReproError):
-            load_vector_cells(str(path))
+            load_vector_headline(str(path))
 
     def test_headline_counter_drift_flags_cell(self):
         import dataclasses
 
-        headline, _ = load_vector_cells(VECTOR_BASELINE)
+        headline = load_vector_headline(VECTOR_BASELINE)
         bad = dataclasses.replace(headline, length=headline.length + 1)
         result = _measure_vector_headline(bad, repeats=1, tolerance=10.0)
         assert not result.ok
@@ -201,26 +199,17 @@ class TestVectorCells:
 
     def test_headline_within_envelope(self):
         """The default backend meets the pinned vector envelope."""
-        headline, _ = load_vector_cells(VECTOR_BASELINE)
+        headline = load_vector_headline(VECTOR_BASELINE)
         result = _measure_vector_headline(headline, repeats=2, tolerance=2.0)
         assert result.ok, result.problems
 
     def test_headline_over_envelope_flags_cell(self):
         import dataclasses
 
-        headline, _ = load_vector_cells(VECTOR_BASELINE)
+        headline = load_vector_headline(VECTOR_BASELINE)
         tight = dataclasses.replace(headline, vector_seconds=1e-6)
         result = _measure_vector_headline(tight, repeats=1, tolerance=0.5)
         assert any("wall-time regression" in p for p in result.problems)
-
-    def test_batch_over_envelope_flags_cell(self):
-        import dataclasses
-
-        _, batch = load_vector_cells(VECTOR_BASELINE)
-        tight = dataclasses.replace(batch, batched_seconds=1e-6)
-        result = _measure_batch_cell(tight, repeats=1, tolerance=0.5)
-        assert any("wall-time regression" in p for p in result.problems)
-        assert not any("counter delta" in p for p in result.problems)
 
     def test_missing_vector_baseline_is_skipped(self, tmp_path):
         _write_baseline(tmp_path / "b.json", [_diffeq_cell(seconds=30.0)])
@@ -244,11 +233,16 @@ class TestCommittedEnvelopes:
         """
         report = run_perfcheck(root=".", smoke=True, tolerance=2.0)
         assert report.ok, report.render()
-        # smoke restricts to the flat and vector backends
-        assert {r.cell.backend for r in report.results} == {"flat", "vector"}
-        # and replays both vector acceptance cells
-        assert len(report.vector) == 2
+        # every golden cell runs on the default backend
+        assert {r.cell.backend for r in report.results} == {"flat"}
+        assert {r.cell.source for r in report.results} == {
+            "BENCH_flat.json", VECTOR_BASELINE,
+        }
+        # and replays the single-solve headline
+        assert len(report.vector) == 1
 
     def test_specs_cover_all_fast_backends(self):
+        from repro.core.engine import BACKENDS
+
         backends = {backend for _, backend, _ in BASELINE_SPECS}
-        assert backends == {"flat", "views", "vector"}
+        assert backends == set(BACKENDS) - {"naive"}

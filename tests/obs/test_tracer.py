@@ -109,7 +109,7 @@ class TestActivation:
 
 
 class TestTracedRuns:
-    @pytest.mark.parametrize("backend", ["flat", "views", "naive"])
+    @pytest.mark.parametrize("backend", ["flat", "naive"])
     def test_traced_run_bit_identical_to_untraced(self, backend):
         graph = get_benchmark("biquad")
         model = config_model("2A2M")

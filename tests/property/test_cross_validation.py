@@ -10,7 +10,7 @@ The strongest soundness net in the suite: on each random instance,
   rotation winner passes semantic execution when functions are attached.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.schedule import ResourceModel, is_legal_modulo_schedule
 from repro.core import rotation_schedule
@@ -35,6 +35,10 @@ models = st.sampled_from(
 
 class TestCrossValidation:
     @given(small_graphs, models)
+    @example(
+        random_dfg(8, seed=824, forward_density=0.2, backward_density=0.15, max_delay=2),
+        ResourceModel.adders_mults(2, 1),
+    )  # modulo_schedule's search fails up to the list length; the fallback answers
     @settings(max_examples=20, deadline=None)
     def test_exact_bounds_every_heuristic(self, graph, model):
         exact = exact_modulo_schedule(graph, model, step_limit=400_000)

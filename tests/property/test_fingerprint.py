@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.vector import have_numpy
 from repro.dfg import io as dfg_io
 from repro.dfg.graph import DFG
 from repro.serve.protocol import (
@@ -32,7 +31,7 @@ from repro.serve.protocol import (
 )
 from repro.suite.random_graphs import random_dfg, random_dsp_kernel
 
-ALL_BACKENDS = ("flat", "views", "naive") + (("vector",) if have_numpy() else ())
+ALL_BACKENDS = ("flat", "naive")
 
 
 def solve_on(payload, backend):

@@ -101,7 +101,7 @@ class TestFingerprint:
         for options in (
             {"heuristic": "h1"},
             {"priority": "height"},
-            {"backend": "views"},
+            {"backend": "naive"},
             {"beta": 9},
             {"sigma": 3},
             {"cap": 1},

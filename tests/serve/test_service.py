@@ -1,9 +1,10 @@
 """Service-pipeline tests: cache levels, coalescing, warm path, batching,
-numpy degradation, and the cached-vs-fresh differential oracle."""
+removed-backend errors, and the cached-vs-fresh differential oracle."""
 
 from __future__ import annotations
 
 import asyncio
+import sys
 
 import pytest
 
@@ -189,20 +190,22 @@ class TestWarmPath:
 
 
 class TestNumpyDegradation:
-    def test_vector_backend_request_degrades_to_structured_error(self, monkeypatch, service):
-        import repro.core.vector._compat as compat
+    """Serving needs no numpy: with it unimportable, requests for the
+    removed backends get a structured error and cohorts still solve as a
+    sequential flat loop."""
 
-        monkeypatch.setattr(compat, "np", None)
-        monkeypatch.setattr(compat, "NUMPY_ERROR", ImportError("forced"))
-        out = run(service.solve({**DIFFEQ, "options": {"backend": "vector"}}))
-        assert out["cache"] == "error"
-        assert out["error"]["type"] == "ReproError"
-        assert "numpy" in out["error"]["message"]
+    @pytest.fixture(autouse=True)
+    def no_numpy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)
 
-    def test_cohort_falls_back_to_sequential_flat(self, monkeypatch, service):
-        import repro.core.vector._compat as compat
+    def test_vector_backend_request_degrades_to_structured_error(self, service):
+        for backend in ("vector", "views"):
+            out = run(service.solve({**DIFFEQ, "options": {"backend": backend}}))
+            assert out["cache"] == "error"
+            assert out["error"]["type"] == "ServeError"
+            assert f"unknown backend {backend!r}" in out["error"]["message"]
 
-        monkeypatch.setattr(compat, "np", None)
+    def test_cohort_falls_back_to_sequential_flat(self, service):
         burst = [
             {"graph": {"benchmark": b}, "config": "2A1M"}
             for b in ("diffeq", "biquad")

@@ -213,9 +213,9 @@ def flat_sort_keys(
 class FlatGrid:
     """Occupancy grid over unit ids: ``{stored cs: instance bitmask}``.
 
-    Same semantics as :class:`~repro.schedule.list_scheduler.OccupancyGrid`
-    (O(1) :meth:`shift` via a logical offset, lowest-free-instance
-    allocation, double-booking errors), but a slot is one machine integer
+    :class:`~repro.schedule.list_scheduler.OccupancyGrid`'s allocation
+    (lowest free instance, double-booking errors) plus an O(1)
+    :meth:`shift` via a logical offset, but a slot is one machine integer
     and the lowest free instance is a two-op bit trick.
     """
 

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dfg.graph import DFG, NodeId, Timing
 from repro.dfg.analysis import topological_order  # validates zero-delay acyclicity
-from repro.errors import GraphError, ZeroDelayCycleError
+from repro.errors import GraphError
 
 
 #: per-edge integer columns for the parametric probes:
@@ -118,12 +118,13 @@ def _arrays_have_cycle(arrays: ConstraintArrays, lam: Fraction, strict: bool) ->
     return False
 
 
-def _has_cycle_with_ratio(graph: DFG, timing: Optional[Timing], lam: Fraction, strict: bool) -> bool:
-    """One-shot form of :func:`_arrays_have_cycle` (compiles, then probes)."""
-    return _arrays_have_cycle(_constraint_arrays(graph, timing), lam, strict)
+#: graph -> (graph epoch, [(cycle nodes, d(C))]): neither depends on the
+#: timing, so one enumeration serves every timing.  Same staleness rule
+#: as :data:`_ARRAYS_CACHE`.
+_CYCLES_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _cycle_digraph(graph: DFG, timing: Optional[Timing]):
+def _cycle_digraph(graph: DFG):
     """Simple digraph with min-delay parallel-edge collapse, for enumeration.
 
     When maximizing ``t(C)/d(C)``, a cycle always prefers the minimum-delay
@@ -135,11 +136,34 @@ def _cycle_digraph(graph: DFG, timing: Optional[Timing]):
     g = nx.DiGraph()
     g.add_nodes_from(graph.nodes)
     for e in graph.edges:
-        if g.has_edge(e.src, e.dst):
-            g[e.src][e.dst]["delay"] = min(g[e.src][e.dst]["delay"], e.delay)
-        else:
+        if not g.has_edge(e.src, e.dst) or e.delay < g[e.src][e.dst]["delay"]:
             g.add_edge(e.src, e.dst, delay=e.delay)
     return g
+
+
+def cycle_delays(graph: DFG, limit: int = 100_000) -> List[Tuple[List[NodeId], int]]:
+    """Every simple cycle with its delay sum ``d(C)``, enumerated once per
+    graph epoch (parallel edges count with their minimum delay).
+
+    Raises :class:`GraphError` if more than ``limit`` cycles exist.
+    """
+    entry = _CYCLES_CACHE.get(graph)
+    if entry is None or entry[0] != graph.epoch:
+        import networkx as nx
+
+        topological_order(graph)  # raises ZeroDelayCycleError on illegal graphs
+        g = _cycle_digraph(graph)
+        cycles: List[Tuple[List[NodeId], int]] = []
+        for cycle in nx.simple_cycles(g):
+            if len(cycles) == limit:
+                raise GraphError(f"more than {limit} simple cycles; use the parametric bound")
+            cycles.append((cycle, sum(
+                g[u][v]["delay"] for u, v in zip(cycle, cycle[1:] + cycle[:1])
+            )))
+        entry = _CYCLES_CACHE[graph] = (graph.epoch, cycles)
+    if len(entry[1]) > limit:
+        raise GraphError(f"more than {limit} simple cycles; use the parametric bound")
+    return entry[1]
 
 
 def cycle_ratios(graph: DFG, timing: Optional[Timing] = None, limit: int = 100_000) -> List[Tuple[Fraction, List[NodeId]]]:
@@ -148,22 +172,10 @@ def cycle_ratios(graph: DFG, timing: Optional[Timing] = None, limit: int = 100_0
     Raises :class:`GraphError` if more than ``limit`` cycles are found
     (switch to the parametric algorithm instead).
     """
-    import networkx as nx
-
-    topological_order(graph)  # raises ZeroDelayCycleError on illegal graphs
-    g = _cycle_digraph(graph, timing)
-    out: List[Tuple[Fraction, List[NodeId]]] = []
-    for cycle in nx.simple_cycles(g):
-        t = sum(graph.time(v, timing) for v in cycle)
-        d = sum(
-            g[cycle[i]][cycle[(i + 1) % len(cycle)]]["delay"] for i in range(len(cycle))
-        )
-        if d == 0:  # pragma: no cover - excluded by the zero-delay check
-            raise ZeroDelayCycleError(cycle)
-        out.append((Fraction(t, d), list(cycle)))
-        if len(out) > limit:
-            raise GraphError(f"more than {limit} simple cycles; use the parametric bound")
-    return out
+    return [
+        (Fraction(sum(graph.time(v, timing) for v in cycle), d), list(cycle))
+        for cycle, d in cycle_delays(graph, limit)
+    ]
 
 
 def iteration_bound_enumerate(graph: DFG, timing: Optional[Timing] = None) -> Fraction:
@@ -238,11 +250,6 @@ def _arrays_exact_bound(arrays: ConstraintArrays, lam: Fraction) -> bool:
     return _arrays_have_cycle(arrays, lam, strict=False) and not _arrays_have_cycle(
         arrays, lam, strict=True
     )
-
-
-def _is_exact_bound(graph: DFG, timing: Optional[Timing], lam: Fraction) -> bool:
-    """One-shot form of :func:`_arrays_exact_bound` (compiles, then probes)."""
-    return _arrays_exact_bound(_constraint_arrays(graph, timing), lam)
 
 
 def iteration_bound(

@@ -35,14 +35,13 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.dfg.graph import DFG, Timing
-from repro.dfg.iteration_bound import critical_cycle, cycle_ratios
+from repro.dfg.iteration_bound import critical_cycle, cycle_delays
 from repro.dfg.unfold import fold_node
 from repro.bounds.lower_bounds import combined_lower_bound
 from repro.explore.space import CellSpec, Point, cell_cost, cell_graph, cell_model
 
-#: Above this node count, cycle enumeration is skipped and only the
-#: critical cycle feeds the register bound (same cutoff as
-#: ``iteration_bound(method="auto")``).
+#: Above this node count only the critical cycle feeds the register
+#: bound (same cutoff as ``iteration_bound(method="auto")``).
 ENUMERATE_LIMIT = 60
 
 
@@ -62,26 +61,16 @@ class CellBound:
 
 
 def _cycle_terms(graph: DFG, timing: Timing) -> List[Tuple[Tuple[str, ...], int, int]]:
-    """``(nodes, d(C), t(C))`` for the cycles the register bound sums over."""
-    min_delay: Dict[Tuple[object, object], int] = {}
-    for e in graph.edges:
-        key = (e.src, e.dst)
-        if key not in min_delay or e.delay < min_delay[key]:
-            min_delay[key] = e.delay
-    if graph.num_nodes <= ENUMERATE_LIMIT:
-        cycles = [nodes for _, nodes in cycle_ratios(graph, timing)]
-    else:
-        _, nodes = critical_cycle(graph, timing)
-        cycles = [nodes] if nodes else []
-    out = []
-    for nodes in cycles:
-        d = sum(
-            min_delay[(nodes[i], nodes[(i + 1) % len(nodes)])]
-            for i in range(len(nodes))
-        )
-        t = sum(graph.time(v, timing) for v in nodes)
-        out.append((tuple(nodes), d, t))
-    return out
+    """``(nodes, d(C), t(C))`` for the cycles the register bound sums over
+    (cycles and ``d(C)`` come enumerated once per graph; ``t(C)`` is summed here)."""
+    cycles = cycle_delays(graph)
+    if graph.num_nodes > ENUMERATE_LIMIT:
+        _, critical = critical_cycle(graph, timing)
+        cycles = [(nodes, d) for nodes, d in cycles if nodes == critical][:1]
+    return [
+        (tuple(nodes), d, sum(graph.time(v, timing) for v in nodes))
+        for nodes, d in cycles
+    ]
 
 
 def register_lower_bound(graph: DFG, timing: Timing, period: int) -> int:

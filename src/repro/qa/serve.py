@@ -24,21 +24,30 @@ from repro.serve.protocol import (
     canonical_request,
     fingerprint,
     parse_request,
+    request_fingerprint,
     schedule_bits,
     solve_canonical,
 )
 
+_DIFFEQ = {"graph": {"benchmark": "diffeq"}, "config": "2A1M"}
+
 #: The golden serve cells: every benchmark x config pair the paper tables
 #: pin, expressed as wire requests.  Small enough to solve fresh in the
-#: gate, broad enough to cover both heuristics and pipelined mults.
+#: gate, broad enough to cover both heuristics and pipelined mults.  The
+#: last two are a key-order-permuted twin (one fingerprint-memo entry)
+#: and a warm-path ``base`` + ``edits`` request.
 GOLDEN_REQUESTS: List[Dict[str, Any]] = [
-    {"graph": {"benchmark": "diffeq"}, "config": "2A1M"},
+    _DIFFEQ,
     {"graph": {"benchmark": "diffeq"}, "config": "2A1Mp"},
     {"graph": {"benchmark": "biquad"}, "config": "2A1M",
      "options": {"heuristic": "h1"}},
     {"graph": {"benchmark": "allpole"}, "config": "2A1M"},
     {"graph": {"benchmark": "lattice"}, "config": "2A1Mp",
      "options": {"priority": "height"}},
+    {"options": {"priority": "height"}, "config": "2A1Mp",
+     "graph": {"benchmark": "lattice"}},
+    {**_DIFFEQ, "base": request_fingerprint(_DIFFEQ),
+     "edits": [{"edit": "set_delay", "src": 8, "dst": 10, "delay": 2}]},
 ]
 
 

@@ -19,7 +19,7 @@ free unit instance, honouring multi-cycle occupancy and pipelined units.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dfg.graph import DFG, NodeId
 from repro.dfg.retiming import Retiming
@@ -34,19 +34,15 @@ from repro.obs import tracer as _obs
 class OccupancyGrid:
     """Tracks which unit instances are busy at which control steps.
 
-    Grids are reusable across rotations: :meth:`release` frees the slots of
-    a rescheduled node and :meth:`shift` moves the whole grid by a control-
-    step offset in O(1) (the rotation engine's "shift the remaining
-    schedule up" step), so a rotation pays only for the slots it actually
-    touches instead of reseeding from the entire schedule.
+    The naive path's placement state: the list scheduler fills a fresh
+    grid per call, and a rotation seeds one from the schedule it keeps
+    (:meth:`from_schedule`).  The flat engine's reusable, shiftable
+    counterpart is :class:`repro.core.flat.kernels.FlatGrid`.
     """
 
     def __init__(self, model: ResourceModel):
         self._model = model
         self._busy: Dict[Tuple[str, int], Set[int]] = {}
-        # Logical CS -> stored key offset; shift() adjusts it instead of
-        # rewriting every key.
-        self._offset = 0
         # op -> (unit name, instance count, busy offsets) — resolved once.
         self._opinfo: Dict[str, Tuple[str, int, Tuple[int, ...]]] = {}
 
@@ -87,60 +83,30 @@ class OccupancyGrid:
             grid.occupy(op, cs, inst)
         return grid
 
-    def shift(self, delta: int) -> None:
-        """Move every occupied slot by ``delta`` control steps, in O(1)."""
-        self._offset += delta
-
     def find_instance(self, op: str, cs: int) -> Optional[int]:
         """Lowest unit instance free across all busy offsets, or None."""
         name, count, offsets = self._info(op)
-        base = cs - self._offset
         busy = self._busy
         if len(offsets) == 1:
-            slot = busy.get((name, base + offsets[0]), ())
+            slot = busy.get((name, cs + offsets[0]), ())
             for inst in range(count):
                 if inst not in slot:
                     return inst
             return None
         for inst in range(count):
-            if all(inst not in busy.get((name, base + off), ()) for off in offsets):
+            if all(inst not in busy.get((name, cs + off), ()) for off in offsets):
                 return inst
         return None
 
     def occupy(self, op: str, cs: int, inst: int) -> None:
         name, _count, offsets = self._info(op)
-        base = cs - self._offset
         for off in offsets:
-            slot = self._busy.setdefault((name, base + off), set())
+            slot = self._busy.setdefault((name, cs + off), set())
             if inst in slot:
                 raise SchedulingError(
                     f"instance {inst} of {name} double-booked at CS {cs + off}"
                 )
             slot.add(inst)
-
-    def release(self, op: str, cs: int, inst: int) -> None:
-        """Free the slots a node held; a no-op for never-occupied slots."""
-        name, _count, offsets = self._info(op)
-        base = cs - self._offset
-        for off in offsets:
-            slot = self._busy.get((name, base + off))
-            if slot is not None:
-                slot.discard(inst)
-
-
-def _earliest_start(
-    graph: DFG,
-    model: ResourceModel,
-    node: NodeId,
-    start: Mapping[NodeId, int],
-    r: Optional[Retiming],
-    floor_cs: int,
-) -> int:
-    """Earliest CS satisfying zero-delay precedences of already-placed preds."""
-    est = floor_cs
-    for u in zero_delay_predecessors(graph, node, r):
-        est = max(est, start[u] + model.latency(graph.op(u)))
-    return est
 
 
 def _list_schedule(

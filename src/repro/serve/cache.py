@@ -66,10 +66,6 @@ class LRUCache:
         with self._lock:
             return key in self._data
 
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
     def stats(self) -> Dict[str, int]:
         with self._lock:
             return {

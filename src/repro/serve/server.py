@@ -3,9 +3,13 @@
 :class:`SchedulingService` is the transport-independent core, one
 pipeline per request::
 
-    parse → canonicalize → fingerprint → L1/L2 cache → single-flight →
-    micro-batcher → worker pool → cache insert → respond
+    fingerprint memo → [parse → canonicalize → fingerprint] → L1/L2 cache →
+    single-flight → micro-batcher → worker pool → cache insert → respond
 
+* **Fingerprint memo**: an LRU from each payload's sorted-key JSON digest
+  to its fingerprint (a pure function of the payload).  The bracketed
+  parse runs only on a memo miss or a dispatch; parse errors are never
+  memoized, and payloads that are not JSON-able bypass the memo.
 * **Single-flight**: concurrent requests with one fingerprint share one
   in-flight solve (an ``asyncio.Future``); only the first dispatches.
 * **Micro-batching**: misses arriving in the same event-loop tick (or
@@ -31,6 +35,7 @@ keep-alive is supported, and no third-party dependency is involved.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -38,7 +43,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.errors import ReproError
 from repro.obs import tracer as _obs
 from repro.obs.metrics import METRICS_SCHEMA, MetricsRegistry
-from repro.serve.cache import ArtifactStore, TwoLevelCache
+from repro.serve.cache import ArtifactStore, LRUCache, TwoLevelCache
 from repro.serve.pool import InlinePool, ShardedPool
 from repro.serve.protocol import (
     PROTOCOL,
@@ -49,6 +54,20 @@ from repro.serve.protocol import (
 )
 
 _MAX_BODY = 32 * 1024 * 1024
+
+#: Entries of the payload -> fingerprint memo.  An entry is ~250 B, so a
+#: full memo stays near 4 MB while covering far more requests than the
+#: response cache holds.
+FP_MEMO_SIZE = 16384
+
+
+def _memo_key(payload: Any) -> Optional[bytes]:
+    """The memo key of a wire payload, or ``None`` if it is not JSON-able."""
+    try:
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError):
+        return None
+    return hashlib.sha256(blob.encode("utf-8")).digest()
 
 
 def _cohort_key(canonical: Mapping[str, Any]) -> str:
@@ -73,6 +92,8 @@ class SchedulingService:
         self.cache = cache if cache is not None else TwoLevelCache()
         self.batch_window = batch_window
         self.metrics = MetricsRegistry("repro.serve")
+        #: memo key of a wire payload -> its fingerprint
+        self.fp_memo = LRUCache(FP_MEMO_SIZE)
         self._inflight: Dict[str, asyncio.Future] = {}
         #: cohort key -> [(fp, canonical, future)] awaiting dispatch
         self._pending: Dict[str, List[Tuple[str, Mapping[str, Any], asyncio.Future]]] = {}
@@ -86,46 +107,42 @@ class SchedulingService:
         t0 = time.perf_counter()
         self.metrics.inc("requests")
         tr = _obs.active
-        traced = tr.enabled
-        if traced:
-            tr.begin("serve.request")
-        try:
+        with tr.span("serve.request"):
+            key = _memo_key(payload)
+            fp = self.fp_memo.get(key) if key is not None else None
+            if fp is not None:
+                self.metrics.inc("fp_memo_hits")
+                answered = await self._answer_stored(fp, t0, tr)
+                if answered is not None:
+                    return answered
+            elif key is not None:
+                self.metrics.inc("fp_memo_misses")
             try:
-                request = parse_request(payload)
-                canonical = canonical_request(request)
-                fp = fingerprint(canonical)
+                with tr.span("serve.parse"):
+                    request = parse_request(payload)
+                    canonical = canonical_request(request)
+                    parsed_fp = fingerprint(canonical)
             except ReproError as exc:
                 self.metrics.inc("bad_requests")
                 return self._envelope(None, "error", t0, error={
                     "type": type(exc).__name__, "message": str(exc),
                 })
-            if traced:
-                tr.begin("serve.lookup", fp=fp[:12])
-            cached, level = self.cache.lookup(fp)
-            if traced:
-                tr.end()
-            if cached is not None:
-                self.metrics.inc(f"hits_{level}")
-                self.metrics.observe("serve.hit_seconds", time.perf_counter() - t0)
-                return self._envelope(fp, level, t0, result=cached)
-
-            existing = self._inflight.get(fp)
-            if existing is not None:
-                self.metrics.inc("coalesced")
-                result = await asyncio.shield(existing)
-                return self._envelope(fp, "coalesced", t0, result=result)
+            if key is not None:
+                self.fp_memo.put(key, parsed_fp)
+            if parsed_fp != fp:
+                # A memo miss (or an entry the parse disagrees with, now
+                # replaced): consult the cache tiers under the parsed key.
+                fp = parsed_fp
+                answered = await self._answer_stored(fp, t0, tr)
+                if answered is not None:
+                    return answered
 
             loop = asyncio.get_running_loop()
             future: asyncio.Future = loop.create_future()
             self._inflight[fp] = future
             try:
-                if traced:
-                    tr.begin("serve.solve", fp=fp[:12])
-                try:
+                with tr.span("serve.solve", fp=fp[:12]):
                     result = await self._dispatch(fp, canonical, request, future)
-                finally:
-                    if traced:
-                        tr.end()
             finally:
                 self._inflight.pop(fp, None)
             if "error" in result:
@@ -134,9 +151,22 @@ class SchedulingService:
             self.metrics.inc("misses")
             self.metrics.observe("serve.solve_seconds", time.perf_counter() - t0)
             return self._envelope(fp, "solved", t0, result=result)
-        finally:
-            if traced:
-                tr.end()
+
+    async def _answer_stored(self, fp: str, t0: float, tr) -> Optional[Dict[str, Any]]:
+        """The envelope for ``fp`` from a cache tier or an in-flight solve,
+        or ``None`` when the request has to be dispatched."""
+        with tr.span("serve.lookup", fp=fp[:12]):
+            cached, level = self.cache.lookup(fp)
+        if cached is not None:
+            self.metrics.inc(f"hits_{level}")
+            self.metrics.observe("serve.hit_seconds", time.perf_counter() - t0)
+            return self._envelope(fp, level, t0, result=cached)
+        existing = self._inflight.get(fp)
+        if existing is not None:
+            self.metrics.inc("coalesced")
+            result = await asyncio.shield(existing)
+            return self._envelope(fp, "coalesced", t0, result=result)
+        return None
 
     async def solve_many(self, payloads: List[Mapping[str, Any]]) -> List[Dict[str, Any]]:
         """Concurrent solves — misses sharing a cohort key batch together."""
@@ -223,6 +253,7 @@ class SchedulingService:
         return out
 
     def stats(self) -> Dict[str, Any]:
+        self.metrics.gauge("fp_memo_size", len(self.fp_memo))
         counters = self.metrics.as_dict()["counters"]
         hits = sum(counters.get(k, 0) for k in ("hits_memory", "hits_disk")) + counters.get("coalesced", 0)
         answered = hits + counters.get("misses", 0) + counters.get("warm_solves", 0)

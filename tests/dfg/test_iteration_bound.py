@@ -1,5 +1,6 @@
 """Unit tests for the iteration bound (both algorithms)."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -222,3 +223,70 @@ class TestArraysCacheEpoch:
         fresh = iteration_bound_parametric(g.copy(), timing)
         assert after == fresh
         assert before != after  # the extra registers loosened the bound
+
+
+class TestCycleCache:
+    """Cycles and their delays are enumerated once per graph epoch; only
+    ``t(C)`` is summed per timing."""
+
+    TIMINGS = [
+        None,
+        PAPER_TIMING,
+        Timing({"add": 1, "sub": 1, "cmp": 1, "mul": 1}),
+        Timing({"add": 2, "sub": 2, "cmp": 2, "mul": 3}),
+        Timing({"add": 1, "sub": 1, "cmp": 1, "mul": 5}),
+    ]
+
+    @staticmethod
+    def _uncached(g, timing):
+        ib_mod = importlib.import_module("repro.dfg.iteration_bound")
+        ib_mod._CYCLES_CACHE.pop(g, None)
+        out = (
+            iteration_bound_enumerate(g, timing),
+            sorted(cycle_ratios(g, timing)),
+            critical_cycle(g, timing),
+        )
+        ib_mod._CYCLES_CACHE.pop(g, None)
+        return out
+
+    def test_cached_equals_uncached_on_paper_graphs(self):
+        for g in all_benchmarks():
+            iteration_bound_enumerate(g, PAPER_TIMING)  # warm the cache
+            for timing in self.TIMINGS:
+                cached = (
+                    iteration_bound_enumerate(g, timing),
+                    sorted(cycle_ratios(g, timing)),
+                    critical_cycle(g, timing),
+                )
+                assert cached == self._uncached(g, timing), (g.name, timing)
+                assert cached[0] == iteration_bound_parametric(g, timing), g.name
+                iteration_bound_enumerate(g, PAPER_TIMING)  # re-warm
+
+    def test_one_enumeration_serves_every_timing(self, monkeypatch):
+        from repro.explore.bounds import register_lower_bound
+        from repro.suite import elliptic
+
+        ib_mod = importlib.import_module("repro.dfg.iteration_bound")
+        calls = []
+        real = ib_mod._cycle_digraph
+        monkeypatch.setattr(ib_mod, "_cycle_digraph", lambda g: calls.append(1) or real(g))
+        g = elliptic()
+        for timing in self.TIMINGS:
+            iteration_bound(g, timing)
+            critical_cycle(g, timing)
+            register_lower_bound(g, timing or PAPER_TIMING, 20)
+        assert len(calls) == 1
+
+    def test_mutation_invalidates_the_entry(self):
+        from repro.suite import diffeq
+
+        g = diffeq()
+        before = cycle_ratios(g, PAPER_TIMING)
+        _, cycle = critical_cycle(g, PAPER_TIMING)
+        # a back edge between the first two nodes of the critical cycle
+        # closes at least one new cycle
+        g.add_edge(cycle[1], cycle[0], 5)
+        after = cycle_ratios(g, PAPER_TIMING)
+        assert len(after) > len(before)
+        assert sorted(after) == sorted(cycle_ratios(g.copy(), PAPER_TIMING))
+        assert iteration_bound(g, PAPER_TIMING) == iteration_bound_parametric(g, PAPER_TIMING)

@@ -128,34 +128,6 @@ class TestOccupancyGrid:
         with pytest.raises(SchedulingError, match="double-booked"):
             grid.occupy("add", 0, 0)
 
-    def test_release(self):
-        model = ResourceModel.adders_mults(1, 1)
-        grid = OccupancyGrid(model)
-        grid.occupy("mul", 0, 0)
-        grid.release("mul", 0, 0)
-        assert grid.find_instance("mul", 0) == 0
-
-    def test_release_of_never_occupied_slot_is_a_noop(self):
-        """Releasing a slot nothing ever occupied must not raise (the
-        engine releases rotated nodes against grids that may have been
-        shifted past their control steps)."""
-        model = ResourceModel.adders_mults(1, 1)
-        grid = OccupancyGrid(model)
-        grid.release("mul", 7, 0)  # no (unit, cs) entry exists at all
-        grid.occupy("add", 0, 0)
-        grid.release("add", 0, 1)  # entry exists, instance was never in it
-        assert grid.find_instance("add", 0) is None  # instance 0 still busy
-
-    def test_shift_moves_occupancy_in_logical_cs(self):
-        model = ResourceModel.adders_mults(1, 1)
-        grid = OccupancyGrid(model)
-        grid.occupy("mul", 3, 0)
-        grid.shift(-3)
-        assert grid.find_instance("mul", 0) is None  # now busy at 0..1
-        assert grid.find_instance("mul", 2) == 0
-        grid.release("mul", 0, 0)
-        assert grid.find_instance("mul", 0) == 0
-
     def test_from_schedule_seeding(self, two_cycle, small_model):
         base = full_schedule(two_cycle, small_model)
         grid = OccupancyGrid.from_schedule(base, exclude=["a2"])

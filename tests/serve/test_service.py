@@ -1,5 +1,6 @@
-"""Service-pipeline tests: cache levels, coalescing, warm path, batching,
-removed-backend errors, and the cached-vs-fresh differential oracle."""
+"""Service-pipeline tests: cache levels, the fingerprint memo, coalescing,
+warm path, batching, removed-backend errors, and the cached-vs-fresh
+differential oracle."""
 
 from __future__ import annotations
 
@@ -8,8 +9,10 @@ import sys
 
 import pytest
 
+from repro.obs import tracing
 from repro.qa import GOLDEN_REQUESTS, check_serve_differential
 from repro.serve import build_service, schedule_bits
+from repro.serve import server as server_mod
 from repro.serve.pool import _SESSIONS, InlinePool
 from repro.serve.protocol import (
     canonical_request,
@@ -75,6 +78,89 @@ class TestCacheLevels:
         assert out["cache"] == "error"
         assert out["error"]["type"] == "ReproError"
         assert len(service.cache.memory) == 0
+
+
+class TestFingerprintMemo:
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Count the service's ``parse_request`` calls."""
+        calls = []
+        real = server_mod.parse_request
+
+        def counting(payload):
+            calls.append(payload)
+            return real(payload)
+
+        monkeypatch.setattr(server_mod, "parse_request", counting)
+        return calls
+
+    def test_repeat_skips_the_parse(self, service, parses):
+        first = run(service.solve(DIFFEQ))
+        second = run(service.solve(DIFFEQ))
+        assert (first["cache"], second["cache"]) == ("solved", "memory")
+        assert second["fingerprint"] == first["fingerprint"] == request_fingerprint(DIFFEQ)
+        assert schedule_bits(second["result"]) == schedule_bits(first["result"])
+        assert len(parses) == 1
+        counters = service.metrics.as_dict()["counters"]
+        assert counters["fp_memo_misses"] == 1 and counters["fp_memo_hits"] == 1
+
+    def test_key_order_permutation_shares_the_entry(self, service, parses):
+        payload = {"options": {"cap": 8, "heuristic": "h1"}, "config": "2A1M",
+                   "graph": {"benchmark": "diffeq"}}
+        twin = {"graph": {"benchmark": "diffeq"}, "config": "2A1M",
+                "options": {"heuristic": "h1", "cap": 8}}
+        first = run(service.solve(payload))
+        second = run(service.solve(twin))
+        assert second["cache"] == "memory"
+        assert second["fingerprint"] == first["fingerprint"]
+        assert len(service.fp_memo) == 1 and len(parses) == 1
+
+    def test_parse_errors_are_not_memoized(self, service, parses):
+        bad = {"graph": {"benchmark": "nope"}, "config": "2A1M"}
+        outs = [run(service.solve(bad)) for _ in range(2)]
+        assert all(o["cache"] == "error" and "error" in o for o in outs)
+        assert service.metrics.as_dict()["counters"]["bad_requests"] == 2
+        assert len(service.fp_memo) == 0 and len(parses) == 2
+
+    def test_object_payload_bypasses_the_memo(self, service, parses):
+        from repro.suite.registry import get_benchmark
+
+        payload = {"graph": get_benchmark("diffeq"), "config": "2A1M"}
+        first = run(service.solve(payload))
+        second = run(service.solve(payload))
+        assert (first["cache"], second["cache"]) == ("solved", "memory")
+        assert first["fingerprint"] == request_fingerprint(DIFFEQ)
+        assert len(service.fp_memo) == 0 and len(parses) == 2
+        counters = service.metrics.as_dict()["counters"]
+        assert "fp_memo_hits" not in counters and "fp_memo_misses" not in counters
+
+    def test_oracle_catches_a_poisoned_memo_entry(self, service):
+        other = {"graph": {"benchmark": "biquad"}, "config": "2A1M"}
+        run(service.solve(DIFFEQ))
+        wrong = run(service.solve(other))["fingerprint"]
+        service.fp_memo.put(server_mod._memo_key(DIFFEQ), wrong)
+        report = check_serve_differential(service, payloads=[DIFFEQ], rounds=1)
+        assert not report.ok
+        assert any("fingerprint drift" in m for m in report.mismatches)
+
+    def test_stale_entry_never_dispatches_under_its_fingerprint(self, service):
+        # A memo entry naming an uncached fingerprint sends the request
+        # down the parse path, which answers under the parsed fingerprint
+        # and replaces the entry.
+        service.fp_memo.put(server_mod._memo_key(DIFFEQ), "0" * 64)
+        out = run(service.solve(DIFFEQ))
+        assert out["cache"] == "solved"
+        assert out["fingerprint"] == request_fingerprint(DIFFEQ)
+        assert service.fp_memo.get(server_mod._memo_key(DIFFEQ)) == out["fingerprint"]
+        assert "0" * 64 not in service.cache.memory
+
+    def test_parse_span_only_on_the_parse_path(self, service):
+        with tracing() as tr:
+            run(service.solve(DIFFEQ))
+            run(service.solve(DIFFEQ))
+        names = [e.name for e in tr.events]
+        assert names.count("serve.request") == 2
+        assert names.count("serve.parse") == 1
 
 
 class TestSingleFlight:
@@ -248,3 +334,6 @@ class TestStats:
         assert stats["workers"] == 1 and stats["worker_crashes"] == 0
         assert stats["cache"]["memory"]["size"] == 1
         assert stats["metrics"]["source"] == "repro.serve"
+        counters = stats["metrics"]["counters"]
+        assert counters["fp_memo_hits"] == 1 and counters["fp_memo_misses"] == 1
+        assert stats["metrics"]["gauges"]["fp_memo_size"] == 1

@@ -94,7 +94,6 @@ def _sched_kwargs(args: argparse.Namespace) -> dict:
         "beta": args.beta,
         "priority": args.priority,
         "use_engine": not args.no_engine,
-        "workers": args.workers,
         # An explicit --backend wins over --no-engine; without it the
         # scheduler resolves the backend from use_engine ("flat"/"naive").
         "backend": args.backend,
@@ -639,12 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--heuristic", choices=["h1", "h2"], default="h2")
         p.add_argument("--beta", type=int, default=None, help="rotations per phase")
         p.add_argument("--priority", default="descendants")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="process pool size for heuristic 1's independent phases",
-        )
         p.add_argument(
             "--no-engine",
             action="store_true",

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dfg.graph import DFG
-
 #: Priority names the flat engine computes with its own kernels; callable
 #: priorities run on the naive path, which calls them directly.
 _STRUCTURAL_PRIORITIES = {"descendants", "height", "combined", "mobility"}
@@ -71,20 +69,3 @@ class EngineStats:
     grid_reseeds: int = 0
     grid_released_slots: int = 0
 
-
-def strip_funcs(graph: DFG) -> DFG:
-    """A copy of ``graph`` without node callables, safe to send to worker
-    processes (benchmark builders attach local closures the pickler cannot
-    serialize; scheduling never reads them)."""
-    g = DFG(graph.name)
-    for node in graph.nodes:
-        g.add_node(
-            node,
-            graph.op(node),
-            time=graph.explicit_time(node),
-            label=graph.label(node),
-            **graph.attrs(node),
-        )
-    for e in graph.edges:
-        g.add_edge(e.src, e.dst, e.delay)
-    return g

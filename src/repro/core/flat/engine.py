@@ -18,12 +18,15 @@ outcomes are pure functions of* ``(starts, units, dr, size)``.  The
 placement kernels are deterministic given the occupancy and the sort keys
 (a function of ``dr``), and rotation-count vectors only shift the key
 space (``rv`` enters through ``dr``, never directly), so a rotation seen
-once replays as a tuple lookup.  Heuristic 2 revisits the same few
-hundred transitions thousands of times (about 85% of the down-rotations
-on the elliptic filter at 3A 2M repeat a prior key), and the same
-argument memoizes the wrap-period search (a function of ``(starts, dr)``),
-the re-seeding initial schedules (a function of ``dr`` alone) and depth
-reduction's realizing retimings (a function of ``(starts, period)``).
+once replays as a tuple lookup.  Most repeats come in whole laps: a
+phase returns to a state it has been in and cycles from there, so
+:meth:`FlatEngine.replay_lap` finishes the phase without rotating (976
+of the 1156 rotations of Heuristic 2 on the elliptic filter at 3A 2M;
+51% of all rotations in the benchmark's seed-1 ``library`` plan).  The
+same argument memoizes the wrap-period search (a function of
+``(starts, dr)``), the re-seeding initial schedules (a function of
+``dr`` alone) and depth reduction's realizing retimings (a function of
+``(starts, period)``).
 
 Schedules and retimings are materialized lazily (:class:`_LazySchedule`,
 :class:`_LazyRetiming`): the hot loop only ever needs the tuple records,
@@ -198,6 +201,14 @@ class _VecState:
         self.wk = None
 
 
+def _rot_key(rec: _VecState) -> _Key:
+    """The record's rotation-memo key ``(starts, units, dr)``, cached."""
+    hk = rec.hk
+    if hk is None:
+        hk = rec.hk = _Key((rec.starts, rec.units, rec.dr))
+    return hk
+
+
 class _StructView:
     """Caches of one retimed structure, keyed by its ``dr`` tuple.
 
@@ -269,6 +280,7 @@ class FlatEngine:
             "chain_tip_reuses", "wrap_interval_collapses", "rotation_memo_hits",
             "rotation_memo_misses", "wrap_memo_hits", "initial_memo_hits",
             "struct_view_builds", "struct_view_derives",
+            "lap_replays", "rotations_replayed",
         ), 0)
         self._reset_caches()
 
@@ -775,10 +787,7 @@ class FlatEngine:
             raise RotationError(
                 f"rotation of size {size} is illegal on a schedule of length {rec.last + 1}"
             )
-        hk = rec.hk
-        if hk is None:
-            hk = rec.hk = _Key((rec.starts, rec.units, rec.dr))
-        key = (step, hk, size)
+        key = (step, _rot_key(rec), size)
         self._stats.rotations += 1
         hit = self._rot_memo.get(key)
         if hit is not None:
@@ -844,6 +853,63 @@ class FlatEngine:
             "down" if step > 0 else "up", size, moved_nodes, rec.last + 1, last + 1
         )
         return self._mint(starts, units, dr, rv, last, rec.phantom, new_r, state, rstep)
+
+    def lap_key(self, state) -> _Key:
+        """A state's rotation-memo key ``(starts, units, dr)``: everything
+        a rotation's outcome depends on, rotation counts left out.
+        :func:`repro.core.phases.rotation_phase` detects laps on it."""
+        return _rot_key(self._rec_for(state))
+
+    def replay_lap(self, anchor, lap, remaining: int, best):
+        """Finish a phase that is back in ``anchor``'s configuration.
+
+        ``lap`` holds the states the phase produced since ``anchor``, the
+        last being the repeat.  Each of the ``remaining`` rotations steps
+        through the lap's configurations again, with the rotation counts
+        advanced by the lap's displacement ``Δ = rv(lap[-1]) - rv(anchor)``
+        each time round (``dr`` is unchanged, so ``Δ`` is constant on
+        each weakly connected component).  Every lap state was offered
+        already, so ``best``'s length stands: the offers are counted, the
+        states tying it are admitted in offer order until the cap fills,
+        and only those and the phase's final state are minted, each with
+        its exact retiming and trace.  Returns the final state.
+        """
+        p = len(lap)
+        recs = [self._rec_for(s) for s in lap]
+        delta = [a - b for a, b in zip(recs[-1].rv, self._rec_for(anchor).rv)]
+        head = lap[-1].trace
+        steps = head[len(head) - p:]
+        self._stats.rotations += remaining
+        self._extras["lap_replays"] += 1
+        self._extras["rotations_replayed"] += remaining
+        best.replayed(remaining)
+
+        def rv_at(m: int) -> Tuple[int, ...]:
+            # The m-th replayed rotation lands on lap[(m - 1) % p], one
+            # more Δ along for every lap completed.
+            k = (m - 1) // p + 1
+            return tuple([r + k * d for r, d in zip(recs[(m - 1) % p].rv, delta)])
+
+        def mint(m: int, rv: Tuple[int, ...]):
+            i = (m - 1) % p
+            rec = recs[i]
+            r = _LazyRetiming(self._node_list, rv, rec.phantom)
+            st = self._mint(
+                rec.starts, rec.units, rec.dr, rv, rec.last, rec.phantom, r, lap[i], None
+            )
+            d = st.__dict__
+            d["trace"] = head + steps * (m // p) + steps[: m % p]
+            d["_wrapped"] = _mk_wrapped(st.schedule, r, lap[i].wrapped().period)
+            return st
+
+        tied = {i for i, s in enumerate(lap) if s.wrapped().period == best.length}
+        for m in range(1, remaining + 1) if tied else ():
+            i = (m - 1) % p
+            if i in tied:
+                rv = rv_at(m)
+                if not best.admit_tie((recs[i].starts, rv), lambda: mint(m, rv)):
+                    break
+        return mint(remaining, rv_at(remaining))
 
     def fp_state(self, state) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Engine-backed ``RotationState.fingerprint`` — the same

@@ -392,7 +392,7 @@ def flat_list_schedule(
                 e = f
         est[v] = e
 
-    unplaced = set(todo_set)
+    left = len(todo_set)
     cs = floor_cs
     guard = 0
     max_guard = (
@@ -401,17 +401,19 @@ def flat_list_schedule(
         + floor_cs
         + 64
     )
-    # The probe loop below is grid.place() inlined: at ~20 probes per call
-    # this is the hottest loop in the whole scheduler, and the attribute
-    # and call overhead of the method dominates its own body.
-    #
-    # Ready nodes are split by arrival: ``heap`` holds ``(est, v)`` for
-    # nodes whose earliest start is still ahead, ``avail`` the arrived
-    # ones in skey order.  Resource-blocked nodes survive in ``avail``
-    # already sorted, so a control step only pays a sort when new nodes
-    # arrive — and every skey ends in the node index, so the order is
-    # total and identical to re-sorting the full candidate list.
+    # grid.place() inlined: this is the hottest loop in the scheduler.
+    # ``heap`` holds ``(est, v)`` for nodes not yet arrived, ``waiting[uid]``
+    # the arrived nodes of unit ``uid`` in skey order (total: every skey
+    # ends in the node index).  A placement touches only its own unit and
+    # readies successors for later steps, so each unit's list is placed on
+    # its own; all its nodes share the unit's busy offsets, so one mask per
+    # unit and step gives the lowest free instance, and a full unit skips
+    # its nodes unprobed.  A step that places nothing jumps to the first
+    # step where a waiting unit has a free instance, or to the next
+    # arrival if sooner; ``guard`` counts the steps jumped, so even the
+    # divergence error is unchanged.
     busy_all = grid._busy
+    offset = grid._offset
     node_unit = fm.node_unit
     node_offsets = fm.node_offsets
     unit_count = fm.unit_count
@@ -419,49 +421,55 @@ def flat_list_schedule(
     heap = [(est[v], v) for v in ready]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
-    avail: List[int] = []
-    while unplaced:
-        placed_any = False
+    waiting: List[List[int]] = [[] for _ in unit_count]
+    nwait = 0
+    while left:
         if heap:
-            if not avail and heap[0][0] > cs:
-                # Nothing can place before the earliest ready EST, and
-                # resources only constrain steps where a placement is
-                # tried — jumping the empty steps is outcome-identical.
+            if not nwait and heap[0][0] > cs:
+                # Nothing can place before the earliest ready EST.
                 cs = heap[0][0]
             if heap[0][0] <= cs:
+                grown = 0
                 while heap and heap[0][0] <= cs:
-                    avail.append(heappop(heap)[1])
-                avail.sort(key=skey_get)
-        if avail:
-            base = cs - grid._offset
-            keep = 0
-            for v in avail:
-                uid = node_unit[v]
-                busy = busy_all[uid]
-                offs = node_offsets[v]
-                get = busy.get
-                mask = 0
-                for off in offs:
-                    m = get(base + off)
-                    if m:
-                        mask |= m
+                    v = heappop(heap)[1]
+                    uid = node_unit[v]
+                    waiting[uid].append(v)
+                    grown |= 1 << uid
+                    nwait += 1
+                for uid, lst in enumerate(waiting):
+                    if grown >> uid & 1:
+                        lst.sort(key=skey_get)
+        base = cs - offset
+        placed = 0
+        for uid, lst in enumerate(waiting):
+            if not lst:
+                continue
+            busy = busy_all[uid]
+            get = busy.get
+            offs = node_offsets[lst[0]]
+            cap = unit_count[uid]
+            mask = 0
+            for off in offs:
+                m = get(base + off)
+                if m:
+                    mask |= m
+            k = 0
+            for v in lst:
                 inst = (~mask & (mask + 1)).bit_length() - 1
-                if inst >= unit_count[uid]:
-                    avail[keep] = v
-                    keep += 1
-                    continue
+                if inst >= cap:
+                    break
                 bit = 1 << inst
+                mask |= bit
                 for off in offs:
                     key = base + off
                     busy[key] = (get(key) or 0) | bit
                 start[v] = cs
                 units[v] = inst
-                unplaced.discard(v)
-                placed_any = True
+                k += 1
                 for w in zsucc[v]:
-                    if w in unplaced:
-                        p = pending[w] - 1
-                        pending[w] = p
+                    p = pending[w]
+                    if p:  # an unplaced todo node
+                        pending[w] = p = p - 1
                         if p == 0:
                             e = floor_cs
                             for u in zpred[w]:
@@ -470,13 +478,44 @@ def flat_list_schedule(
                                     e = f
                             est[w] = e
                             heappush(heap, (e, w))
-            del avail[keep:]
-        cs += 1
-        guard += 1
-        if guard > max_guard and not placed_any:
+            del lst[:k]
+            placed += k
+        if placed:
+            nwait -= placed
+            left -= placed
+            cs += 1
+            guard += 1
+            continue
+        if nwait:
+            nxt = heap[0][0] - offset if heap else None
+            for uid, lst in enumerate(waiting):
+                if not lst:
+                    continue
+                get = busy_all[uid].get
+                offs = node_offsets[lst[0]]
+                cap = unit_count[uid]
+                key = base + 1
+                while nxt is None or key < nxt:
+                    mask = 0
+                    for off in offs:
+                        m = get(key + off)
+                        if m:
+                            mask |= m
+                    if (~mask & (mask + 1)).bit_length() - 1 < cap:
+                        break
+                    key += 1
+                nxt = key
+            nxt += offset
+        else:
+            # Nothing waits or will arrive: only the guard ends this.
+            nxt = cs + 1
+            guard = max_guard
+        guard += nxt - cs
+        cs = nxt
+        if guard > max_guard:
             raise SchedulingError(
                 f"list scheduler failed to converge (placed "
-                f"{len(todo) - len(unplaced)}/{len(todo)} nodes)"
+                f"{len(todo) - left}/{len(todo)} nodes)"
             )  # pragma: no cover - defensive
 
 

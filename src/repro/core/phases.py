@@ -7,8 +7,7 @@ phases differently:
 
 * **Heuristic 1** runs phases of sizes ``1..sigma`` *independently*, each
   restarting from the initial list schedule of the original DFG — more
-  predictable, embarrassingly parallel, good for studying the effect of
-  rotation size.
+  predictable, good for studying the effect of rotation size.
 * **Heuristic 2** runs phases in *decreasing* size order, each phase
   continuing from the previous phase's rotation function and re-seeding
   its schedule with ``FullSchedule(G_R)`` — the retimed graph "exposes
@@ -22,15 +21,13 @@ graphs it coincides with the span.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dfg.graph import DFG
-from repro.dfg.retiming import Retiming
 from repro.schedule.resources import ResourceModel
-from repro.schedule.schedule import Schedule
-from repro.core.engine import make_engine, strip_funcs
+from repro.core.engine import make_engine
 from repro.core.rotation import RotationState
-from repro.core.wrapping import WrappedSchedule, wrap
+from repro.core.wrapping import WrappedSchedule
 from repro.obs import tracer as _obs
 
 
@@ -71,31 +68,27 @@ class BestTracker:
         # (states are immutable) and cheaper to build and hash.
         return state.fingerprint()
 
-    def merge(self, other: "BestTracker") -> None:
-        """Fold another tracker in, as if its offers had been made here.
+    def replayed(self, count: int) -> None:
+        """Count ``count`` offers replayed from a lap of a phase (see
+        :func:`rotation_phase`).  Every replayed state repeats the
+        schedule of one offered already, so the length cannot change;
+        subclasses that record something per offer override this hook."""
+        self.offers += count
 
-        Used by the parallel :func:`heuristic_1` path: each worker tracks
-        its own phase, and merging the workers' trackers *in phase order*
-        reproduces the sequential tracker exactly (a worker tracker with
-        the same cap never drops an entry the sequential run would have
-        kept, because its duplicates of already-seen schedules only ever
-        shrink its entry list relative to the merged one).
+    def admit_tie(self, key: Tuple, mint) -> bool:
+        """Record a replayed state that ties the current length.
+
+        ``key`` is its fingerprint; ``mint()`` builds the state and runs
+        only when the key is new.  Returns False, admitting nothing, once
+        ``cap`` entries are held.
         """
-        self.offers += other.offers
-        if other.length is None:
-            return
-        if self.length is None or other.length < self.length:
-            self.length = other.length
-            self.entries = list(other.entries[: self.cap])
-            self._seen = {self._key(s) for s, _ in self.entries}
-        elif other.length == self.length:
-            for state, wrapped in other.entries:
-                if len(self.entries) >= self.cap:
-                    break
-                key = self._key(state)
-                if key not in self._seen:
-                    self._seen.add(key)
-                    self.entries.append((state, wrapped))
+        if len(self.entries) >= self.cap:
+            return False
+        if key not in self._seen:
+            self._seen.add(key)
+            state = mint()
+            self.entries.append((state, state.wrapped()))
+        return True
 
     @property
     def best_state(self) -> RotationState:
@@ -113,97 +106,39 @@ def rotation_phase(
     best: BestTracker,
 ) -> RotationState:
     """The paper's ``RotationPhase``: ``beta`` rotations of (nominal) size
-    ``size``, halving the size while it reaches the schedule length."""
+    ``size``, halving the size while it reaches the schedule length.
+
+    A rotation is a pure function of the schedule, the unit binding, the
+    retimed delays ``dr`` and the size, so once the phase is back in a
+    pre-rotation state it has been in (rotation counts aside) it repeats
+    that lap, ``R`` advancing by the lap's displacement each time round.
+    The flat engine then replays the rest of the phase in one step,
+    bit-identical; the naive path, the parity oracle, runs every rotation.
+    """
     with _obs.active.span("phase", size=size, beta=beta):
         current = size
-        for _ in range(beta):
+        eng = state.engine
+        laps = eng is not None and eng.compatible_with(state)
+        seen: Dict[Tuple, int] = {}
+        visited: List[RotationState] = []
+        for it in range(beta):
             length = state.length
             while current >= length and current > 1:
                 current = (current + 1) // 2  # ceil(i/2)
             if current >= length:
                 break  # schedule of length 1 cannot be rotated further
+            if laps:
+                # ``current`` never grows, so a repeated key has rotated
+                # by the same size all the way round its lap.
+                j = seen.setdefault((eng.lap_key(state), current), it)
+                if j != it:
+                    lap = visited[j + 1:]
+                    lap.append(state)
+                    return eng.replay_lap(visited[j], lap, beta - it, best)
+                visited.append(state)
             state = state.down_rotate(current)
             best.offer(state)
         return state
-
-
-def _h1_phase_worker(payload) -> BestTracker:
-    """Run one heuristic-1 phase in a worker process.
-
-    Rebuilds the (deterministic) initial schedule locally rather than
-    shipping it, and does *not* offer it — the parent offers the initial
-    state exactly once, like the sequential path.
-    """
-    graph, model, priority, size, beta, cap, backend = payload
-    state = RotationState.initial(
-        graph, model, priority, engine=make_engine(backend, graph, model, priority)
-    )
-    local = BestTracker(cap=cap)
-    rotation_phase(state, size, beta, local)
-    return local
-
-
-def _rebind_tracker(
-    tracker: BestTracker, graph: DFG, model: ResourceModel, priority
-) -> BestTracker:
-    """Re-anchor a worker tracker's states onto the caller's graph object.
-
-    Workers schedule a func-stripped copy of the graph (node callables do
-    not pickle and never affect scheduling); start times and retimings are
-    identical, so rebuilding each state on the original graph and
-    re-wrapping reproduces the sequential tracker's entries bit for bit.
-    """
-    out = BestTracker(cap=tracker.cap)
-    out.offers = tracker.offers
-    out.length = tracker.length
-    for state, _wrapped in tracker.entries:
-        rebound = RotationState(
-            graph,
-            model,
-            state.retiming,
-            Schedule(graph, model, state.schedule.start_map, state.schedule.unit_map),
-            priority,
-            state.trace,
-        )
-        out.entries.append((rebound, wrap(rebound.schedule, rebound.retiming)))
-        out._seen.add(BestTracker._key(rebound))
-    return out
-
-
-def _run_phases_parallel(
-    graph: DFG,
-    model: ResourceModel,
-    priority,
-    beta: int,
-    cap: int,
-    sizes: Sequence[int],
-    workers: int,
-    backend: str,
-) -> Optional[List[BestTracker]]:
-    """Run independent phases across processes; None when the pool or the
-    payload cannot be used (caller falls back to the sequential loop)."""
-    import pickle
-
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payload_graph = strip_funcs(graph)
-        # Fail fast on unpicklable models/priorities before spawning.
-        pickle.dumps((payload_graph, model, priority))
-        results: List[Optional[BestTracker]] = [None] * len(sizes)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    _h1_phase_worker,
-                    (payload_graph, model, priority, size, beta, cap, backend),
-                ): i
-                for i, size in enumerate(sizes)
-            }
-            for future, i in futures.items():
-                results[i] = future.result()
-        return results  # type: ignore[return-value]
-    except Exception:
-        return None
 
 
 def heuristic_1(
@@ -214,7 +149,6 @@ def heuristic_1(
     priority="descendants",
     cap: int = 64,
     engine=None,
-    workers: Optional[int] = None,
 ) -> BestTracker:
     """Independent phases of sizes ``1..sigma``, each from the initial
     schedule of the original DFG (rotation function reset to zero).
@@ -228,14 +162,9 @@ def heuristic_1(
         cap: max number of tied-optimal schedules retained.
         engine: ``None`` shares one default-backend engine across phases,
             ``False`` runs cache-free, or pass a prebuilt engine.
-        workers: run the (independent) phases in a process pool of this
-            size; results are merged in phase order, so the outcome is
-            identical to the sequential run.  Falls back to sequential
-            execution when multiprocessing is unavailable.
     """
     if engine is None:
         engine = make_engine(None, graph, model, priority)
-    backend = "naive" if engine is False else engine.backend_name
     initial = RotationState.initial(graph, model, priority, engine=engine)
     best = BestTracker(cap=cap)
     best.offer(initial)
@@ -243,16 +172,7 @@ def heuristic_1(
         beta = max(8, 2 * graph.num_nodes)
     if sigma is None:
         sigma = max(1, initial.length - 1)
-    sizes = list(range(1, sigma + 1))
-    if workers is not None and workers > 1 and len(sizes) > 1:
-        trackers = _run_phases_parallel(
-            graph, model, priority, beta, cap, sizes, workers, backend
-        )
-        if trackers is not None:
-            for tracker in trackers:
-                best.merge(_rebind_tracker(tracker, graph, model, priority))
-            return best
-    for size in sizes:
+    for size in range(1, sigma + 1):
         rotation_phase(initial, size, beta, best)
     return best
 
@@ -265,17 +185,13 @@ def heuristic_2(
     priority="descendants",
     cap: int = 64,
     engine=None,
-    workers: Optional[int] = None,
 ) -> BestTracker:
     """Cascaded phases in decreasing size order with ``FullSchedule(G_R)``
     re-seeding between phases (the paper's reported heuristic).
 
-    ``engine`` is shared across re-seedings (its per-retiming view cache
-    makes the re-seed schedules nearly free when a retiming recurs);
-    ``workers`` is accepted for signature parity with :func:`heuristic_1`
-    but ignored — the phases form a chain and cannot run concurrently.
+    ``engine`` is shared across re-seedings (its ``dr``-keyed initial
+    schedule memo makes a re-seed nearly free when a structure recurs).
     """
-    del workers  # phases are sequentially dependent
     if engine is None:
         engine = make_engine(None, graph, model, priority)
     state = RotationState.initial(graph, model, priority, engine=engine)

@@ -88,8 +88,6 @@ class RotationScheduler:
             False selects the recompute-everything path the engines are
             parity-tested against.  Kept for backward compatibility —
             ``backend`` is the richer switch.
-        workers: process-pool size for heuristic 1's independent phases
-            (ignored by heuristic 2, whose phases form a chain).
         backend: ``"flat"`` (memoized integer kernels, default) or
             ``"naive"`` (recompute everything, the parity oracle);
             ``None`` resolves from ``use_engine``.  Both produce
@@ -105,7 +103,6 @@ class RotationScheduler:
         priority="descendants",
         cap: int = 64,
         use_engine: bool = True,
-        workers: Optional[int] = None,
         backend: Optional[str] = None,
     ):
         if heuristic not in HEURISTICS:
@@ -126,7 +123,6 @@ class RotationScheduler:
         self.cap = cap
         self.backend = backend
         self.use_engine = backend != "naive"
-        self.workers = workers
 
     def schedule(self, graph: DFG) -> RotationResult:
         """Run the configured heuristic and post-process the best schedule."""
@@ -154,7 +150,6 @@ class RotationScheduler:
                 priority=self.priority,
                 cap=self.cap,
                 engine=engine,
-                workers=self.workers,
             )
             elapsed = time.perf_counter() - t0
 
@@ -214,7 +209,6 @@ def rotation_schedule(
     sigma: Optional[int] = None,
     priority="descendants",
     use_engine: bool = True,
-    workers: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> RotationResult:
     """One-call convenience wrapper around :class:`RotationScheduler`."""
@@ -225,6 +219,5 @@ def rotation_schedule(
         sigma=sigma,
         priority=priority,
         use_engine=use_engine,
-        workers=workers,
         backend=backend,
     ).schedule(graph)

@@ -34,6 +34,10 @@ class RecordingTracker(BestTracker):
         self.history.append(self.length)
         return wrapped
 
+    def replayed(self, count: int) -> None:
+        super().replayed(count)
+        self.history.extend([self.length] * count)
+
 
 @dataclass(frozen=True)
 class ConvergenceCurve:

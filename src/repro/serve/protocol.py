@@ -171,14 +171,22 @@ def parse_options(raw: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
         raise ServeError(f"unknown backend {opts['backend']!r}; choose from {sorted(BACKENDS)}")
     for key in ("beta", "sigma", "clock"):
         if opts[key] is not None:
-            opts[key] = int(opts[key])
+            opts[key] = _int_option(key, opts[key])
             if opts[key] < 1:
                 raise ServeError(f"option {key!r} must be >= 1 when set")
     for key in ("cap", "unfold", "chain_rotations"):
-        opts[key] = int(opts[key])
+        opts[key] = _int_option(key, opts[key])
         if opts[key] < 1:
             raise ServeError(f"option {key!r} must be >= 1")
     return opts
+
+
+def _int_option(key: str, value: Any) -> int:
+    """``int(value)``, or a :class:`ServeError` naming the option."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ServeError(f"option {key!r} must be an integer, got {value!r}") from None
 
 
 def parse_request(payload: Mapping[str, Any]) -> SolveRequest:

@@ -50,10 +50,10 @@ class TestSvg:
 class TestBenchFlags:
     """Regression: bench used to reject the shared scheduler flags."""
 
-    def test_accepts_no_engine_workers_priority(self, capsys):
+    def test_accepts_no_engine_priority(self, capsys):
         assert main([
             "bench", "diffeq", "1A1M", "--beta", "8",
-            "--no-engine", "--workers", "1", "--priority", "height",
+            "--no-engine", "--priority", "height",
         ]) == 0
         assert "1A 1M" in capsys.readouterr().out
 

@@ -5,10 +5,9 @@ import random
 
 import pytest
 
+from repro.dfg import io as dfg_io
 from repro.dfg.graph import DFG
-from repro.core.engine import strip_funcs
 from repro.core.flat import FlatEngine
-from repro.core.phases import BestTracker, heuristic_1
 from repro.core.rotation import RotationState
 from repro.core.scheduler import rotation_schedule
 from repro.schedule.resources import ResourceModel
@@ -109,56 +108,10 @@ class TestEngineStats:
             RotationState.initial(graph, model, engine=engine)
 
 
-class TestParallelHeuristic1:
-    def test_workers_match_sequential(self):
-        graph = diffeq()
-        model = ResourceModel.adders_mults(2, 2)
-        seq = heuristic_1(graph, model)
-        par = heuristic_1(graph, model, workers=2)
-        assert par.length == seq.length
-        assert par.offers == seq.offers
-        assert [s.schedule.normalized().start_map for s, _ in par.entries] == [
-            s.schedule.normalized().start_map for s, _ in seq.entries
-        ]
-        assert [s.retiming for s, _ in par.entries] == [s.retiming for s, _ in seq.entries]
-        # rebound states live on the caller's graph, not the worker copy
-        assert all(s.graph is graph for s, _ in par.entries)
-
-    def test_tracker_merge_equals_sequential_offers(self):
-        graph = diffeq()
-        model = ResourceModel.unit_time(1, 1)
-        states = [RotationState.initial(graph, model, engine=False)]
-        for _ in range(7):
-            states.append(states[-1].down_rotate(1))
-        merged, split_a, split_b = BestTracker(), BestTracker(), BestTracker()
-        for s in states:
-            merged.offer(s)
-        for s in states[:4]:
-            split_a.offer(s)
-        for s in states[4:]:
-            split_b.offer(s)
-        split_a.merge(split_b)
-        assert split_a.length == merged.length
-        assert split_a.offers == merged.offers
-        assert [s.fingerprint() for s, _ in split_a.entries] == [
-            s.fingerprint() for s, _ in merged.entries
-        ]
-
-
 class TestPickling:
-    def test_strip_funcs_makes_graphs_picklable(self):
-        graph = elliptic()  # node funcs are local closures
-        with pytest.raises(Exception):
-            pickle.dumps(graph)
-        stripped = strip_funcs(graph)
-        clone = pickle.loads(pickle.dumps(stripped))
-        assert clone.nodes == graph.nodes
-        assert [(e.src, e.dst, e.delay) for e in clone.edges] == [
-            (e.src, e.dst, e.delay) for e in graph.edges
-        ]
-
     def test_states_pickle_without_their_engine(self):
-        graph = strip_funcs(diffeq())
+        # the JSON round trip drops the benchmark's node closures
+        graph = dfg_io.from_json_dict(dfg_io.to_json_dict(diffeq()))
         state = RotationState.initial(graph, ResourceModel.unit_time(1, 1))
         assert state.engine is not None
         clone = pickle.loads(pickle.dumps(state))

@@ -8,6 +8,7 @@ transition memos and lazy objects are pinned in ``test_vector.py``.
 """
 
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.core.flat import (
     FlatModel,
     flat_heights,
     flat_mobility,
+    flat_priority_columns,
     flat_reach,
     flat_topological_order,
     flat_wrap_period,
@@ -34,7 +36,7 @@ from repro.dfg.analysis import (
 from repro.dfg.graph import DFG
 from repro.dfg.retiming import Retiming
 from repro.dfg.unfold import unfold
-from repro.errors import ZeroDelayCycleError
+from repro.errors import SchedulingError, ZeroDelayCycleError
 from repro.schedule.list_scheduler import full_schedule
 from repro.schedule.priorities import mobility_priority
 from repro.schedule.resources import ResourceModel
@@ -227,6 +229,118 @@ def test_flat_grid_double_booking_raises():
         grid.occupy(1, 0, 0)
     grid.release(0, 0, 0)
     assert grid.place(1, 0) == 0
+
+
+# ----------------------------------------------------------------------
+# flat_list_schedule's saturated-step jumps against the naive scheduler
+# ----------------------------------------------------------------------
+def _flat_place(graph, model, r, fixed_start, fixed_units, todo, floor_cs, skey=None):
+    """``flat_list_schedule`` on the naive scheduler's arguments."""
+    from repro.core.flat.kernels import flat_list_schedule, seed_grid
+
+    fg = FlatGraph(graph)
+    fm = FlatModel(fg, model)
+    zsucc, zpred = zero_delay_lists(fg, retimed_delays(fg, fg.rvec(r)))
+    if skey is None:
+        skey = flat_priority_columns(
+            "descendants", fm.node_time, zsucc, flat_topological_order(zsucc)
+        )[2]
+    start = [None] * fg.n
+    units = [None] * fg.n
+    for v, cs in fixed_start.items():
+        start[fg.index[v]] = cs
+        units[fg.index[v]] = fixed_units.get(v)
+    grid = seed_grid(fg, fm, start, units)
+    todo_idx = sorted(fg.index[v] for v in todo)
+    flat_list_schedule(fg, fm, zsucc, zpred, skey, start, units, todo_idx, floor_cs, grid)
+    return {v: (start[i], units[i]) for v, i in fg.index.items()}
+
+
+def _naive_place(graph, model, r, fixed_start, fixed_units, todo, floor_cs):
+    from repro.schedule.list_scheduler import _list_schedule
+
+    sched = _list_schedule(
+        graph, model, fixed_start, fixed_units, list(todo), r, "descendants", floor_cs
+    )
+    return {v: (sched.start(v), sched.unit_index(v)) for v in graph.nodes}
+
+
+JUMP_MODELS = {
+    "1A1M": ResourceModel.adders_mults(1, 1),  # 2-cycle non-pipelined mult
+    "1A1M3": ResourceModel.adders_mults(1, 1, mult_latency=3),
+    "1A1Mp": ResourceModel.adders_mults(1, 1, pipelined_mults=True),
+    "2A1M": ResourceModel.adders_mults(2, 1),
+}
+
+
+@pytest.mark.parametrize("model_key", sorted(JUMP_MODELS))
+@pytest.mark.parametrize("seed", range(4))
+def test_flat_list_schedule_jumps_match_naive(model_key, seed):
+    """Dense grids: a full schedule, then random halves pinned in place
+    and the rest re-placed from random floors, on both schedulers."""
+    model = JUMP_MODELS[model_key]
+    graph = random_dfg(12 + 4 * seed, seed=seed, forward_density=0.1)
+    rng = random.Random(seed)
+    for r in legal_retimings(graph, count=2, seed=seed):
+        full = _naive_place(graph, model, r, {}, {}, graph.nodes, 0)
+        assert _flat_place(graph, model, r, {}, {}, graph.nodes, 0) == full
+        for _ in range(4):
+            todo = [v for v in graph.nodes if rng.random() < 0.5]
+            todo_set = set(todo)
+            fixed_start = {v: full[v][0] for v in graph.nodes if v not in todo_set}
+            fixed_units = {v: full[v][1] for v in fixed_start}
+            floor_cs = rng.randint(0, 3)
+            args = (graph, model, r, fixed_start, fixed_units, todo, floor_cs)
+            assert _flat_place(*args) == _naive_place(*args)
+
+
+def test_flat_list_schedule_probes_every_busy_offset():
+    """A non-pipelined mult whose slot is free at offset 0 but taken at a
+    later offset must wait out the pinned mult, not place early."""
+    g = DFG("offsets")
+    for v in ("m0", "m1", "m2"):
+        g.add_node(v, "mul")
+    g.add_node("a", "add")
+    g.add_edge("a", "m1", 0)
+    g.add_edge("m2", "a", 1)
+    model = ResourceModel.adders_mults(1, 1, mult_latency=3)
+    r = Retiming.zero()
+    fixed_start, fixed_units = {"m0": 2, "a": 0}, {"m0": 0, "a": 0}
+    todo = ["m1", "m2"]
+    expected = _naive_place(g, model, r, fixed_start, fixed_units, todo, 0)
+    # CS 0 and 1 are free but each window reaches m0 at CS 2; CS 2-4 are
+    # m0's own, so both mults follow it, m1 (ready at 1) first
+    assert expected["m1"] == (5, 0) and expected["m2"] == (8, 0)
+    assert _flat_place(g, model, r, fixed_start, fixed_units, todo, 0) == expected
+
+
+def test_flat_list_schedule_infeasible_placements_raise_alike():
+    from repro.schedule.list_scheduler import _list_schedule
+
+    model = ResourceModel.adders_mults(1, 1)
+    # A fixed placement over-subscribing the one adder.
+    g = DFG("busy")
+    for v in ("x", "y", "z"):
+        g.add_node(v, "add")
+    r = Retiming.zero()
+    args = (g, model, r, {"x": 0, "y": 0}, {}, ["z"], 0)
+    with pytest.raises(SchedulingError, match="fixed placement infeasible") as naive:
+        _naive_place(*args)
+    with pytest.raises(SchedulingError, match=re.escape(str(naive.value))):
+        _flat_place(*args)
+    # Todo nodes that can never become ready (a zero-delay cycle inside the
+    # reschedule set) run into the divergence guard on both schedulers.
+    g = DFG("stuck")
+    for v in ("a", "b", "c"):
+        g.add_node(v, "add")
+    g.add_edge("a", "b", 0)
+    g.add_edge("b", "a", 0)
+    flat_keys = [(0, i) for i in range(3)]
+    with pytest.raises(SchedulingError, match=r"failed to converge \(placed 1/3") as naive:
+        _list_schedule(g, model, {}, {}, ["a", "b", "c"], r,
+                       lambda graph, timing, rr: {v: (0,) for v in graph.nodes}, 0)
+    with pytest.raises(SchedulingError, match=re.escape(str(naive.value))):
+        _flat_place(g, model, r, {}, {}, ["a", "b", "c"], 0, skey=flat_keys)
 
 
 def test_flat_engine_rejects_callable_priority():

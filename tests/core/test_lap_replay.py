@@ -1,0 +1,173 @@
+"""Lap replay parity: skipping a phase's repeated laps changes nothing.
+
+:func:`repro.core.phases.rotation_phase` replays the rest of a phase in
+one step once the flat engine sees a pre-rotation state come round again
+(see :meth:`repro.core.flat.engine.FlatEngine.replay_lap`).  This suite
+keeps the literal loop — one rotation and one offer per step — and pins
+the replaying phase against it: the tracker's entries in order, its offer
+count, every phase's final state, and the full scheduling result.
+"""
+
+import pytest
+
+from repro.core import phases
+from repro.core.flat import FlatEngine
+from repro.core.phases import BestTracker
+from repro.core.rotation import RotationState
+from repro.core.scheduler import rotation_schedule
+from repro.report import convergence
+from repro.schedule.resources import ResourceModel
+from repro.suite import BENCHMARKS
+from repro.suite.random_graphs import random_dfg
+
+REPLAYING_PHASE = phases.rotation_phase
+
+CONFIGS = {
+    "1A1M": ResourceModel.adders_mults(1, 1),
+    "2A1M": ResourceModel.adders_mults(2, 1),
+    "2A1Mp": ResourceModel.adders_mults(2, 1, pipelined_mults=True),
+    "3A2M": ResourceModel.adders_mults(3, 2),
+    "2A2Mp": ResourceModel.adders_mults(2, 2, pipelined_mults=True),
+}
+
+
+def literal_phase(state, size, beta, best):
+    """The paper's ``RotationPhase`` run one rotation at a time."""
+    current = size
+    for _ in range(beta):
+        length = state.length
+        while current >= length and current > 1:
+            current = (current + 1) // 2
+        if current >= length:
+            break
+        state = state.down_rotate(current)
+        best.offer(state)
+    return state
+
+
+def state_bits(state):
+    sched = state.schedule
+    return (
+        [(sched.start(v), sched.unit_index(v)) for v in state.graph.nodes],
+        state.retiming,
+        state.trace,
+    )
+
+
+def entry_bits(best):
+    return [
+        (s.fingerprint(), w.period, state_bits(s), w.schedule.start_map)
+        for s, w in best.entries
+    ]
+
+
+def solve(graph, model, heuristic, phase, monkeypatch):
+    """``rotation_schedule`` with ``phase`` as the rotation phase; returns
+    the result, the heuristic's tracker and every phase's final state."""
+    trackers, finals = [], []
+
+    class Tracker(BestTracker):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            trackers.append(self)
+
+    def recording_phase(state, size, beta, best):
+        out = phase(state, size, beta, best)
+        finals.append(out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(phases, "BestTracker", Tracker)
+        m.setattr(phases, "rotation_phase", recording_phase)
+        result = rotation_schedule(graph, model, heuristic=heuristic)
+    (best,) = trackers
+    return result, best, finals
+
+
+def assert_same_search(graph, model, heuristic, monkeypatch):
+    ref, ref_best, ref_finals = solve(graph, model, heuristic, literal_phase, monkeypatch)
+    got, best, finals = solve(graph, model, heuristic, REPLAYING_PHASE, monkeypatch)
+    assert got.length == ref.length
+    assert got.schedule.start_map == ref.schedule.start_map
+    assert got.retiming == ref.retiming
+    assert got.optimal_count == ref.optimal_count
+    assert got.rotations_performed == ref.rotations_performed
+    assert [(a.schedule.start_map, a.retiming) for a in got.alternates] == [
+        (a.schedule.start_map, a.retiming) for a in ref.alternates
+    ]
+    assert best.offers == ref_best.offers
+    assert best.length == ref_best.length
+    assert entry_bits(best) == entry_bits(ref_best)
+    assert [state_bits(s) for s in finals] == [state_bits(s) for s in ref_finals]
+    # The logical rotation count is kept; replay answers its share.
+    ref_stats, stats = ref.engine_metrics, got.engine_metrics
+    assert stats["counters"]["rotations"] == ref_stats["counters"]["rotations"]
+    extras = stats["extras"]
+    assert ref_stats["extras"]["rotations_replayed"] == 0
+    assert (
+        extras["rotation_memo_hits"] + extras["rotation_memo_misses"]
+        + extras["rotations_replayed"]
+    ) == stats["counters"]["rotations"]
+    return extras
+
+
+@pytest.mark.parametrize("heuristic", ["h1", "h2"])
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("bench", sorted(BENCHMARKS))
+def test_paper_cells_replay_like_the_literal_loop(bench, config, heuristic, monkeypatch):
+    extras = assert_same_search(
+        BENCHMARKS[bench].build(), CONFIGS[config], heuristic, monkeypatch
+    )
+    assert extras["lap_replays"] > 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_graphs_replay_like_the_literal_loop(seed, monkeypatch):
+    graph = random_dfg(10 + 3 * seed, seed=seed)
+    config = sorted(CONFIGS)[seed % len(CONFIGS)]
+    for heuristic in ("h1", "h2"):
+        assert_same_search(graph, CONFIGS[config], heuristic, monkeypatch)
+
+
+def test_cap_filling_mid_replay():
+    """Ties admitted by a replay stop exactly where the literal loop's
+    offers would have filled the cap."""
+    admitted = []
+
+    class Tracker(BestTracker):
+        def admit_tie(self, key, mint):
+            before = len(self.entries)
+            ok = super().admit_tie(key, mint)
+            admitted.append((len(self.entries) > before, ok))
+            return ok
+
+    graph, model = BENCHMARKS["diffeq"].build(), CONFIGS["1A1M"]
+    beta = 2 * graph.num_nodes
+    outs = []
+    for phase, tracker in ((literal_phase, BestTracker(cap=4)), (REPLAYING_PHASE, Tracker(cap=4))):
+        initial = RotationState.initial(graph, model, engine=FlatEngine(graph, model))
+        tracker.offer(initial)
+        outs.append((tracker, phase(initial, 12, beta, tracker)))
+    (ref, ref_final), (got, final) = outs
+    # the replay admitted ties, then found the cap full
+    assert any(added for added, _ in admitted)
+    assert admitted[-1] == (False, False)
+    assert len(got.entries) == got.cap
+    assert got.offers == ref.offers
+    assert entry_bits(got) == entry_bits(ref)
+    assert state_bits(final) == state_bits(ref_final)
+
+
+def test_recording_tracker_curves_are_unchanged(monkeypatch):
+    """Replayed offers reach ``RecordingTracker`` through its hook, so the
+    convergence curves match the literal loop's point for point."""
+    graph, model = BENCHMARKS["biquad"].build(), CONFIGS["2A1M"]
+    curves = {}
+    for name, phase in (("literal", literal_phase), ("replay", REPLAYING_PHASE)):
+        with monkeypatch.context() as m:
+            m.setattr(convergence, "rotation_phase", phase)
+            curves[name] = (
+                convergence.phase_size_sweep(graph, model, [1, 2, 3], beta=40),
+                convergence.heuristic_sweep(graph, model),
+            )
+    assert curves["replay"] == curves["literal"]

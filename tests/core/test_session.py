@@ -71,7 +71,10 @@ class TestRepair:
         flat = open_session(g, model, backend="flat")
         naive = open_session(g, model, backend="naive")
         assert bits(flat.resolve()) == bits(naive.resolve())
-        assert flat._engine.metrics()["extras"]["rotation_memo_hits"] > 0
+        # the unedited search filled the memos and repeated itself (lap
+        # replay or memo hits answered part of it)
+        extras = flat._engine.metrics()["extras"]
+        assert extras["rotation_memo_hits"] + extras["rotations_replayed"] > 0
         toggles = [
             {"edit": "set_delay", "src": "o", "dst": "h", "delay": 2 + i % 2}
             for i in range(_EDIT_LOG_CAP + 2)

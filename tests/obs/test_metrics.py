@@ -69,21 +69,25 @@ class TestEngineMetrics:
         assert snap["backend"] == "flat"
         assert snap["counters"] == result.engine_stats
         assert snap["counters"]["rotations"] > 0
-        # flat-only extras: chain tip, wrap search, transition memos and
-        # struct views
+        # flat-only extras: chain tip, wrap search, transition memos, struct
+        # views and lap replay
         extras = snap["extras"]
         assert set(extras) == {
             "chain_tip_reuses", "wrap_interval_collapses",
             "rotation_memo_hits", "rotation_memo_misses", "wrap_memo_hits",
             "initial_memo_hits", "struct_view_builds", "struct_view_derives",
+            "lap_replays", "rotations_replayed",
         }
-        # h2 revisits transitions: the memos must answer some of them, and
-        # every miss either derives or builds a struct view
-        assert extras["rotation_memo_hits"] > 0
+        # h2 revisits transitions: lap replay or the memos must answer some
+        # of them, every rotation is answered exactly one of the three ways,
+        # and every miss either derives or builds a struct view
+        assert extras["rotation_memo_hits"] + extras["rotations_replayed"] > 0
         assert extras["wrap_memo_hits"] > 0
-        assert extras["rotation_memo_hits"] + extras["rotation_memo_misses"] == (
-            snap["counters"]["rotations"]
-        )
+        assert extras["lap_replays"] <= extras["rotations_replayed"]
+        assert (
+            extras["rotation_memo_hits"] + extras["rotation_memo_misses"]
+            + extras["rotations_replayed"]
+        ) == snap["counters"]["rotations"]
         assert extras["struct_view_derives"] == snap["counters"]["view_derives"]
         assert extras["struct_view_builds"] == snap["counters"]["view_builds"]
 

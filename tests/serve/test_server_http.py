@@ -108,6 +108,29 @@ class TestHttpEndpoints:
         assert results[1][1]["error"]["type"] == "BadJSON"
         assert "missing 'graph'" in results[2][1]["error"]["message"]
 
+    def test_non_integer_option_answers_400(self):
+        import http.client
+        import json
+
+        def drive(port):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                out = []
+                for options in ({"beta": "x"}, {"cap": [1]}):
+                    body = json.dumps({**DIFFEQ, "options": options}).encode()
+                    conn.request("POST", "/solve", body=body)
+                    resp = conn.getresponse()
+                    out.append((resp.status, json.loads(resp.read())))
+                return out
+            finally:
+                conn.close()
+
+        results = with_server(drive)
+        assert [status for status, _ in results] == [400, 400]
+        assert [r["error"]["type"] for _, r in results] == ["ServeError", "ServeError"]
+        assert "'beta'" in results[0][1]["error"]["message"]
+        assert "'cap'" in results[1][1]["error"]["message"]
+
     def test_loadgen_demo_workload(self, tmp_path):
         report = with_server(
             lambda port: run_loadgen(

@@ -62,6 +62,14 @@ class TestCacheLevels:
         assert "missing 'graph'" in out["error"]["message"]
         assert service.metrics.as_dict()["counters"]["bad_requests"] == 2
 
+    @pytest.mark.parametrize("key", ["beta", "sigma", "clock", "cap", "unfold", "chain_rotations"])
+    @pytest.mark.parametrize("value", ["x", [1]])
+    def test_non_integer_option_is_a_serve_error(self, service, key, value):
+        out = run(service.solve({**DIFFEQ, "options": {key: value}}))
+        assert out["cache"] == "error"
+        assert out["error"]["type"] == "ServeError"
+        assert repr(key) in out["error"]["message"]
+
     def test_solver_error_is_not_cached(self, service):
         # A zero-delay cycle fails inside the worker; the error must come
         # back structured and must NOT poison the cache.

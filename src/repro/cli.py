@@ -28,9 +28,10 @@ Subcommands:
   tree as JSONL (``repro.obs`` trace schema v1).
 * ``profile`` — per-span self/cumulative profile of a scheduling run (or
   of a previously exported ``--input trace.jsonl``).
-* ``perfcheck`` — re-run the pinned golden cells of the committed
-  ``BENCH_*.json`` envelopes and fail on wall-time or counter
-  regressions.
+* ``perfcheck`` — replay the cells pinned in ``PERF_PINS.json`` and
+  fail on counter drift, a missed ratio floor, or wall time past its
+  envelope in reference-ms (wall time scaled by the frozen kernel of
+  ``perfbench/common.py``); ``--record`` rewrites the file.
 * ``gate`` — the single pre-merge entry point: tier-1 pytest, the golden
   engine-parity suite, ``fuzz --smoke --jobs 4``, ``perfcheck --smoke``,
   and a trace smoke (trace one cell, validate the schema).
@@ -93,9 +94,6 @@ def _sched_kwargs(args: argparse.Namespace) -> dict:
         "heuristic": args.heuristic,
         "beta": args.beta,
         "priority": args.priority,
-        "use_engine": not args.no_engine,
-        # An explicit --backend wins over --no-engine; without it the
-        # scheduler resolves the backend from use_engine ("flat"/"naive").
         "backend": args.backend,
     }
 
@@ -246,12 +244,11 @@ def cmd_svg(args: argparse.Namespace) -> int:
 
 
 def _trace_meta(args: argparse.Namespace, graph: DFG, label: str) -> dict:
-    backend = args.backend or ("naive" if args.no_engine else "flat")
     return {
         "graph": graph.name or args.graph,
         "config": label,
         "heuristic": args.heuristic,
-        "backend": backend,
+        "backend": args.backend or "flat",
     }
 
 
@@ -333,14 +330,13 @@ def cmd_session(args: argparse.Namespace) -> int:
         with open(args.script, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         edits = data["edits"] if isinstance(data, dict) else data
-    backend = args.backend or ("naive" if args.no_engine else None)
     session = open_session(
         graph,
         model,
         heuristic=args.heuristic,
         beta=args.beta,
         priority=args.priority,
-        backend=backend,
+        backend=args.backend,
     )
     t0 = time.perf_counter()
     result = session.resolve()
@@ -362,7 +358,7 @@ def cmd_session(args: argparse.Namespace) -> int:
             t0 = time.perf_counter()
             scratch = rotation_schedule(
                 session.graph, session.model,
-                heuristic=args.heuristic, backend=backend,
+                heuristic=args.heuristic, backend=args.backend,
             )
             scratch_ms = (time.perf_counter() - t0) * 1e3
             speedup = scratch_ms / ms if ms else float("inf")
@@ -386,14 +382,18 @@ def cmd_session(args: argparse.Namespace) -> int:
 
 
 def cmd_perfcheck(args: argparse.Namespace) -> int:
-    from repro.obs import run_perfcheck
+    from repro.errors import ReproError
+    from repro.obs import record_perfcheck, run_perfcheck
 
-    report = run_perfcheck(
-        root=args.root,
-        tolerance=args.tolerance,
-        repeats=args.repeats,
-        smoke=args.smoke,
-    )
+    try:
+        if args.record:
+            path = record_perfcheck(args.root, args.repeats)
+            print(f"perfcheck: pinned {path}")
+            return 0
+        report = run_perfcheck(args.root, args.tolerance, args.repeats, args.smoke)
+    except ReproError as exc:
+        print(f"perfcheck: {exc}")
+        return 1
     print(report.render())
     return 0 if report.ok else 1
 
@@ -458,10 +458,15 @@ def cmd_gate(args: argparse.Namespace) -> int:
         print("gate: FAIL")
         return 1
 
+    from repro.errors import ReproError
     from repro.obs import Trace, run_perfcheck, tracing, validate_trace
 
-    print("gate: perfcheck smoke tier (golden-cell envelopes, +/-50%)")
-    perf = run_perfcheck(smoke=True)
+    print("gate: perfcheck smoke tier (pinned cells in reference-ms)")
+    try:
+        perf = run_perfcheck(smoke=True)
+    except ReproError as exc:
+        print(f"gate: perfcheck: {exc}\ngate: FAIL")
+        return 1
     print(perf.render())
     if not perf.ok:
         print("gate: FAIL")
@@ -639,11 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=int, default=None, help="rotations per phase")
         p.add_argument("--priority", default="descendants")
         p.add_argument(
-            "--no-engine",
-            action="store_true",
-            help="disable the incremental rotation engine (recompute everything)",
-        )
-        p.add_argument(
             "--backend",
             choices=sorted(BACKENDS),
             default=None,
@@ -770,22 +770,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "perfcheck",
-        help="re-run the pinned golden cells and fail on perf/counter regressions",
+        help="replay the pinned cells and fail on perf/counter regressions",
     )
     p.add_argument(
-        "--root", default=".", help="directory holding the committed BENCH_*.json files"
+        "--root", default=".",
+        help="repo root holding PERF_PINS.json and perfbench/common.py",
     )
     p.add_argument(
         "--tolerance",
         type=float,
-        default=0.5,
-        help="allowed wall-time slack as a fraction of the baseline (0.5 = +50%%)",
+        default=0.3,
+        help="allowed slack over a pinned reference-ms envelope (0.3 = +30%%)",
     )
-    p.add_argument("--repeats", type=int, default=3, help="min-of-N timing runs per cell")
+    p.add_argument(
+        "--repeats", type=int, default=7,
+        help="median-of-N timed samples per cell (per sweep with --record)",
+    )
     p.add_argument(
         "--smoke",
         action="store_true",
-        help="pre-merge tier: no explore grid, 2 repeats, tolerance floored at 50%%",
+        help="pre-merge tier: no explore grid, tolerance floored at 30%%",
+    )
+    p.add_argument(
+        "--record",
+        action="store_true",
+        help="re-measure every cell and rewrite PERF_PINS.json (run on a clean tree)",
     )
     p.set_defaults(func=cmd_perfcheck)
 

@@ -31,7 +31,7 @@ _STRUCTURAL_PRIORITIES = {"descendants", "height", "combined", "mobility"}
 BACKENDS = ("flat", "naive")
 
 
-def make_engine(backend, graph, model, priority="descendants", max_views: int = 4096):
+def make_engine(backend, graph, model, priority="descendants"):
     """Resolve a backend name to an engine instance (or ``False`` for naive).
 
     ``None`` selects the default (``flat``).  The flat engine needs a
@@ -48,7 +48,7 @@ def make_engine(backend, graph, model, priority="descendants", max_views: int = 
         return False
     from repro.core.flat.engine import FlatEngine
 
-    return FlatEngine(graph, model, priority, max_views)
+    return FlatEngine(graph, model, priority)
 
 
 @dataclass

@@ -235,6 +235,8 @@ class _StructView:
 # session could accumulate enough to matter, and clearing is always safe —
 # any state rebuilds cold from its schedule.
 _MEMO_LIMIT = 1 << 17
+#: Struct views kept per engine before the store is cleared.
+_MAX_VIEWS = 4096
 
 
 class FlatEngine:
@@ -255,7 +257,6 @@ class FlatEngine:
         graph: DFG,
         model: ResourceModel,
         priority="descendants",
-        max_views: int = 4096,
     ):
         if priority not in _STRUCTURAL_PRIORITIES:
             raise ValueError(
@@ -265,7 +266,6 @@ class FlatEngine:
         self.graph = graph
         self.model = model
         self.priority = priority
-        self.max_views = max_views
         self._stats = EngineStats()
         self.fg = FlatGraph(graph)
         self.fm = FlatModel(self.fg, model)
@@ -454,7 +454,7 @@ class FlatEngine:
 
     # -- struct views --------------------------------------------------
     def _sv_store(self, dr_key: Tuple[int, ...], sv: _StructView) -> _StructView:
-        if len(self._svs) >= self.max_views:
+        if len(self._svs) >= _MAX_VIEWS:
             self._svs.clear()
             self._stats.view_evictions += 1
         self._svs[dr_key] = sv

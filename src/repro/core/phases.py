@@ -149,6 +149,7 @@ def heuristic_1(
     priority="descendants",
     cap: int = 64,
     engine=None,
+    tracker: Optional[BestTracker] = None,
 ) -> BestTracker:
     """Independent phases of sizes ``1..sigma``, each from the initial
     schedule of the original DFG (rotation function reset to zero).
@@ -162,11 +163,13 @@ def heuristic_1(
         cap: max number of tied-optimal schedules retained.
         engine: ``None`` shares one default-backend engine across phases,
             ``False`` runs cache-free, or pass a prebuilt engine.
+        tracker: the tracker to fill (default: a fresh ``BestTracker(cap)``;
+            the convergence sweep passes a recording one).
     """
     if engine is None:
         engine = make_engine(None, graph, model, priority)
     initial = RotationState.initial(graph, model, priority, engine=engine)
-    best = BestTracker(cap=cap)
+    best = tracker if tracker is not None else BestTracker(cap=cap)
     best.offer(initial)
     if beta is None:
         beta = max(8, 2 * graph.num_nodes)
@@ -185,17 +188,19 @@ def heuristic_2(
     priority="descendants",
     cap: int = 64,
     engine=None,
+    tracker: Optional[BestTracker] = None,
 ) -> BestTracker:
     """Cascaded phases in decreasing size order with ``FullSchedule(G_R)``
     re-seeding between phases (the paper's reported heuristic).
 
     ``engine`` is shared across re-seedings (its ``dr``-keyed initial
     schedule memo makes a re-seed nearly free when a structure recurs).
+    Other arguments as in :func:`heuristic_1`.
     """
     if engine is None:
         engine = make_engine(None, graph, model, priority)
     state = RotationState.initial(graph, model, priority, engine=engine)
-    best = BestTracker(cap=cap)
+    best = tracker if tracker is not None else BestTracker(cap=cap)
     best.offer(state)
     if beta is None:
         beta = max(8, 2 * graph.num_nodes)

@@ -84,14 +84,9 @@ class RotationScheduler:
         sigma: phase-size range (default: initial schedule length - 1).
         priority: list-scheduling priority name or callable.
         cap: number of tied-optimal schedules to retain.
-        use_engine: attach an acceleration engine (incremental caches);
-            False selects the recompute-everything path the engines are
-            parity-tested against.  Kept for backward compatibility —
-            ``backend`` is the richer switch.
-        backend: ``"flat"`` (memoized integer kernels, default) or
-            ``"naive"`` (recompute everything, the parity oracle);
-            ``None`` resolves from ``use_engine``.  Both produce
-            bit-identical results.
+        backend: ``"flat"`` (memoized integer kernels; ``None`` selects
+            it) or ``"naive"`` (recompute everything, the parity oracle).
+            Both produce bit-identical results.
     """
 
     def __init__(
@@ -102,7 +97,6 @@ class RotationScheduler:
         sigma: Optional[int] = None,
         priority="descendants",
         cap: int = 64,
-        use_engine: bool = True,
         backend: Optional[str] = None,
     ):
         if heuristic not in HEURISTICS:
@@ -110,7 +104,7 @@ class RotationScheduler:
                 f"unknown heuristic {heuristic!r}; choose from {sorted(HEURISTICS)}"
             )
         if backend is None:
-            backend = "flat" if use_engine else "naive"
+            backend = "flat"
         elif backend not in BACKENDS:
             raise SchedulingError(
                 f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
@@ -122,7 +116,6 @@ class RotationScheduler:
         self.priority = priority
         self.cap = cap
         self.backend = backend
-        self.use_engine = backend != "naive"
 
     def schedule(self, graph: DFG) -> RotationResult:
         """Run the configured heuristic and post-process the best schedule."""
@@ -208,7 +201,6 @@ def rotation_schedule(
     beta: Optional[int] = None,
     sigma: Optional[int] = None,
     priority="descendants",
-    use_engine: bool = True,
     backend: Optional[str] = None,
 ) -> RotationResult:
     """One-call convenience wrapper around :class:`RotationScheduler`."""
@@ -218,6 +210,5 @@ def rotation_schedule(
         beta=beta,
         sigma=sigma,
         priority=priority,
-        use_engine=use_engine,
         backend=backend,
     ).schedule(graph)

@@ -22,7 +22,7 @@ Exploration is **round-based** so it stays deterministic and auditable:
 
 ``mode="exhaustive"`` runs the same loop degenerated to one unpruned,
 unranked round of cold solves — today's benchmark behavior, and the
-baseline ``BENCH_explore.json`` measures the speedup against.
+baseline the perfcheck explore tier measures the speedup against.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ A cell is solved in one of three ways, all returning the same
 * **cold** — a fresh :func:`~repro.core.scheduler.rotation_schedule` on
   the flat backend, no reuse whatsoever.  This is what today's benchmark
   sweeps do cell by cell, and therefore the honest exhaustive baseline
-  ``BENCH_explore.json`` compares against.
+  the perfcheck explore tier compares against.
 * **warm** (:meth:`CellSolver.solve`) — the explorer's path: a
   *solve-key memo* collapses clock cells that share a latency model, a
   per-family :class:`~repro.core.session.MutableSchedulingSession` hops

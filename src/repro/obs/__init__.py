@@ -11,8 +11,10 @@ Four pieces, all stdlib-only:
 * :mod:`repro.obs.export` / :mod:`repro.obs.profile` — JSONL trace
   round-tripping, structural validation, and the self-vs-cumulative
   per-span profile report.
-* :mod:`repro.obs.perfcheck` — the perf-regression gate over the
-  committed ``BENCH_*.json`` golden-cell envelopes.
+* :mod:`repro.obs.perfcheck` — the perf-regression gate: one tier
+  table replaying the cells pinned in ``PERF_PINS.json``, timed in
+  reference-ms (wall time scaled by the frozen kernel of
+  ``perfbench/common.py``); ``rotsched perfcheck --record`` rewrites it.
 """
 
 from repro.obs.export import Trace, TraceError, parse_trace, read_trace, validate_trace, write_trace
@@ -27,20 +29,13 @@ from repro.obs.metrics import (
 )
 from repro.obs.perfcheck import (
     MIN_EXPLORE_SPEEDUP,
+    MIN_REPAIR_SPEEDUP,
     MIN_SERVE_SPEEDUP,
-    ExploreCell,
-    GoldenCell,
-    IncrementalCell,
+    PINS_FILE,
+    TIERS,
     PerfReport,
-    VectorHeadlineCell,
-    ServeCell,
-    load_explore_cells,
-    load_golden_cells,
-    load_incremental_cells,
-    load_serve_cells,
-    load_vector_headline,
-    measure_explore_grid,
-    measure_serve_workload,
+    Tier,
+    record_perfcheck,
     run_perfcheck,
 )
 from repro.obs.profile import Profile, ProfileRow, aggregate, profile_of, render_profile
@@ -60,14 +55,13 @@ __all__ = [
     "NULL",
     "METRICS_SCHEMA",
     "TRACE_SCHEMA",
-    "ExploreCell",
-    "GoldenCell",
-    "IncrementalCell",
     "MIN_EXPLORE_SPEEDUP",
+    "MIN_REPAIR_SPEEDUP",
     "MIN_SERVE_SPEEDUP",
-    "ServeCell",
+    "PINS_FILE",
+    "TIERS",
+    "Tier",
     "MetricsRegistry",
-    "VectorHeadlineCell",
     "NullTracer",
     "PerfReport",
     "Profile",
@@ -84,18 +78,12 @@ __all__ = [
     "explore_metrics",
     "EXPLORE_COUNTERS",
     "EXPLORE_RECORD",
-    "load_explore_cells",
-    "load_golden_cells",
-    "load_incremental_cells",
-    "load_serve_cells",
-    "load_vector_headline",
-    "measure_explore_grid",
-    "measure_serve_workload",
     "parse_trace",
     "profile_of",
     "read_trace",
     "render_metrics",
     "render_profile",
+    "record_perfcheck",
     "run_perfcheck",
     "tracing",
     "validate_trace",

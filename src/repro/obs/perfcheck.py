@@ -1,990 +1,400 @@
-"""The perf-regression gate: re-run pinned golden cells, compare envelopes.
+"""The perf-regression gate: one tier table over one pinned file.
 
-``BENCH_flat.json`` and ``BENCH_vector.json`` pin the repo's performance
-trajectory: each end-to-end entry records a (benchmark, config, heuristic)
-cell with its wall time and its deterministic outcome counters
-(schedule length, rotations performed, and for some cells the engine's
-grid counters).  :func:`run_perfcheck` re-runs those cells on the current
-tree and fails when
-
-* a *counter delta* appears — the deterministic outcome (length,
-  rotations, pinned engine counters) no longer matches the envelope; or
-* the *wall time* regresses past the tolerance band
-  (``measured > baseline * (1 + tolerance)``).
-
-``BENCH_incremental.json`` extends the envelope to the
-MutableSchedulingSession repair path: each cell pins a single-edit script
-on a golden cell and fails when the repaired schedule's length or
-invalidation count drifts, the repair wall time regresses, or the
-repair-vs-scratch speedup drops below :data:`MIN_REPAIR_SPEEDUP`.
-
-Timing uses ``time.process_time`` with a min-of-N inner loop, the same
-methodology the committed baselines were recorded with, so the comparison
-is CPU time against CPU time.  ``rotsched gate`` runs the ``--smoke``
-variant (no explore grid, generous ±50% tolerance) before every merge.
+``PERF_PINS.json`` pins each gated cell once, by :class:`Tier`: exact
+``counters`` and, if timed, a wall envelope in reference ms.  Each sample
+is scaled by ``REF_MS / k``, ``k`` the frozen kernel of ``perfbench/common.py``
+run on the same clock just before and after it, and a cell keeps the median:
+a slow phase of the host slows the kernel with the cell, so the verdict
+follows the code.  Without that file perfcheck raises, never gating raw times.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 
-#: Engine counters a baseline entry may pin exactly (deterministic).
-_PINNED_COUNTERS = ("view_derives", "grid_delta_rotations", "grid_reseeds")
+PINS_FILE = "PERF_PINS.json"  # at the repo root
 
-#: Baseline files perfcheck knows how to read, with the backend their
-#: end-to-end cells run on and the extra_info key holding the timing.
-#: ``BENCH_vector.json``'s cells were recorded on the numpy backend,
-#: which ran the same memoized flat kernels on graphs this size; they
-#: now hold the default backend to those times.
-BASELINE_SPECS: Tuple[Tuple[str, str, str], ...] = (
-    ("BENCH_flat.json", "flat", "flat_seconds"),
-    ("BENCH_vector.json", "flat", "vector_seconds"),
-)
-
-#: Committed envelope for session repair vs from-scratch solve
-#: (written by ``benchmarks/bench_incremental.py``).
-INCREMENTAL_BASELINE = "BENCH_incremental.json"
-
-#: Session repair must stay at least this many times faster than a
-#: from-scratch solve on every pinned single-edit script.
+#: Ratio floors: session repair vs a scratch solve of the edited graph, the
+#: cached service vs uncached solving and the explorer vs the exhaustive sweep
+#: stay this many times faster; a traced solve costs at most 1.5 untraced ones.
 MIN_REPAIR_SPEEDUP = 3.0
-
-#: Committed envelope of the former numpy backend.  Its single-solve
-#: headline (h2, elliptic @ 3A2M) gates an absolute envelope within the
-#: run's tolerance: the *default* backend must run at or below the
-#: pinned ``vector_seconds`` (the transition memos that made ``vector``
-#: fast live in the default engine).
-VECTOR_BASELINE = "BENCH_vector.json"
-
-#: Committed serve-daemon envelope (written by ``benchmarks/bench_serve.py``).
-SERVE_BASELINE = "BENCH_serve.json"
-
-#: The cached service must answer a repeated-graph workload at least this
-#: many times faster than solving every request sequentially, uncached.
 MIN_SERVE_SPEEDUP = 5.0
-
-#: Committed design-space-explorer envelope (written by
-#: ``benchmarks/bench_explore.py``).
-EXPLORE_BASELINE = "BENCH_explore.json"
-
-#: The feedback-guided explorer must reach the exhaustive sweep's exact
-#: Pareto frontiers at least this many times faster on the headline grid.
 MIN_EXPLORE_SPEEDUP = 3.0
+MAX_TRACED_OVERHEAD = 1.5
+
+#: Wall-time slack over a pinned envelope; ``--smoke`` never runs
+#: tighter.  Set from the spread of repeated smoke runs (CHANGES.md).
+TOLERANCE = 0.3
+#: Samples per cell, ``--record`` sweeps per pin (so a pin spans time), and
+#: repairs per timed sample (one repair lasts a sixth of a kernel run).
+REPEATS, RECORD_PASSES, REPAIRS_PER_SAMPLE = 7, 3, 8
+
+
+@dataclass
+class Measured:
+    """One replayed cell: gated time in kernel units, kernel ms, counters, ratio."""
+
+    units: Optional[float]
+    kernel_ms: float
+    counters: Dict[str, Any]
+    ratio: Optional[float] = None
+    problems: List[str] = field(default_factory=list)
+    tier: str = ""
+    label: str = ""
+    pinned_ref_ms: Optional[float] = None
 
 
 @dataclass(frozen=True)
-class GoldenCell:
-    """One pinned cell of a committed benchmark envelope."""
+class Tier:
+    """A class of pinned cells: ``replay(cell, repeats, kernel)``, the ``cells()``
+    ``--record`` pins, and the floor of ``Measured.ratio`` (``/ (1 + tolerance)`` if ``slack``)."""
 
-    source: str
-    bench: str
-    config: str
-    heuristic: str
-    backend: str
-    baseline_seconds: float
-    length: int
-    rotations: int
-    pinned: Tuple[Tuple[str, int], ...] = ()
-
-    def label(self) -> str:
-        return f"{self.bench}@{self.config}/{self.heuristic}/{self.backend}"
+    name: str
+    replay: Callable[[Dict[str, Any], int, Callable[[], float]], Measured]
+    cells: Callable[[], List[Dict[str, Any]]]
+    floor: float = 0.0
+    slack: bool = False
+    full_only: bool = False
 
 
-@dataclass
-class CellResult:
-    """Outcome of re-running one golden cell."""
-
-    cell: GoldenCell
-    measured_seconds: float = 0.0
-    length: Optional[int] = None
-    rotations: Optional[int] = None
-    problems: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    @property
-    def ratio(self) -> float:
-        base = self.cell.baseline_seconds
-        return self.measured_seconds / base if base else float("inf")
+def _wall(fn: Callable[[], Any]) -> Callable[[], Tuple[float, Any]]:
+    def timed():
+        t0 = time.perf_counter()
+        out = fn()
+        return (time.perf_counter() - t0) * 1000.0, out
+    return timed
 
 
-@dataclass(frozen=True)
-class IncrementalCell:
-    """One pinned repair-vs-scratch cell of ``BENCH_incremental.json``."""
-
-    source: str
-    bench: str
-    config: str
-    heuristic: str
-    script: str
-    edits: Tuple[Any, ...]
-    repair_seconds: float
-    scratch_seconds: float
-    speedup: float
-    length: int
-    invalidated: int
-
-    def label(self) -> str:
-        return f"{self.bench}@{self.config}/{self.heuristic}/{self.script}"
-
-
-@dataclass
-class IncrementalResult:
-    """Outcome of re-running one pinned edit script through a session."""
-
-    cell: IncrementalCell
-    repair_seconds: float = 0.0
-    scratch_seconds: float = 0.0
-    length: Optional[int] = None
-    invalidated: Optional[int] = None
-    problems: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    @property
-    def speedup(self) -> float:
-        return self.scratch_seconds / self.repair_seconds if self.repair_seconds else float("inf")
-
-
-@dataclass(frozen=True)
-class VectorHeadlineCell:
-    """The pinned single-solve headline cell: its ``vector_seconds`` is
-    the envelope the default backend must meet."""
-
-    source: str
-    bench: str
-    config: str
-    heuristic: str
-    vector_seconds: float
-    length: int
-    rotations: int
-
-    def label(self) -> str:
-        return f"{self.bench}@{self.config}/{self.heuristic}/default-vs-vector"
-
-
-@dataclass
-class VectorHeadlineResult:
-    """Outcome of replaying the single-solve headline on the default backend."""
-
-    cell: VectorHeadlineCell
-    seconds: float = 0.0
-    length: Optional[int] = None
-    problems: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
-@dataclass(frozen=True)
-class ServeCell:
-    """The pinned serve-vs-uncached acceptance cell of ``BENCH_serve.json``."""
-
-    source: str
-    workload: str
-    requests: int
-    distinct: int
-    workload_repeats: int
-    serve_seconds: float
-    uncached_seconds: float
-    speedup: float
-    hit_rate: float
-
-    def label(self) -> str:
-        return f"serve:{self.workload}x{self.workload_repeats}"
-
-
-@dataclass
-class ServeResult:
-    """Outcome of replaying the serve workload against uncached solving."""
-
-    cell: ServeCell
-    serve_seconds: float = 0.0
-    uncached_seconds: float = 0.0
-    requests: Optional[int] = None
-    distinct: Optional[int] = None
-    hit_rate: float = 0.0
-    problems: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    @property
-    def speedup(self) -> float:
-        return self.uncached_seconds / self.serve_seconds if self.serve_seconds else float("inf")
-
-
-@dataclass(frozen=True)
-class ExploreCell:
-    """The pinned explore-vs-exhaustive acceptance cell of
-    ``BENCH_explore.json``.
-
-    ``cells`` holds the headline grid itself (one canonical JSON string
-    per :class:`~repro.explore.CellSpec`) so perfcheck replays exactly
-    the committed design space; ``frontiers`` pins the per-benchmark
-    Pareto point lists both passes must reproduce — the equality oracle.
-    """
-
-    source: str
-    grid: str
-    cells: Tuple[str, ...]
-    explore_seconds: float
-    exhaustive_seconds: float
-    speedup: float
-    counters: Tuple[Tuple[str, int], ...]
-    frontiers: str
-
-    def label(self) -> str:
-        return f"explore:{self.grid}[{len(self.cells)} cells]"
-
-
-@dataclass
-class ExploreResult:
-    """Outcome of replaying the explorer against the exhaustive sweep."""
-
-    cell: ExploreCell
-    explore_seconds: float = 0.0
-    exhaustive_seconds: float = 0.0
-    counters: Dict[str, int] = field(default_factory=dict)
-    problems: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    @property
-    def speedup(self) -> float:
-        return (
-            self.exhaustive_seconds / self.explore_seconds
-            if self.explore_seconds
-            else float("inf")
-        )
-
-
-@dataclass
-class PerfReport:
-    """Aggregate perfcheck outcome."""
-
-    results: List[CellResult] = field(default_factory=list)
-    tolerance: float = 0.5
-    repeats: int = 3
-    elapsed: float = 0.0
-    skipped_baselines: List[str] = field(default_factory=list)
-    incremental: List[IncrementalResult] = field(default_factory=list)
-    vector: List[VectorHeadlineResult] = field(default_factory=list)
-    serve: List[ServeResult] = field(default_factory=list)
-    explore: List[ExploreResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            all(r.ok for r in self.results)
-            and all(r.ok for r in self.incremental)
-            and all(r.ok for r in self.vector)
-            and all(r.ok for r in self.serve)
-            and all(r.ok for r in self.explore)
-            and bool(self.results)
-        )
-
-    def summary(self) -> str:
-        bad = sum(1 for r in self.results if not r.ok)
-        head = (
-            f"perfcheck: {len(self.results) - bad}/{len(self.results)} golden "
-            f"cells within envelope (tolerance +{self.tolerance:.0%}, "
-            f"min-of-{self.repeats}) in {self.elapsed:.1f}s"
-        )
-        if self.incremental:
-            ibad = sum(1 for r in self.incremental if not r.ok)
-            head += (
-                f"; incremental {len(self.incremental) - ibad}/"
-                f"{len(self.incremental)} repair cells ok"
-            )
-        if self.vector:
-            vbad = sum(1 for r in self.vector if not r.ok)
-            head += (
-                f"; vector {len(self.vector) - vbad}/"
-                f"{len(self.vector)} acceptance cells ok"
-            )
-        if self.serve:
-            sbad = sum(1 for r in self.serve if not r.ok)
-            head += (
-                f"; serve {len(self.serve) - sbad}/{len(self.serve)} "
-                f"cache cells ok"
-            )
-        if self.explore:
-            ebad = sum(1 for r in self.explore if not r.ok)
-            head += (
-                f"; explore {len(self.explore) - ebad}/{len(self.explore)} "
-                f"grid cells ok"
-            )
-        if self.skipped_baselines:
-            head += f"; missing baselines skipped: {', '.join(self.skipped_baselines)}"
-        if bad:
-            head += f"; {bad} REGRESSED cell(s)"
-        if not self.results:
-            head += "; NO CELLS RUN"
-        return head
-
-    def render(self) -> str:
-        lines = [self.summary()]
-        for r in self.results:
-            status = "ok" if r.ok else "FAIL"
-            lines.append(
-                f"  {status:<4} {r.cell.label():<28} "
-                f"baseline {r.cell.baseline_seconds:.4f}s  "
-                f"measured {r.measured_seconds:.4f}s  (x{r.ratio:.2f})"
-            )
-            for p in r.problems:
-                lines.append(f"       - {p}")
-        for r in self.incremental:
-            status = "ok" if r.ok else "FAIL"
-            lines.append(
-                f"  {status:<4} {r.cell.label():<28} "
-                f"repair {r.repair_seconds:.4f}s  "
-                f"scratch {r.scratch_seconds:.4f}s  ({r.speedup:.1f}x)"
-            )
-            for p in r.problems:
-                lines.append(f"       - {p}")
-        for r in self.vector:
-            status = "ok" if r.ok else "FAIL"
-            lines.append(
-                f"  {status:<4} {r.cell.label():<28} "
-                f"default {r.seconds:.4f}s  "
-                f"pinned vector {r.cell.vector_seconds:.4f}s"
-            )
-            for p in r.problems:
-                lines.append(f"       - {p}")
-        for r in self.serve:
-            status = "ok" if r.ok else "FAIL"
-            lines.append(
-                f"  {status:<4} {r.cell.label():<28} "
-                f"served {r.serve_seconds:.4f}s  "
-                f"uncached {r.uncached_seconds:.4f}s  ({r.speedup:.1f}x, "
-                f"hit rate {r.hit_rate:.0%})"
-            )
-            for p in r.problems:
-                lines.append(f"       - {p}")
-        for r in self.explore:
-            status = "ok" if r.ok else "FAIL"
-            lines.append(
-                f"  {status:<4} {r.cell.label():<28} "
-                f"explored {r.explore_seconds:.4f}s  "
-                f"exhaustive {r.exhaustive_seconds:.4f}s  ({r.speedup:.1f}x)"
-            )
-            for p in r.problems:
-                lines.append(f"       - {p}")
-        return "\n".join(lines)
-
-
-def load_golden_cells(
-    path: str, backend: str, seconds_key: str
-) -> List[GoldenCell]:
-    """Extract pinned cells from one committed pytest-benchmark JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    cells: List[GoldenCell] = []
-    source = os.path.basename(path)
-    for entry in data.get("benchmarks", ()):
-        info = entry.get("extra_info") or {}
-        if not {"bench", "config", "heuristic", seconds_key} <= info.keys():
-            continue
-        pinned = tuple(
-            (k, int(info[k])) for k in _PINNED_COUNTERS if k in info
-        )
-        cells.append(
-            GoldenCell(
-                source=source,
-                bench=info["bench"],
-                config=info["config"],
-                heuristic=info["heuristic"],
-                backend=backend,
-                baseline_seconds=float(info[seconds_key]),
-                length=int(info["length"]),
-                rotations=int(info["rotations"]),
-                pinned=pinned,
-            )
-        )
-    if not cells:
-        raise ReproError(f"no golden cells with '{seconds_key}' found in {path}")
-    return cells
-
-
-def load_incremental_cells(path: str) -> List[IncrementalCell]:
-    """Extract pinned repair cells from ``BENCH_incremental.json``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    cells: List[IncrementalCell] = []
-    source = os.path.basename(path)
-    needed = {"bench", "config", "heuristic", "script", "edits",
-              "repair_seconds", "scratch_seconds", "length", "invalidated"}
-    for entry in data.get("benchmarks", ()):
-        info = entry.get("extra_info") or {}
-        if not needed <= info.keys():
-            continue
-        cells.append(
-            IncrementalCell(
-                source=source,
-                bench=info["bench"],
-                config=info["config"],
-                heuristic=info["heuristic"],
-                script=info["script"],
-                edits=tuple(info["edits"]),
-                repair_seconds=float(info["repair_seconds"]),
-                scratch_seconds=float(info["scratch_seconds"]),
-                speedup=float(info.get("speedup", 0.0)),
-                length=int(info["length"]),
-                invalidated=int(info["invalidated"]),
-            )
-        )
-    if not cells:
-        raise ReproError(f"no incremental repair cells found in {path}")
-    return cells
-
-
-def load_vector_headline(path: str) -> VectorHeadlineCell:
-    """Extract the single-solve acceptance cell from ``BENCH_vector.json``:
-    the entry marked ``headline: single_solve`` (h2 on elliptic @ 3A2M).
-    The file's end-to-end entries are ordinary golden cells and flow
-    through :func:`load_golden_cells` via :data:`BASELINE_SPECS`.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    for entry in data.get("benchmarks", ()):
-        info = entry.get("extra_info") or {}
-        if info.get("headline") == "single_solve":
-            return VectorHeadlineCell(
-                source=os.path.basename(path),
-                bench=info.get("bench", "elliptic"),
-                config=info.get("config", "3A2M"),
-                heuristic=info.get("heuristic", "h2"),
-                vector_seconds=float(info["vector_seconds"]),
-                length=int(info["length"]),
-                rotations=int(info["rotations"]),
-            )
-    raise ReproError(f"no single-solve headline cell found in {path}")
-
-
-def load_serve_cells(path: str) -> List[ServeCell]:
-    """Extract pinned serve cells from ``BENCH_serve.json``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    cells: List[ServeCell] = []
-    source = os.path.basename(path)
-    needed = {"workload", "requests", "distinct", "workload_repeats",
-              "serve_seconds", "uncached_seconds", "speedup", "hit_rate"}
-    for entry in data.get("benchmarks", ()):
-        info = entry.get("extra_info") or {}
-        if info.get("headline") != "serve_cached" or not needed <= info.keys():
-            continue
-        cells.append(
-            ServeCell(
-                source=source,
-                workload=info["workload"],
-                requests=int(info["requests"]),
-                distinct=int(info["distinct"]),
-                workload_repeats=int(info["workload_repeats"]),
-                serve_seconds=float(info["serve_seconds"]),
-                uncached_seconds=float(info["uncached_seconds"]),
-                speedup=float(info["speedup"]),
-                hit_rate=float(info["hit_rate"]),
-            )
-        )
-    if not cells:
-        raise ReproError(f"no serve acceptance cells found in {path}")
-    return cells
-
-
-def load_explore_cells(path: str) -> List[ExploreCell]:
-    """Extract the pinned headline grid cell from ``BENCH_explore.json``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    cells: List[ExploreCell] = []
-    source = os.path.basename(path)
-    needed = {"grid", "cells", "explore_seconds", "exhaustive_seconds",
-              "speedup", "counters", "frontiers"}
-    for entry in data.get("benchmarks", ()):
-        info = entry.get("extra_info") or {}
-        if info.get("headline") != "explore_grid" or not needed <= info.keys():
-            continue
-        cells.append(
-            ExploreCell(
-                source=source,
-                grid=info["grid"],
-                cells=tuple(
-                    json.dumps(c, sort_keys=True) for c in info["cells"]
-                ),
-                explore_seconds=float(info["explore_seconds"]),
-                exhaustive_seconds=float(info["exhaustive_seconds"]),
-                speedup=float(info["speedup"]),
-                counters=tuple(
-                    (k, int(v)) for k, v in sorted(info["counters"].items())
-                ),
-                frontiers=json.dumps(info["frontiers"], sort_keys=True),
-            )
-        )
-    if not cells:
-        raise ReproError(f"no explore acceptance cells found in {path}")
-    return cells
-
-
-def measure_explore_grid(specs, repeats: int):
-    """Run the explorer and the exhaustive sweep over one grid of cells.
-
-    Returns ``(explore_seconds, exhaustive_seconds, explore_report,
-    exhaustive_report)`` — min-of-N *wall clock* on both sides (the
-    explorer is an orchestration layer: warm-chain hops, memo hits
-    and pool plumbing are real elapsed time, not just CPU).  Every repeat
-    starts from cleared bound/graph caches and a fresh solver so later
-    runs cannot ride earlier runs' memos.  Shared by
-    ``benchmarks/bench_explore.py`` (which commits the envelope) and
-    :func:`run_perfcheck` (which replays it).
-    """
-    from repro.explore import explore
-    from repro.explore.bounds import clear_caches
-
-    explore_best = exhaustive_best = float("inf")
-    explore_report = exhaustive_report = None
+def _sample(timed: Callable[[], Tuple[float, Any]], repeats: int, kernel: Callable[[], float]):
+    """``(median kernel units, median kernel ms, last output)`` of ``repeats``
+    runs of ``timed() -> (ms, output)``, each between two kernel runs."""
+    ks, units, out = [kernel()], [], None
     for _ in range(max(repeats, 1)):
-        clear_caches()
-        rep = explore(specs, mode="exhaustive", workers=1)
-        if rep.elapsed < exhaustive_best:
-            exhaustive_best = rep.elapsed
-            exhaustive_report = rep
-        clear_caches()
-        rep = explore(specs, mode="explore", workers=1)
-        if rep.elapsed < explore_best:
-            explore_best = rep.elapsed
-            explore_report = rep
-    return explore_best, exhaustive_best, explore_report, exhaustive_report
+        ms, out = timed()
+        ks.append(kernel())
+        units.append(ms * 2.0 / (ks[-2] + ks[-1]))
+    return statistics.median(units), statistics.median(ks), out
 
 
-def _measure_explore_cell(
-    cell: ExploreCell, repeats: int, tolerance: float
-) -> ExploreResult:
-    """Replay the headline grid and re-run the frontier-equality oracle."""
-    from repro.explore import CellSpec
+def _problem(cell):
+    from repro.qa.runner import config_model
+    from repro.suite.registry import get_benchmark
 
-    specs = [CellSpec.from_json(json.loads(raw)) for raw in cell.cells]
-    explore_s, exhaustive_s, erep, xrep = measure_explore_grid(specs, repeats)
-    er = ExploreResult(
-        cell,
-        explore_seconds=explore_s,
-        exhaustive_seconds=exhaustive_s,
-        counters=dict(erep.counters),
-    )
-    pinned = dict(cell.counters)
-    for name in sorted(pinned):
-        measured = erep.counters.get(name, 0)
-        if measured != pinned[name]:
-            er.problems.append(
-                f"counter delta: {name} {measured} != pinned {pinned[name]}"
-            )
-    explored = {
-        bench: [p.as_json() for p in erep.frontier_points(bench)]
-        for bench in sorted(erep.frontiers)
-    }
-    exhausted = {
-        bench: [p.as_json() for p in xrep.frontier_points(bench)]
-        for bench in sorted(xrep.frontiers)
-    }
-    if explored != exhausted:
-        er.problems.append(
-            "oracle: explored frontier != exhaustive frontier "
-            f"(benches {sorted(set(explored) ^ set(exhausted)) or 'same, points differ'})"
-        )
-    if json.dumps(explored, sort_keys=True) != cell.frontiers:
-        er.problems.append("counter delta: frontiers drifted from the pinned point lists")
-    required = MIN_EXPLORE_SPEEDUP / (1.0 + tolerance)
-    if er.speedup < required:
-        er.problems.append(
-            f"explore speedup {er.speedup:.2f}x below required "
-            f"{MIN_EXPLORE_SPEEDUP:.1f}x/{1.0 + tolerance:.2f} = {required:.2f}x "
-            f"(explored {explore_s:.4f}s, exhaustive {exhaustive_s:.4f}s)"
-        )
-    limit = cell.explore_seconds * (1.0 + tolerance)
-    if explore_s > limit:
-        er.problems.append(
-            f"wall-time regression: explored {explore_s:.4f}s > "
-            f"{cell.explore_seconds:.4f}s * {1.0 + tolerance:.2f} = {limit:.4f}s"
-        )
-    return er
+    return get_benchmark(cell["bench"]), config_model(cell["config"])
 
 
-def measure_serve_workload(workload_repeats: int, repeats: int):
-    """Serve a repeated-graph workload vs solving it sequentially, uncached.
+def _solver(cell, graph=None, model=None):
+    from repro.core.scheduler import rotation_schedule
 
-    Returns ``(serve_seconds, uncached_seconds, envelopes, fresh_by_fp,
-    distinct)`` — min-of-N ``process_time`` on both sides, same
-    methodology as every other golden cell.  The served side runs an
-    in-process (inline-pool) service and submits the workload as one
-    sequential request stream, so the cache-hit pattern is deterministic:
-    each distinct cell misses once and hits thereafter.  The uncached
-    side re-parses and re-solves every request — what answering without
-    the daemon would cost.  Shared by ``benchmarks/bench_serve.py`` (which
-    commits the envelope) and :func:`run_perfcheck` (which replays it).
-    """
+    graph, model = (graph, model) if graph is not None else _problem(cell)
+    return lambda: rotation_schedule(graph, model, heuristic=cell["heuristic"])
+
+
+_SOLVE_CELLS = [{"bench": b, "config": c, "heuristic": h} for b, c, h in (
+    ("elliptic", "3A2M", "h2"), ("elliptic", "2A1Mp", "h2"), ("lattice", "2A2M", "h2"),
+    ("allpole", "2A2M", "h2"), ("biquad", "2A2M", "h1"), ("diffeq", "2A2M", "h1"))]
+#: Flat-engine counters the solve tier pins exactly, besides length and
+#: rotations (``engine_rotations`` is the engine's own rotation count).
+SOLVE_COUNTERS = ("grid_delta_rotations", "grid_reseeds", "rotation_memo_hits",
+                  "lap_replays", "rotations_replayed")
+
+
+def _replay_solve(cell, repeats, kernel) -> Measured:
+    units, kms, res = _sample(_wall(_solver(cell)), repeats, kernel)
+    found = dict(res.engine_stats, **res.engine_metrics["extras"])
+    return Measured(units, kms, {"length": res.length, "rotations": res.rotations_performed,
+                                 "engine_rotations": found["rotations"],
+                                 **{name: found[name] for name in SOLVE_COUNTERS}})
+
+
+def _repair_cells() -> List[Dict[str, Any]]:
+    from repro.qa.incremental import PINNED_EDIT_SCRIPTS
+
+    return [{"bench": "elliptic", "config": "3A2M", "heuristic": "h2", "script": name,
+             "edits": edits} for name, edits in sorted(PINNED_EDIT_SCRIPTS.items())]
+
+
+def _replay_repair(cell, repeats, kernel) -> Measured:
+    """The repairing ``resolve()`` after the edit script, per repair, on
+    fresh solved sessions, against a scratch solve of the edited graph."""
+    from repro.core.session import open_session
+
+    graph, model = _problem(cell)
+
+    def repair():
+        sessions = [open_session(graph, model, heuristic=cell["heuristic"])
+                    for _ in range(REPAIRS_PER_SAMPLE)]
+        for session in sessions:
+            session.resolve()
+            for op in cell["edits"]:
+                session.apply_edit(op)
+        return _wall(lambda: [(s.resolve(), s) for s in sessions][-1])()
+
+    units, kms, (res, session) = _sample(repair, repeats, kernel)
+    units /= REPAIRS_PER_SAMPLE
+    scratch, _, _ = _sample(_wall(_solver(cell, session.graph, session.model)), repeats, kernel)
+    counters = {"length": res.length, "invalidated": session.metrics["nodes_invalidated"]}
+    return Measured(units, kms, counters, ratio=scratch / units)
+
+
+def _replay_serve(cell, repeats, kernel) -> Measured:
+    """The workload served in-process as one stream (each distinct cell misses
+    once) vs solved uncached; each served answer must equal the fresh one."""
     import asyncio
 
     from repro.serve import build_service, demo_workload
-    from repro.serve.protocol import (
-        canonical_request,
-        fingerprint,
-        parse_request,
-        solve_canonical,
-    )
+    from repro.serve.protocol import (canonical_request, fingerprint, parse_request,
+                                      schedule_bits, solve_canonical)
 
-    workload = demo_workload(repeats=workload_repeats)
+    workload = demo_workload(repeats=cell["workload_repeats"])
 
-    uncached_best = float("inf")
-    fresh_by_fp: Dict[str, Any] = {}
-    for _ in range(max(repeats, 1)):
-        t0 = time.process_time()
-        solved = {}
+    def uncached():
+        out = {}
         for payload in workload:
             canonical = canonical_request(parse_request(payload))
-            solved[fingerprint(canonical)] = solve_canonical(canonical)
-        dt = time.process_time() - t0
-        if dt < uncached_best:
-            uncached_best = dt
-            fresh_by_fp = solved
+            out[fingerprint(canonical)] = solve_canonical(canonical)
+        return out
 
     async def drive(service):
         return [await service.solve(p) for p in workload]
 
-    serve_best = float("inf")
-    envelopes: List[Dict[str, Any]] = []
-    for _ in range(max(repeats, 1)):
+    def served():
         service = build_service(inline=True)
         try:
-            t0 = time.process_time()
-            envs = asyncio.run(drive(service))
-            dt = time.process_time() - t0
+            return _wall(lambda: asyncio.run(drive(service)))()
         finally:
             service.close()
-        if dt < serve_best:
-            serve_best = dt
-            envelopes = envs
-    return serve_best, uncached_best, envelopes, fresh_by_fp, len(fresh_by_fp)
+
+    base, _, fresh = _sample(_wall(uncached), repeats, kernel)
+    units, kms, envs = _sample(served, repeats, kernel)
+    rate = sum(e.get("cache") in ("memory", "disk", "coalesced") for e in envs) / len(envs)
+    got = Measured(units, kms, {"requests": len(envs), "distinct": len(fresh), "hit_rate": rate},
+                   ratio=base / units)
+    for env in envs:
+        want = fresh.get(env.get("fingerprint"))
+        if "error" in env or want is None or (
+                schedule_bits(env["result"]) != schedule_bits(want)):
+            got.problems.append(f"oracle: served != fresh ({env.get('error') or env['cache']})")
+    return got
 
 
-def _measure_serve_cell(
-    cell: ServeCell, repeats: int, tolerance: float
-) -> ServeResult:
-    """Replay the serve acceptance cell and re-run the cached==fresh oracle."""
-    from repro.serve.protocol import schedule_bits
+def _explore_cells() -> List[Dict[str, Any]]:
+    """Elliptic J=1 + biquad/diffeq J=1,2 x 4 configs x 3 clocks = 60 cells."""
+    from repro.explore import build_grid
 
-    serve_s, uncached_s, envelopes, fresh_by_fp, distinct = measure_serve_workload(
-        cell.workload_repeats, repeats
-    )
-    hits = sum(1 for e in envelopes if e.get("cache") in ("memory", "disk", "coalesced"))
-    sr = ServeResult(
-        cell,
-        serve_seconds=serve_s,
-        uncached_seconds=uncached_s,
-        requests=len(envelopes),
-        distinct=distinct,
-        hit_rate=hits / len(envelopes) if envelopes else 0.0,
-    )
-    for name, measured, pinned in (
-        ("requests", sr.requests, cell.requests),
-        ("distinct", sr.distinct, cell.distinct),
-    ):
-        if measured != pinned:
-            sr.problems.append(f"counter delta: {name} {measured} != pinned {pinned}")
-    if abs(sr.hit_rate - cell.hit_rate) > 1e-9:
-        sr.problems.append(
-            f"counter delta: hit rate {sr.hit_rate:.4f} != pinned {cell.hit_rate:.4f}"
-        )
-    for envelope in envelopes:
-        if "error" in envelope:
-            sr.problems.append(f"error envelope: {envelope['error']}")
-            continue
-        fresh = fresh_by_fp.get(envelope["fingerprint"])
-        if fresh is None:
-            sr.problems.append(
-                f"fingerprint drift: served {envelope['fingerprint'][:12]} "
-                f"never produced by the uncached pass"
-            )
-        elif schedule_bits(envelope["result"]) != schedule_bits(fresh):
-            sr.problems.append(
-                f"oracle: cached != fresh for {envelope['fingerprint'][:12]} "
-                f"(level {envelope.get('cache')!r})"
-            )
-    required = MIN_SERVE_SPEEDUP / (1.0 + tolerance)
-    if sr.speedup < required:
-        sr.problems.append(
-            f"serve speedup {sr.speedup:.2f}x below required "
-            f"{MIN_SERVE_SPEEDUP:.1f}x/{1.0 + tolerance:.2f} = {required:.2f}x "
-            f"(served {serve_s:.4f}s, uncached {uncached_s:.4f}s)"
-        )
-    limit = cell.serve_seconds * (1.0 + tolerance)
-    if serve_s > limit:
-        sr.problems.append(
-            f"wall-time regression: served {serve_s:.4f}s > "
-            f"{cell.serve_seconds:.4f}s * {1.0 + tolerance:.2f} = {limit:.4f}s"
-        )
-    return sr
+    configs, clocks = ("1A1M", "2A1M", "2A2M", "3A2M"), (40, 50, 100)
+    grid = build_grid(["elliptic"], configs, clocks=clocks) + build_grid(
+        ["biquad", "diffeq"], configs, clocks=clocks, unfolds=[1, 2])
+    return [{"grid": "headline", "cells": [spec.as_json() for spec in grid]}]
 
 
-def _measure_vector_headline(
-    cell: VectorHeadlineCell, repeats: int, tolerance: float
-) -> VectorHeadlineResult:
-    """Replay the single-solve headline on the default backend, min-of-N,
-    against the pinned vector envelope."""
-    from repro.core.scheduler import rotation_schedule
-    from repro.qa.runner import config_model
-    from repro.suite.registry import get_benchmark
+def _replay_explore(cell, repeats, kernel) -> Measured:
+    """Explorer vs exhaustive sweep at ``workers=1`` from cleared caches;
+    the explored frontiers must equal the exhaustive ones."""
+    from repro.explore import CellSpec, explore
+    from repro.explore.bounds import clear_caches
 
-    graph = get_benchmark(cell.bench)
-    model = config_model(cell.config)
-    best = float("inf")
-    result = None
-    for _ in range(max(repeats, 1)):
-        t0 = time.process_time()
-        out = rotation_schedule(graph, model, heuristic=cell.heuristic)
-        dt = time.process_time() - t0
-        if dt < best:
-            best = dt
-            result = out
-    vr = VectorHeadlineResult(cell, seconds=best, length=result.length)
-    if result.length != cell.length:
-        vr.problems.append(
-            f"counter delta: length {result.length} != pinned {cell.length}"
-        )
-    if result.rotations_performed != cell.rotations:
-        vr.problems.append(
-            f"counter delta: rotations {result.rotations_performed} "
-            f"!= pinned {cell.rotations}"
-        )
-    limit = cell.vector_seconds * (1.0 + tolerance)
-    if best > limit:
-        vr.problems.append(
-            f"wall-time regression: default backend {best:.4f}s > pinned vector "
-            f"{cell.vector_seconds:.4f}s * {1.0 + tolerance:.2f} = {limit:.4f}s"
-        )
-    return vr
+    specs = [CellSpec.from_json(raw) for raw in cell["cells"]]
+
+    def run(mode):
+        clear_caches()
+        rep = explore(specs, mode=mode, workers=1)
+        return json.loads(json.dumps({b: [p.as_json() for p in rep.frontier_points(b)]
+                                      for b in sorted(rep.frontiers)})), rep
+
+    base, _, (full, _) = _sample(_wall(lambda: run("exhaustive")), repeats, kernel)
+    units, kms, (fronts, rep) = _sample(_wall(lambda: run("explore")), repeats, kernel)
+    got = Measured(units, kms, dict(rep.counters, frontiers=fronts), ratio=base / units)
+    if fronts != full:
+        got.problems.append("oracle: explored frontier != exhaustive frontier")
+    return got
 
 
-def _measure_incremental_cell(
-    cell: IncrementalCell, repeats: int, tolerance: float
-) -> IncrementalResult:
-    """Replay one pinned edit script: repaired resolve vs scratch solve.
+def _replay_tracing(cell, repeats, kernel) -> Measured:
+    """Untraced vs traced solves, timed in adjacent pairs so a host phase
+    shifts both: the same answer at a bounded cost."""
+    from repro.obs.tracer import tracing
 
-    Each repeat opens a fresh session (flat backend, matching the
-    committed baseline), solves untimed, then times only the repairing
-    ``resolve()`` after the script is applied; the from-scratch side times
-    ``rotation_schedule`` on the edited graph.  Both are min-of-N
-    ``process_time``, the same methodology as the golden cells.
-    """
-    from repro.core.scheduler import rotation_schedule
-    from repro.core.session import open_session
-    from repro.qa.runner import config_model
-    from repro.suite.registry import get_benchmark
+    solve = _solver(cell)
 
-    graph = get_benchmark(cell.bench)
-    model = config_model(cell.config)
-    repair_best = float("inf")
-    result = session = None
-    for _ in range(max(repeats, 1)):
-        session = open_session(
-            graph, model, heuristic=cell.heuristic, backend="flat"
-        )
-        session.resolve()
-        for op in cell.edits:
-            session.apply_edit(op)
-        t0 = time.process_time()
-        out = session.resolve()
-        dt = time.process_time() - t0
-        if dt < repair_best:
-            repair_best = dt
-            result = out
-    scratch_best = float("inf")
-    for _ in range(max(repeats, 1)):
-        t0 = time.process_time()
-        rotation_schedule(
-            session.graph, session.model, heuristic=cell.heuristic, backend="flat"
-        )
-        scratch_best = min(scratch_best, time.process_time() - t0)
-    ir = IncrementalResult(
-        cell,
-        repair_seconds=repair_best,
-        scratch_seconds=scratch_best,
-        length=result.length,
-        invalidated=session.metrics["nodes_invalidated"],
-    )
-    if result.length != cell.length:
-        ir.problems.append(
-            f"counter delta: repaired length {result.length} != pinned {cell.length}"
-        )
-    if ir.invalidated != cell.invalidated:
-        ir.problems.append(
-            f"counter delta: invalidated {ir.invalidated} != pinned {cell.invalidated}"
-        )
-    if ir.speedup < MIN_REPAIR_SPEEDUP:
-        ir.problems.append(
-            f"repair speedup {ir.speedup:.2f}x below required "
-            f"{MIN_REPAIR_SPEEDUP:.1f}x (repair {repair_best:.4f}s, "
-            f"scratch {scratch_best:.4f}s)"
-        )
-    limit = cell.repair_seconds * (1.0 + tolerance)
-    if repair_best > limit:
-        ir.problems.append(
-            f"wall-time regression: repair {repair_best:.4f}s > "
-            f"{cell.repair_seconds:.4f}s * {1.0 + tolerance:.2f} = {limit:.4f}s"
-        )
-    return ir
+    def traced():
+        with tracing() as tr:
+            return solve(), len(tr.events)
+
+    kms, pairs = kernel(), [(_wall(solve)(), _wall(traced)()) for _ in range(max(repeats, 1))]
+    (_, plain), (_, (res, events)) = pairs[-1]
+    ratio = statistics.median(off / on for (off, _), (on, _) in pairs)
+    got = Measured(None, kms, {"span_events": events}, ratio=ratio)
+    if (res.length, res.schedule.start_map) != (plain.length, plain.schedule.start_map):
+        got.problems.append("oracle: traced schedule != untraced schedule")
+    return got
 
 
-def _measure_cell(cell: GoldenCell, repeats: int) -> CellResult:
-    from repro.core.scheduler import rotation_schedule
-    from repro.qa.runner import config_model
-    from repro.suite.registry import get_benchmark
-
-    graph = get_benchmark(cell.bench)
-    model = config_model(cell.config)
-    best = float("inf")
-    result = None
-    for _ in range(max(repeats, 1)):
-        t0 = time.process_time()
-        out = rotation_schedule(
-            graph, model, heuristic=cell.heuristic, backend=cell.backend
-        )
-        dt = time.process_time() - t0
-        if dt < best:
-            best = dt
-            result = out
-    cr = CellResult(
-        cell,
-        measured_seconds=best,
-        length=result.length,
-        rotations=result.rotations_performed,
-    )
-    if result.length != cell.length:
-        cr.problems.append(
-            f"counter delta: length {result.length} != pinned {cell.length}"
-        )
-    if result.rotations_performed != cell.rotations:
-        cr.problems.append(
-            f"counter delta: rotations {result.rotations_performed} "
-            f"!= pinned {cell.rotations}"
-        )
-    stats = result.engine_stats or {}
-    for name, pinned_value in cell.pinned:
-        if stats.get(name) != pinned_value:
-            cr.problems.append(
-                f"counter delta: {name} {stats.get(name)} != pinned {pinned_value}"
-            )
-    return cr
+TIERS: Sequence[Tier] = (
+    Tier("solve", _replay_solve, lambda: _SOLVE_CELLS),
+    Tier("repair", _replay_repair, _repair_cells, floor=MIN_REPAIR_SPEEDUP),
+    Tier("serve", _replay_serve, lambda: [{"workload": "demo", "workload_repeats": 8}],
+         floor=MIN_SERVE_SPEEDUP, slack=True),
+    Tier("explore", _replay_explore, _explore_cells, floor=MIN_EXPLORE_SPEEDUP,
+         slack=True, full_only=True),
+    Tier("tracing", _replay_tracing, lambda: _SOLVE_CELLS[::2], floor=1 / MAX_TRACED_OVERHEAD),
+)
 
 
-def run_perfcheck(
-    root: str = ".",
-    baselines: Sequence[Tuple[str, str, str]] = BASELINE_SPECS,
-    tolerance: float = 0.5,
-    repeats: int = 3,
-    smoke: bool = False,
-    incremental_baseline: Optional[str] = INCREMENTAL_BASELINE,
-    vector_baseline: Optional[str] = VECTOR_BASELINE,
-    serve_baseline: Optional[str] = SERVE_BASELINE,
-    explore_baseline: Optional[str] = EXPLORE_BASELINE,
-) -> PerfReport:
-    """Re-run every pinned golden cell and compare against its envelope.
+def label(cell: Dict[str, Any]) -> str:
+    if "grid" in cell or "workload" in cell:
+        return cell.get("workload") or f"{cell['grid']}[{len(cell['cells'])} cells]"
+    text = f"{cell['bench']}@{cell['config']}/{cell['heuristic']}"
+    return f"{text}/{cell['script']}" if "script" in cell else text
 
-    Args:
-        root: directory holding the committed ``BENCH_*.json`` files.
-        baselines: ``(filename, backend, seconds_key)`` triples to read.
-        tolerance: allowed wall-time slack as a fraction of the baseline
-            (0.5 == fail past +50%).
-        repeats: min-of-N timing runs per cell.
-        smoke: the pre-merge tier — no explore grid,
-            ``min(repeats, 2)`` timing runs, and tolerance floored at
-            ±50% so CI noise does not flake the gate.
-        incremental_baseline: filename of the committed session-repair
-            envelope (``None`` disables the incremental tier).  Repair
-            cells gate the ``MIN_REPAIR_SPEEDUP`` floor on top of the
-            usual counter pins and wall tolerance.
-        vector_baseline: filename of the committed envelope holding the
-            single-solve headline (``None`` disables that tier); the
-            default backend must meet its pinned vector time.
-        serve_baseline: filename of the committed serve-daemon envelope
-            (``None`` disables the serve tier).  Its cells gate the
-            ``MIN_SERVE_SPEEDUP`` cached-vs-uncached floor, pin the
-            deterministic hit rate, and re-run the cached==fresh
-            differential oracle on every served envelope.
-        explore_baseline: filename of the committed design-space-explorer
-            envelope (``None`` disables the explore tier).  Its headline
-            grid gates the ``MIN_EXPLORE_SPEEDUP`` explored-vs-exhaustive
-            wall-time floor with per-benchmark frontier equality as the
-            oracle and the exploration counters pinned exactly.  The
-            tier replays the full committed grid, so it is skipped on
-            ``--smoke`` (``rotsched gate`` runs its own small explore
-            smoke instead).
-    """
+
+def load_kernel(root: str) -> Tuple[Callable[[], float], float]:
+    """``(reference_kernel, REF_MS)`` from ``<root>/perfbench/common.py``."""
+    import importlib.util
+
+    path = os.path.join(root, "perfbench", "common.py")
+    if not os.path.isfile(path):
+        raise ReproError(f"{path} not found: perfcheck never gates raw times")
+    spec = importlib.util.spec_from_file_location("_perfbench_common", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.reference_kernel, float(module.REF_MS)
+
+
+def judge(tier: Tier, pin: Dict[str, Any], got: Measured, ref: float, tolerance: float) -> List[str]:
+    """Every way ``got`` misses its pinned cell."""
+    problems = got.problems + [
+        f"counter delta: {name} {got.counters.get(name)!r:.40} != pinned {want!r:.40}"
+        for name, want in pin["counters"].items() if got.counters.get(name) != want]
+    limit = pin.get("ref_ms", float("inf")) * (1.0 + tolerance)
+    if got.units is not None and got.units * ref > limit:
+        problems.append(f"wall-time regression: {got.units * ref:.2f} ref-ms > pinned "
+                        f"{pin['ref_ms']:.2f} * {1.0 + tolerance:.2f} = {limit:.2f}")
+    need = tier.floor / (1.0 + tolerance) if tier.slack else tier.floor
+    if tier.floor and got.ratio < need:
+        problems.append(f"ratio {got.ratio:.2f} below floor {need:.2f}")
+    return problems
+
+
+@dataclass
+class PerfReport:
+    """Aggregate perfcheck outcome, with the live and the pinned kernel."""
+
+    rows: List[Measured] = field(default_factory=list)
+    tolerance: float = TOLERANCE
+    repeats: int = REPEATS
+    elapsed: float = 0.0
+    ref: float = 8.0
+    stamp: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return bool(self.rows) and not any(r.problems for r in self.rows)
+
+    def render(self) -> str:
+        """The verdict with the live and pinned kernel ms and the pins' commit
+        and dirty flag, then one line per cell."""
+        bad, s = sum(bool(r.problems) for r in self.rows), self.stamp
+        live = statistics.median([r.kernel_ms for r in self.rows] or [0.0])
+        lines = [f"perfcheck: {len(self.rows) - bad}/{len(self.rows)} golden cells within "
+                 f"envelope (tolerance +{self.tolerance:.0%}, median-of-{self.repeats}) in "
+                 f"{self.elapsed:.1f}s; kernel {live:.2f} ms live, {s.get('kernel_ms', 0):.2f} ms "
+                 f"pinned at {str(s.get('commit'))[:12]} (dirty: {'yes' if s.get('dirty') else 'no'})"
+                 + (f"; {bad} REGRESSED cell(s)" if bad else "")]
+        for r in self.rows:
+            line = f"  {'FAIL' if r.problems else 'ok':<4} {r.tier:<8} {r.label:<30}"
+            if r.units is not None and r.pinned_ref_ms:
+                got = r.units * self.ref
+                line += (f" pinned {r.pinned_ref_ms:9.2f} ref-ms, measured {got:9.2f}"
+                         f" (x{got / r.pinned_ref_ms:.2f})")
+            if r.ratio is not None:
+                line += f"  ratio {r.ratio:.2f}"
+            lines.append(line)
+            lines.extend(f"       - {p}" for p in r.problems)
+        return "\n".join(lines)
+
+
+def _tier_mean(name: str, rows: List[Measured], ref: float, tolerance: float) -> List[Measured]:
+    """A row for the geometric mean of a tier's measured/pinned ratios: it
+    scatters 1/sqrt(n) as much as one of its n cells, so it may exceed 1 by
+    ``tolerance / sqrt(n)``, and catches a slowdown too thin for any cell."""
+    ratios = [r.units * ref / r.pinned_ref_ms for r in rows if r.units and r.pinned_ref_ms]
+    if len(ratios) < 2:
+        return []
+    mean, limit = statistics.geometric_mean(ratios), 1 + tolerance / len(ratios) ** 0.5
+    return [Measured(None, statistics.median(r.kernel_ms for r in rows), {}, tier=name,
+                     label=f"mean of {len(ratios)}: x{mean:.2f}", problems=[
+                         f"tier regression: x{mean:.2f} > {limit:.2f}"] if mean > limit else [])]
+
+
+def run_perfcheck(root: str = ".", tolerance: float = TOLERANCE,
+                  repeats: int = REPEATS, smoke: bool = False) -> PerfReport:
+    """Replay every cell pinned in ``<root>/PERF_PINS.json``.  ``smoke``
+    skips the ``full_only`` tiers and floors the tolerance at TOLERANCE."""
     t0 = time.perf_counter()
-    if smoke:
-        repeats = min(repeats, 2)
-        tolerance = max(tolerance, 0.5)
-    report = PerfReport(tolerance=tolerance, repeats=repeats)
-    for filename, backend, seconds_key in baselines:
-        path = os.path.join(root, filename)
-        if not os.path.exists(path):
-            report.skipped_baselines.append(filename)
-            continue
-        for cell in load_golden_cells(path, backend, seconds_key):
-            cr = _measure_cell(cell, repeats)
-            limit = cell.baseline_seconds * (1.0 + tolerance)
-            if cr.measured_seconds > limit:
-                cr.problems.append(
-                    f"wall-time regression: {cr.measured_seconds:.4f}s > "
-                    f"{cell.baseline_seconds:.4f}s * {1.0 + tolerance:.2f} "
-                    f"= {limit:.4f}s"
-                )
-            report.results.append(cr)
-    if incremental_baseline is not None:
-        path = os.path.join(root, incremental_baseline)
-        if not os.path.exists(path):
-            report.skipped_baselines.append(incremental_baseline)
-        else:
-            for icell in load_incremental_cells(path):
-                report.incremental.append(
-                    _measure_incremental_cell(icell, repeats, tolerance)
-                )
-    if vector_baseline is not None:
-        path = os.path.join(root, vector_baseline)
-        if not os.path.exists(path):
-            if vector_baseline not in report.skipped_baselines:
-                report.skipped_baselines.append(vector_baseline)
-        else:
-            report.vector.append(_measure_vector_headline(
-                load_vector_headline(path), repeats, tolerance
-            ))
-    if serve_baseline is not None:
-        path = os.path.join(root, serve_baseline)
-        if not os.path.exists(path):
-            report.skipped_baselines.append(serve_baseline)
-        else:
-            for scell in load_serve_cells(path):
-                report.serve.append(_measure_serve_cell(scell, repeats, tolerance))
-    if explore_baseline is not None and not smoke:
-        path = os.path.join(root, explore_baseline)
-        if not os.path.exists(path):
-            report.skipped_baselines.append(explore_baseline)
-        else:
-            for ecell in load_explore_cells(path):
-                report.explore.append(
-                    _measure_explore_cell(ecell, repeats, tolerance)
-                )
+    kernel, ref = load_kernel(root)
+    path = os.path.join(root, PINS_FILE)
+    if not os.path.isfile(path):
+        raise ReproError(f"no pinned cells at {path}: run `rotsched perfcheck --record`")
+    with open(path, "r", encoding="utf-8") as fh:
+        pins = json.load(fh)
+    if "tiers" not in pins:
+        raise ReproError(f"{path} holds no tiers")
+    tolerance = max(tolerance, TOLERANCE) if smoke else tolerance
+    report = PerfReport(tolerance=tolerance, repeats=repeats, ref=ref,
+                        stamp={k: v for k, v in pins.items() if k != "tiers"})
+    for tier in (t for t in TIERS if not (smoke and t.full_only)):
+        rows = []
+        for pin in pins["tiers"].get(tier.name, ()):
+            got = tier.replay(pin["cell"], repeats, kernel)
+            got.problems = judge(tier, pin, got, ref, tolerance)
+            got.tier, got.label, got.pinned_ref_ms = tier.name, label(pin["cell"]), pin.get("ref_ms")
+            rows.append(got)
+        report.rows += rows + _tier_mean(tier.name, rows, ref, tolerance)
     report.elapsed = time.perf_counter() - t0
     return report
+
+
+def record_perfcheck(root: str = ".", repeats: int = REPEATS) -> str:
+    """Pin every cell in ``<root>/PERF_PINS.json`` as the median of RECORD_PASSES
+    sweeps, stamped with the commit, the dirty flag, the machine and kernel ms."""
+    import platform
+    import subprocess
+
+    def git(*args: str) -> str:
+        try:
+            return subprocess.run(["git", "-C", root, *args], capture_output=True,
+                                  text=True, check=True).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return ""
+
+    kernel, ref = load_kernel(root)
+    tiers: Dict[str, List[Dict[str, Any]]] = {}
+    cells = [(tier, cell) for tier in TIERS for cell in tier.cells()]
+    sweeps = [[t.replay(c, repeats, kernel) for t, c in cells] for _ in range(RECORD_PASSES)]
+    for (tier, cell), runs in zip(cells, zip(*sweeps)):
+        bad = [p for got in runs for p in got.problems] + [
+            "counters differ between sweeps" for got in runs if got.counters != runs[0].counters]
+        if bad:
+            raise ReproError(f"{tier.name} {label(cell)}: {bad[0]}")
+        pin = {"cell": cell, "counters": runs[0].counters}
+        if runs[0].units is not None:
+            pin["ref_ms"] = round(statistics.median(got.units for got in runs) * ref, 3)
+        tiers.setdefault(tier.name, []).append(pin)
+    changed = [ln for ln in git("status", "--porcelain").splitlines() if PINS_FILE not in ln]
+    doc = {"commit": git("rev-parse", "HEAD") or "unknown", "dirty": bool(changed),
+           "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
+                       "python": platform.python_version()},
+           "kernel_ms": round(statistics.median(g.kernel_ms for s in sweeps for g in s), 3),
+           "ref_ms": ref, "repeats": [RECORD_PASSES, repeats], "tiers": tiers}
+    path = os.path.join(root, PINS_FILE)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return path

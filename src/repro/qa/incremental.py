@@ -23,9 +23,8 @@ Wired into the fuzz grid as the ``incremental`` path (see
 :mod:`repro.qa.runner`), so ``rotsched fuzz --smoke`` exercises it on
 every pre-merge gate.
 
-``PINNED_EDIT_SCRIPTS`` are the fixed single-edit scripts the incremental
-benchmark (``benchmarks/bench_incremental.py``) and the perfcheck gate
-replay on the golden cells.
+``PINNED_EDIT_SCRIPTS`` are the fixed single-edit scripts the perfcheck
+gate's repair tier replays on the golden cells.
 """
 
 from __future__ import annotations
@@ -48,9 +47,9 @@ from repro.qa.oracles import (
     check_retiming,
 )
 
-#: Fixed single-edit scripts for the golden benches (bench_incremental /
-#: perfcheck replay these; keep them stable — BENCH_incremental.json pins
-#: their repaired lengths and invalidation counts).
+#: Fixed single-edit scripts the perfcheck repair tier replays; keep them
+#: stable — PERF_PINS.json pins their repaired lengths and invalidation
+#: counts.
 PINNED_EDIT_SCRIPTS: Dict[str, List[Dict[str, Any]]] = {
     # Resource tightening: shrink the adder pool by one.
     "tighten-adder": [{"edit": "set_resource_counts", "counts": {"adder": 2}}],

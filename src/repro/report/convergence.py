@@ -84,28 +84,14 @@ def heuristic_sweep(
     beta: Optional[int] = None,
     priority="descendants",
 ) -> List[ConvergenceCurve]:
-    """Best-length trajectories of Heuristic 1 vs Heuristic 2."""
-    curves = []
-    for name, fn in HEURISTICS.items():
-        tracker = RecordingTracker()
-        # re-run the heuristic logic against a recording tracker by
-        # monkey-free composition: both heuristics accept a cap, so we
-        # re-implement their loops via rotation_phase with the recorder.
-        initial = RotationState.initial(graph, model, priority)
-        tracker.offer(initial)
-        b = beta if beta is not None else max(8, 2 * graph.num_nodes)
-        sigma = max(1, initial.length - 1)
-        if name == "h1":
-            for size in range(1, sigma + 1):
-                rotation_phase(initial, size, b, tracker)
-        else:
-            state = initial
-            for size in range(sigma, 0, -1):
-                state = rotation_phase(state, size, b, tracker)
-                state = RotationState.initial(graph, model, priority, retiming=state.retiming)
-                tracker.offer(state)
-        curves.append(ConvergenceCurve(name.upper(), tuple(tracker.history)))
-    return curves
+    """Best-length trajectories of Heuristic 1 vs Heuristic 2: each
+    heuristic runs as the scheduler runs it, filling a recording tracker."""
+    return [
+        ConvergenceCurve(name.upper(), tuple(fn(
+            graph, model, beta=beta, priority=priority, tracker=RecordingTracker(),
+        ).history))
+        for name, fn in HEURISTICS.items()
+    ]
 
 
 def convergence_svg(

@@ -3,8 +3,7 @@
 :class:`ServeClient` speaks the ``repro.serve/v1`` HTTP/JSON protocol
 over a persistent ``http.client`` connection (stdlib only, keep-alive).
 :func:`run_loadgen` drives a workload through N client threads and
-reports latency percentiles, cache-level mix and solves/sec — the same
-numbers ``BENCH_serve.json`` pins.
+reports latency percentiles, cache-level mix and solves/sec.
 """
 
 from __future__ import annotations

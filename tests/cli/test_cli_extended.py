@@ -50,17 +50,17 @@ class TestSvg:
 class TestBenchFlags:
     """Regression: bench used to reject the shared scheduler flags."""
 
-    def test_accepts_no_engine_priority(self, capsys):
+    def test_accepts_backend_naive_priority(self, capsys):
         assert main([
             "bench", "diffeq", "1A1M", "--beta", "8",
-            "--no-engine", "--priority", "height",
+            "--backend", "naive", "--priority", "height",
         ]) == 0
         assert "1A 1M" in capsys.readouterr().out
 
     def test_engine_parity_in_bench_output(self, capsys):
         main(["bench", "diffeq", "1A2M", "--beta", "8"])
         with_engine = capsys.readouterr().out
-        main(["bench", "diffeq", "1A2M", "--beta", "8", "--no-engine"])
+        main(["bench", "diffeq", "1A2M", "--beta", "8", "--backend", "naive"])
         without_engine = capsys.readouterr().out
         assert with_engine == without_engine
 

@@ -1,20 +1,7 @@
-"""The explore/v1 metrics record and the perfcheck explore tier."""
+"""The explore/v1 metrics record (the perfcheck explore tier is tested in
+test_perfcheck.py)."""
 
-import json
-
-import pytest
-
-from repro.errors import ReproError
-from repro.obs import (
-    EXPLORE_COUNTERS,
-    EXPLORE_RECORD,
-    MIN_EXPLORE_SPEEDUP,
-    ExploreCell,
-    PerfReport,
-    explore_metrics,
-    load_explore_cells,
-)
-from repro.obs.perfcheck import ExploreResult
+from repro.obs import EXPLORE_COUNTERS, EXPLORE_RECORD, explore_metrics
 
 
 class TestExploreMetrics:
@@ -35,74 +22,3 @@ class TestExploreMetrics:
         assert snap["extras"] == {"dedup_hits": 10, "rounds": 4}
         assert snap["timers"]["explore"]["count"] == 1
 
-
-def _envelope(tmp_path, info):
-    path = tmp_path / "BENCH_explore.json"
-    path.write_text(json.dumps({"benchmarks": [{"extra_info": info}]}))
-    return str(path)
-
-
-def _info():
-    return {
-        "headline": "explore_grid",
-        "grid": "headline",
-        "cells": [
-            {"bench": "diffeq", "adders": 1, "mults": 1, "pipelined": False,
-             "clock_ns": 40, "unfold": 1, "heuristic": "h2",
-             "sigma": None, "beta": None},
-        ],
-        "explore_seconds": 1.5,
-        "exhaustive_seconds": 10.6,
-        "speedup": 7.0,
-        "counters": {"cells_total": 1, "solved": 1},
-        "frontiers": {"diffeq": [[[240, 1], 4, [5, 1]]]},
-    }
-
-
-class TestLoader:
-    def test_loads_headline_cell(self, tmp_path):
-        (cell,) = load_explore_cells(_envelope(tmp_path, _info()))
-        assert cell.grid == "headline"
-        assert cell.label() == "explore:headline[1 cells]"
-        assert cell.speedup == 7.0
-        assert dict(cell.counters)["solved"] == 1
-        assert json.loads(cell.frontiers) == {"diffeq": [[[240, 1], 4, [5, 1]]]}
-
-    def test_rejects_envelope_without_headline(self, tmp_path):
-        info = _info()
-        del info["headline"]
-        with pytest.raises(ReproError):
-            load_explore_cells(_envelope(tmp_path, info))
-
-
-class TestReport:
-    def _cell(self):
-        return ExploreCell(
-            source="BENCH_explore.json", grid="headline", cells=("{}",),
-            explore_seconds=1.5, exhaustive_seconds=10.6, speedup=7.0,
-            counters=(("solved", 1),), frontiers="{}",
-        )
-
-    def test_failing_explore_cell_fails_the_report(self):
-        from repro.obs.perfcheck import GoldenCell, CellResult
-
-        good = CellResult(GoldenCell(
-            source="x", bench="diffeq", config="1A1M", heuristic="h2",
-            backend="flat", baseline_seconds=0.1, length=6, rotations=1,
-        ))
-        report = PerfReport(results=[good])
-        assert report.ok
-        bad = ExploreResult(self._cell(), explore_seconds=5.0,
-                            exhaustive_seconds=6.0)
-        bad.problems.append(
-            f"explore speedup 1.20x below required {MIN_EXPLORE_SPEEDUP:.1f}x"
-        )
-        report.explore.append(bad)
-        assert not report.ok
-        assert "explore 0/1 grid cells ok" in report.summary()
-        assert "explore:headline[1 cells]" in report.render()
-
-    def test_speedup_property(self):
-        r = ExploreResult(self._cell(), explore_seconds=2.0, exhaustive_seconds=8.0)
-        assert r.speedup == 4.0
-        assert ExploreResult(self._cell()).speedup == float("inf")

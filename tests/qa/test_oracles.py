@@ -144,8 +144,8 @@ class TestParityOracle:
 
         g = attach_affine_funcs(random_dsp_kernel(3, seed=0), seed=0)
         model = ResourceModel.adders_mults(2, 1)
-        a = rotation_schedule(g, model, use_engine=True)
-        b = rotation_schedule(g, model, use_engine=False)
+        a = rotation_schedule(g, model, backend="flat")
+        b = rotation_schedule(g, model, backend="naive")
         assert check_parity(a, b) == []  # the engine is parity-clean
         import dataclasses
 

@@ -57,6 +57,58 @@ class TestSweeps:
         assert all(c.final == 6 for c in curves)
 
 
+def _literal_sweep(graph, model, beta=None, priority="descendants"):
+    """The sweep's former copy of both heuristic loops, kept verbatim as
+    the reference: a fresh engine per re-seed, no shared memos."""
+    from repro.core.phases import rotation_phase
+
+    curves = []
+    for name in ("h1", "h2"):
+        tracker = RecordingTracker()
+        initial = RotationState.initial(graph, model, priority)
+        tracker.offer(initial)
+        b = beta if beta is not None else max(8, 2 * graph.num_nodes)
+        sigma = max(1, initial.length - 1)
+        if name == "h1":
+            for size in range(1, sigma + 1):
+                rotation_phase(initial, size, b, tracker)
+        else:
+            state = initial
+            for size in range(sigma, 0, -1):
+                state = rotation_phase(state, size, b, tracker)
+                state = RotationState.initial(graph, model, priority, retiming=state.retiming)
+                tracker.offer(state)
+        curves.append(ConvergenceCurve(name.upper(), tuple(tracker.history)))
+    return curves
+
+
+class TestSweepIsTheScheduler:
+    """heuristic_sweep runs HEURISTICS itself: same curves as the old
+    copied loops, one engine per heuristic."""
+
+    @pytest.mark.parametrize("bench", ["diffeq", "biquad", "allpole", "elliptic", "lattice"])
+    def test_curves_equal_the_literal_loops(self, bench):
+        from repro.suite import get_benchmark
+
+        graph = get_benchmark(bench)
+        model = ResourceModel.adders_mults(2, 1)
+        assert heuristic_sweep(graph, model) == _literal_sweep(graph, model)
+
+    def test_one_engine_per_heuristic(self, monkeypatch):
+        from repro.core.flat.engine import FlatEngine
+
+        built = []
+        init = FlatEngine.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FlatEngine, "__init__", counting)
+        heuristic_sweep(diffeq(), ResourceModel.adders_mults(2, 1))
+        assert len(built) == 2
+
+
 class TestSvgChart:
     def test_well_formed(self):
         curves = [ConvergenceCurve("demo", (8, 7, 7, 6))]

@@ -20,6 +20,9 @@ the counters every engine reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
+from repro.errors import SchedulingError
 
 #: Priority names the flat engine computes with its own kernels; callable
 #: priorities run on the naive path, which calls them directly.
@@ -31,20 +34,38 @@ _STRUCTURAL_PRIORITIES = {"descendants", "height", "combined", "mobility"}
 BACKENDS = ("flat", "naive")
 
 
+def check_config(heuristic: Optional[str], backend: Optional[str]) -> str:
+    """The one check of a solve configuration: raises
+    :class:`~repro.errors.SchedulingError` on an unknown heuristic (``None``
+    skips that check) or backend, and returns the backend name, ``None``
+    resolved to ``flat``."""
+    if heuristic is not None:
+        from repro.core.phases import HEURISTICS
+
+        if heuristic not in HEURISTICS:
+            raise SchedulingError(
+                f"unknown heuristic {heuristic!r}; choose from {sorted(HEURISTICS)}"
+            )
+    if backend is None:
+        return "flat"
+    if backend not in BACKENDS:
+        raise SchedulingError(
+            f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
+        )
+    return backend
+
+
 def make_engine(backend, graph, model, priority="descendants"):
     """Resolve a backend name to an engine instance (or ``False`` for naive).
 
-    ``None`` selects the default (``flat``).  The flat engine needs a
-    named structural priority; a callable priority resolves to the naive
-    path, which routes it through :func:`~repro.schedule.priorities.get_priority`
-    unchanged.  Both backends are pinned bit-identical by the golden
-    parity suite.
+    ``None`` selects the default (``flat``); an unknown name raises
+    :class:`~repro.errors.SchedulingError` (:func:`check_config`).  The
+    flat engine needs a named structural priority; a callable priority
+    resolves to the naive path, which routes it through
+    :func:`~repro.schedule.priorities.get_priority` unchanged.  Both
+    backends are pinned bit-identical by the golden parity suite.
     """
-    if backend is None:
-        backend = "flat"
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}")
-    if backend == "naive" or priority not in _STRUCTURAL_PRIORITIES:
+    if check_config(None, backend) == "naive" or priority not in _STRUCTURAL_PRIORITIES:
         return False
     from repro.core.flat.engine import FlatEngine
 

@@ -37,11 +37,13 @@ class BestTracker:
 
     The paper's ``(Lopt, Q)`` pair: ``Q`` collects distinct optimal
     schedules ("the number of optimal schedules found ranges from 15 to
-    35"); ``cap`` bounds memory.
+    35"); ``cap`` bounds memory.  ``initial_length`` is the span of the
+    first state offered (the search's starting schedule).
     """
 
     cap: int = 64
     length: Optional[int] = None
+    initial_length: Optional[int] = None
     entries: List[Tuple[RotationState, WrappedSchedule]] = field(default_factory=list)
     _seen: Set[Tuple] = field(default_factory=set)
     offers: int = 0
@@ -50,6 +52,8 @@ class BestTracker:
         """Score a state (wrapped length) and record it if it ties or wins."""
         self.offers += 1
         wrapped = state.wrapped()
+        if self.length is None:
+            self.initial_length = state.length
         if self.length is None or wrapped.period < self.length:
             self.length = wrapped.period
             self.entries = [(state, wrapped)]

@@ -17,19 +17,17 @@ and bookkeeping for the experiment harness.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.dfg.graph import DFG
 from repro.dfg.retiming import Retiming
 from repro.schedule.resources import ResourceModel
 from repro.schedule.schedule import Schedule
-from repro.schedule.verify import realizing_retiming
-from repro.core.engine import BACKENDS, make_engine
+from repro.core.depth import reduce_depth
+from repro.core.engine import check_config, make_engine
 from repro.core.phases import HEURISTICS, BestTracker
-from repro.core.rotation import RotationState
 from repro.core.wrapping import WrappedSchedule
-from repro.errors import SchedulingError
 from repro.obs import tracer as _obs
 
 
@@ -45,10 +43,16 @@ class RotationResult:
     schedule: Schedule
     retiming: Retiming
     wrapped: WrappedSchedule
+    #: Length of the first schedule the search started from (for a
+    #: session repair: the previous result's length).
     initial_length: int
     optimal_count: int
     rotations_performed: int
+    #: Wall seconds from the start of the solve or repair through depth
+    #: reduction (engine set-up, search and finish; not the caller's
+    #: edits).
     elapsed_seconds: float
+    #: The other tied optima, depth-reduced, in the order found.
     alternates: Tuple[WrappedSchedule, ...] = ()
     engine_stats: Optional[dict] = None
     engine_metrics: Optional[dict] = None
@@ -72,6 +76,56 @@ class RotationResult:
         from repro.report.tables import render_schedule
 
         return render_schedule(self.schedule, self.model, retiming=self.retiming)
+
+
+def finish(
+    best: BestTracker,
+    engine,
+    graph: DFG,
+    model: ResourceModel,
+    heuristic: str,
+    initial_length: int,
+    t0: float,
+) -> Tuple[RotationResult, WrappedSchedule]:
+    """The last stage of every solve and repair: depth reduction
+    (Section 3.2) on each tied optimum in ``best``, then the result.
+
+    Reports the shallowest entry (ties: the first found); ``alternates``
+    are the other entries, reduced, in tracker order.  Entries are
+    realized by the engine's flat ``realize_wrapped``, or by the dict
+    :func:`~repro.core.depth.reduce_depth` on the naive path
+    (``engine is False``) — the same retimings either way.  Returns the
+    result and the chosen entry *before* reduction (the session's repair
+    seed).
+    """
+    with _obs.active.span("depth_reduction", candidates=len(best.entries)):
+        if engine is False:
+            reduced = [
+                WrappedSchedule(w.schedule, reduce_depth(w.schedule, w.period), w.period)
+                for _, w in best.entries
+            ]
+        else:
+            reduced = [engine.realize_wrapped(w) for _, w in best.entries]
+        i = min(range(len(reduced)), key=lambda k: (reduced[k].depth, k))
+    final = reduced[i]
+    result = RotationResult(
+        graph=graph,
+        model=model,
+        heuristic=heuristic,
+        length=final.period,
+        depth=final.depth,
+        schedule=final.schedule,
+        retiming=final.retiming,
+        wrapped=final,
+        initial_length=initial_length,
+        optimal_count=len(best.entries),
+        rotations_performed=best.offers - 1,
+        elapsed_seconds=time.perf_counter() - t0,
+        alternates=tuple(reduced[:i] + reduced[i + 1:]),
+        engine_stats=engine.stats() if engine is not False else None,
+        engine_metrics=engine.metrics() if engine is not False else None,
+    )
+    return result, best.entries[i][1]
 
 
 class RotationScheduler:
@@ -99,42 +153,25 @@ class RotationScheduler:
         cap: int = 64,
         backend: Optional[str] = None,
     ):
-        if heuristic not in HEURISTICS:
-            raise SchedulingError(
-                f"unknown heuristic {heuristic!r}; choose from {sorted(HEURISTICS)}"
-            )
-        if backend is None:
-            backend = "flat"
-        elif backend not in BACKENDS:
-            raise SchedulingError(
-                f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
-            )
         self.model = model
         self.heuristic = heuristic
         self.beta = beta
         self.sigma = sigma
         self.priority = priority
         self.cap = cap
-        self.backend = backend
+        self.backend = check_config(heuristic, backend)
 
     def schedule(self, graph: DFG) -> RotationResult:
         """Run the configured heuristic and post-process the best schedule."""
-        tr = _obs.active
-        traced = tr.enabled
-        if traced:
-            tr.begin(
-                "solve",
-                graph=graph.name or "dfg",
-                model=self.model.label(),
-                heuristic=self.heuristic,
-                backend=self.backend,
-            )
-        try:
+        with _obs.active.span(
+            "solve",
+            graph=graph.name or "dfg",
+            model=self.model.label(),
+            heuristic=self.heuristic,
+            backend=self.backend,
+        ):
             t0 = time.perf_counter()
             engine = make_engine(self.backend, graph, self.model, self.priority)
-            initial = RotationState.initial(
-                graph, self.model, self.priority, engine=engine
-            )
             best: BestTracker = HEURISTICS[self.heuristic](
                 graph,
                 self.model,
@@ -144,54 +181,9 @@ class RotationScheduler:
                 cap=self.cap,
                 engine=engine,
             )
-            elapsed = time.perf_counter() - t0
-
-            # Depth reduction (Section 3.2) on every optimal schedule found;
-            # report the shallowest pipeline (ties: first found).  Engines
-            # may provide realize_wrapped — the same pointwise-minimal
-            # retiming computed on their own flat representation.
-            realize = (
-                getattr(engine, "realize_wrapped", None)
-                if engine is not False
-                else None
-            )
-            if traced:
-                tr.begin("depth_reduction", candidates=len(best.entries))
-            try:
-                if realize is not None:
-                    reduced = [realize(w) for _, w in best.entries]
-                else:
-                    reduced = [
-                        WrappedSchedule(
-                            w.schedule, realizing_retiming(w.schedule, w.period), w.period
-                        )
-                        for _, w in best.entries
-                    ]
-                final = min(reduced, key=lambda w: w.depth)
-            finally:
-                if traced:
-                    tr.end()
-        finally:
-            if traced:
-                tr.end()
-        alternates = tuple(w for w in reduced if w is not final)
-        return RotationResult(
-            graph=graph,
-            model=self.model,
-            heuristic=self.heuristic,
-            length=final.period,
-            depth=final.depth,
-            schedule=final.schedule,
-            retiming=final.retiming,
-            wrapped=final,
-            initial_length=initial.length,
-            optimal_count=len(best.entries),
-            rotations_performed=best.offers - 1,
-            elapsed_seconds=elapsed,
-            alternates=alternates,
-            engine_stats=engine.stats() if engine is not False else None,
-            engine_metrics=engine.metrics() if engine is not False else None,
-        )
+            return finish(
+                best, engine, graph, self.model, self.heuristic, best.initial_length, t0
+            )[0]
 
 
 def rotation_schedule(

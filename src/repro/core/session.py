@@ -32,8 +32,9 @@ versioned-mutation protocol (edit log + epoch, see
    normalization shift);
 4. re-places only the invalidated nodes against the kept placements via
    the shared list-scheduling primitive (engine ``repair()`` on flat,
-   direct ``_list_schedule`` on naive), wraps, and applies the
-   Section 3.2 depth reduction — the same post-processing as a full solve.
+   direct ``_list_schedule`` on naive) and wraps;
+5. ends, as a full solve does, in :func:`repro.core.scheduler.finish`:
+   the Section 3.2 depth reduction and the result.
 
 The repair is a deterministic function of (edited graph, previous
 schedule): both backends produce bit-identical repairs, enforced by
@@ -54,12 +55,10 @@ from repro.dfg.analysis import topological_order
 from repro.schedule.resources import ResourceModel, UnitSpec
 from repro.schedule.schedule import Schedule
 from repro.schedule.list_scheduler import _list_schedule
-from repro.schedule.verify import realizing_retiming
-from repro.core.engine import BACKENDS, make_engine
-from repro.core.phases import HEURISTICS, BestTracker
+from repro.core.engine import check_config, make_engine
+from repro.core.phases import HEURISTICS, BestTracker, rotation_phase
 from repro.core.rotation import RotationState
-from repro.core.scheduler import RotationResult
-from repro.core.wrapping import WrappedSchedule
+from repro.core.scheduler import RotationResult, finish
 from repro.errors import SchedulingError
 from repro.obs import tracer as _obs
 
@@ -122,16 +121,7 @@ class MutableSchedulingSession:
         backend: Optional[str] = None,
         copy_graph: bool = True,
     ):
-        if heuristic not in HEURISTICS:
-            raise SchedulingError(
-                f"unknown heuristic {heuristic!r}; choose from {sorted(HEURISTICS)}"
-            )
-        if backend is None:
-            backend = "flat"
-        if backend not in BACKENDS:
-            raise SchedulingError(
-                f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
-            )
+        backend = check_config(heuristic, backend)
         self.graph = graph.copy() if copy_graph else graph
         self.model = model
         self.heuristic = heuristic
@@ -320,25 +310,18 @@ class MutableSchedulingSession:
             mode = "repair" if self._seed is not None else "solve"
         if not pending and self._result is not None and mode == "repair":
             return self._result
-        tr = _obs.active
-        traced = tr.enabled
-        if traced:
-            tr.begin(
-                "session.resolve",
-                mode=mode,
-                edits=0 if edits is None else len(edits),
-                backend=self.backend,
-            )
-        try:
+        with _obs.active.span(
+            "session.resolve",
+            mode=mode,
+            edits=0 if edits is None else len(edits),
+            backend=self.backend,
+        ):
             t0 = time.perf_counter()
             self._sync_engine(edits)
             if mode == "solve":
                 result = self._full_solve(t0)
             else:
                 result = self._repair(edits, polish, t0)
-        finally:
-            if traced:
-                tr.end()
         self._result = result
         self.metrics["resolves"] += 1
         return result
@@ -357,56 +340,34 @@ class MutableSchedulingSession:
         self._epoch = self.graph.epoch
 
     def _full_solve(self, t0: float) -> RotationResult:
-        """Mirror of ``RotationScheduler.schedule`` reusing the session's
-        engine — kept line-compatible so session solves stay bit-identical
-        to ``rotation_schedule`` on the edited graph."""
-        graph, model = self.graph, self.model
-        engine = self._engine
-        initial = RotationState.initial(graph, model, self.priority, engine=engine)
+        """The configured heuristic on the current state with the session's
+        engine, then the scheduler's :func:`finish`: bit-identical to
+        ``rotation_schedule`` on the edited graph."""
         best: BestTracker = HEURISTICS[self.heuristic](
-            graph,
-            model,
+            self.graph,
+            self.model,
             beta=self.beta,
             sigma=self.sigma,
             priority=self.priority,
             cap=self.cap,
-            engine=engine,
+            engine=self._engine,
         )
-        elapsed = time.perf_counter() - t0
-        reduced = [
-            WrappedSchedule(w.schedule, realizing_retiming(w.schedule, w.period), w.period)
-            for _, w in best.entries
-        ]
-        best_i = min(range(len(reduced)), key=lambda i: (reduced[i].depth, i))
-        final = reduced[best_i]
-        self._adopt_seed(best.entries[best_i][1])
+        result, seed = finish(
+            best, self._engine, self.graph, self.model, self.heuristic,
+            best.initial_length, t0,
+        )
+        self._adopt_seed(seed)
         self.metrics["full_solves"] += 1
-        return RotationResult(
-            graph=graph,
-            model=model,
-            heuristic=self.heuristic,
-            length=final.period,
-            depth=final.depth,
-            schedule=final.schedule,
-            retiming=final.retiming,
-            wrapped=final,
-            initial_length=initial.length,
-            optimal_count=len(best.entries),
-            rotations_performed=best.offers - 1,
-            elapsed_seconds=elapsed,
-            alternates=tuple(w for w in reduced if w is not final),
-            engine_stats=engine.stats() if engine is not False else None,
-            engine_metrics=engine.metrics() if engine is not False else None,
-        )
+        return result
 
-    def _adopt_seed(self, wrapped: WrappedSchedule) -> None:
+    def _adopt_seed(self, wrapped) -> None:
         self._seed = (wrapped.schedule, wrapped.retiming)
         self._dirty_units.clear()
         self._model_dirty = False
 
     # -- repair pipeline ------------------------------------------------
     def _repair(self, edits, polish: int, t0: float) -> RotationResult:
-        graph, model = self.graph, self.model
+        graph = self.graph
         prev_sched, prev_r = self._seed
         prev_start = prev_sched.start_map
 
@@ -434,53 +395,23 @@ class MutableSchedulingSession:
             if inst is not None:
                 fixed_units[v] = inst
 
-        tr = _obs.active
-        traced = tr.enabled
-        if traced:
-            tr.begin("session.repair", invalidated=len(todo), kept=len(fixed_start))
-        try:
+        with _obs.active.span("session.repair", invalidated=len(todo), kept=len(fixed_start)):
             state = self._repair_state(fixed_start, fixed_units, todo, new_r)
-        finally:
-            if traced:
-                tr.end()
 
         best = BestTracker(cap=self.cap)
         best.offer(state)
-        if polish:
-            from repro.core.phases import rotation_phase
-
-            if state.length > 1:
-                rotation_phase(state, 1, polish, best)
-        reduced = [
-            WrappedSchedule(w.schedule, realizing_retiming(w.schedule, w.period), w.period)
-            for _, w in best.entries
-        ]
-        best_i = min(range(len(reduced)), key=lambda i: (reduced[i].depth, i))
-        final = reduced[best_i]
-        prev_result = self._result
-        self._adopt_seed(best.entries[best_i][1])
-        elapsed = time.perf_counter() - t0
+        if polish and state.length > 1:
+            rotation_phase(state, 1, polish, best)
+        prev = self._result
+        result, seed = finish(
+            best, self._engine, graph, self.model, f"{self.heuristic}+repair",
+            prev.length if prev is not None else best.length, t0,
+        )
+        self._adopt_seed(seed)
         self.metrics["repairs"] += 1
         self.metrics["nodes_invalidated"] += len(todo)
         self.metrics["nodes_kept"] += len(fixed_start)
-        engine = self._engine
-        return RotationResult(
-            graph=graph,
-            model=model,
-            heuristic=f"{self.heuristic}+repair",
-            length=final.period,
-            depth=final.depth,
-            schedule=final.schedule,
-            retiming=final.retiming,
-            wrapped=final,
-            initial_length=prev_result.length if prev_result is not None else final.period,
-            optimal_count=len(best.entries),
-            rotations_performed=best.offers - 1,
-            elapsed_seconds=elapsed,
-            alternates=tuple(w for w in reduced if w is not final),
-            engine_stats=engine.stats() if engine is not False else None,
-            engine_metrics=engine.metrics() if engine is not False else None,
-        )
+        return result
 
     def _repair_retiming(
         self, prev_start: Mapping[NodeId, int], prev_r: Retiming

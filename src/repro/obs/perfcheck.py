@@ -219,7 +219,12 @@ def _replay_explore(cell, repeats, kernel) -> Measured:
 
 def _replay_tracing(cell, repeats, kernel) -> Measured:
     """Untraced vs traced solves, timed in adjacent pairs so a host phase
-    shifts both: the same answer at a bounded cost."""
+    shifts both: the same answer at a bounded cost.  An even number of
+    pairs (``repeats`` rounded up) alternates which solve runs first, and
+    garbage is collected before each solve, so neither side pays for the
+    other's order or leftovers."""
+    import gc
+
     from repro.obs.tracer import tracing
 
     solve = _solver(cell)
@@ -228,7 +233,17 @@ def _replay_tracing(cell, repeats, kernel) -> Measured:
         with tracing() as tr:
             return solve(), len(tr.events)
 
-    kms, pairs = kernel(), [(_wall(solve)(), _wall(traced)()) for _ in range(max(repeats, 1))]
+    def timed(fn):
+        gc.collect()
+        return _wall(fn)()
+
+    kms, pairs = kernel(), []
+    for i in range(2 * ((max(repeats, 1) + 1) // 2)):
+        if i % 2:
+            on = timed(traced)
+            pairs.append((timed(solve), on))
+        else:
+            pairs.append((timed(solve), timed(traced)))
     (_, plain), (_, (res, events)) = pairs[-1]
     ratio = statistics.median(off / on for (off, _), (on, _) in pairs)
     got = Measured(None, kms, {"span_events": events}, ratio=ratio)

@@ -363,7 +363,7 @@ def test_make_engine_backend_resolution():
     fn = lambda g, t, r: {v: (0,) for v in g.nodes}  # noqa: E731
     assert make_engine("flat", graph, MODEL, priority=fn) is False
     for gone in ("array", "views"):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchedulingError, match="unknown backend"):
             make_engine(gone, graph, MODEL)
 
 

@@ -14,7 +14,51 @@ def same_result(a, b, label):
     assert not check_parity(a, b, label)
 
 
+def same_surface(a, b, label):
+    """Every result field a copy of the finish stage could drift on."""
+    same_result(a, b, label)
+    for name in ("heuristic", "initial_length", "optimal_count", "rotations_performed"):
+        assert getattr(a, name) == getattr(b, name), (label, name)
+    assert len(a.alternates) == len(b.alternates) == a.optimal_count - 1, label
+    for x, y in zip(a.alternates, b.alternates):
+        assert x.schedule.start_map == y.schedule.start_map, label
+        assert x.retiming == y.retiming, label
+        assert x.period == y.period == a.length, label
+
+
 class TestSolveMode:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_session_solve_matches_rotation_schedule_full_surface(self, backend):
+        g = biquad()
+        model = ResourceModel.adders_mults(2, 2)
+        session = open_session(g, model, backend=backend)
+        got = session.solve()
+        want = rotation_schedule(g, model, heuristic="h2", backend=backend)
+        same_surface(got, want, f"session solve [{backend}]")
+        assert got.alternates  # the tie set is compared, not skipped
+        session.set_resource_counts({"adder": 1})
+        got = session.solve()
+        want = rotation_schedule(session.graph, session.model, heuristic="h2", backend=backend)
+        same_surface(got, want, f"session solve after edit [{backend}]")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_solve_and_repair_reduces_depth_once(self, backend):
+        from repro.obs.tracer import tracing
+
+        g = diffeq()
+        model = ResourceModel.adders_mults(1, 1)
+        session = open_session(g, model, backend=backend)
+
+        def spans(run):
+            with tracing() as tr:
+                run()
+            return [ev.name for ev in tr.events].count("depth_reduction")
+
+        assert spans(lambda: rotation_schedule(g, model, backend=backend)) == 1
+        assert spans(session.solve) == 1
+        session.set_resource_counts({"adder": 2})
+        assert spans(lambda: session.resolve(mode="repair")) == 1
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_initial_resolve_matches_rotation_schedule(self, backend):
         g = elliptic()

@@ -37,7 +37,7 @@ from repro.dfg.analysis import (
 from repro.dfg.graph import DFG
 from repro.dfg.retiming import Retiming
 from repro.dfg.unfold import unfold
-from repro.errors import ReproError, ZeroDelayCycleError
+from repro.errors import ReproError, SchedulingError, ZeroDelayCycleError
 from repro.schedule.priorities import get_priority
 from repro.schedule.resources import ResourceModel
 from repro.suite.random_graphs import random_dfg, random_dsp_kernel
@@ -317,7 +317,7 @@ def test_make_engine_vector_resolution():
 
     assert BACKENDS == ("flat", "naive")
     graph = random_dfg(6, seed=2)
-    with pytest.raises(ValueError, match=r"unknown backend 'vector'.*'flat'"):
+    with pytest.raises(SchedulingError, match=r"unknown backend 'vector'.*'flat'"):
         make_engine("vector", graph, MODEL)
     with pytest.raises(ReproError, match="unknown backend 'vector'"):
         rotation_schedule(graph, MODEL, backend="vector")
@@ -386,7 +386,7 @@ class TestMissingNumpy:
         from repro.core.scheduler import rotation_schedule
 
         graph = random_dfg(6, seed=1)
-        with pytest.raises(ValueError, match="choose from"):
+        with pytest.raises(SchedulingError, match="choose from"):
             make_engine("vector", graph, MODEL)
         with pytest.raises(ReproError, match="'flat', 'naive'"):
             rotation_schedule(graph, MODEL, backend="vector")

@@ -312,3 +312,18 @@ class TestCommittedEnvelopes:
 
         # solve cells run the default backend: every backend but naive
         assert {RotationScheduler(None).backend} == set(BACKENDS) - {"naive"}
+
+
+class TestPerformanceDoc:
+    def test_headline_counters_match_pins(self):
+        """Every ```counter` N`` quoted for the headline cell in
+        docs/performance.md is the pinned value, and every pinned counter
+        of that cell is quoted."""
+        import re
+
+        text = (REPO / "docs" / "performance.md").read_text()
+        section = text.split("## Measured speedup", 1)[1].split("\n\n", 2)[1]
+        quoted = {name: int(n) for name, n in re.findall(r"`(\w+)` (\d+)", section)}
+        headline = {"bench": "elliptic", "config": "3A2M", "heuristic": "h2"}
+        [pin] = [p for p in _committed()["tiers"]["solve"] if p["cell"] == headline]
+        assert quoted == pin["counters"]

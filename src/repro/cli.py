@@ -916,10 +916,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=["explore", "exhaustive"], default="explore",
         help="feedback-guided search (default) or the full cold grid",
     )
-    p.add_argument("--workers", type=int, default=1, help="work-stealing pool size")
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="benchmark lanes run at once on forked processes (1 = inline); "
+        "the result does not depend on it",
+    )
     p.add_argument(
         "--round-size", type=int, default=None,
-        help="cells solved between pruning passes (default max(8, 2*workers))",
+        help="cells each benchmark lane solves between pruning passes (default 8)",
     )
     p.add_argument(
         "--backend", choices=sorted(BACKENDS), default=None,

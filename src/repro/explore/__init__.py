@@ -6,8 +6,9 @@ either exhaustively (the fixed grids today's benchmarks sweep) or with
 the feedback-guided explorer: bound-based pruning against the running
 Pareto frontier, solve-key memoization across clock cells that share a
 latency model, warm :class:`~repro.core.session.MutableSchedulingSession`
-chains across neighboring resource configs, and an optional
-work-stealing process pool.  See ``docs/exploration.md``.
+chains across neighboring resource configs, and per-benchmark lanes
+that run on forked worker processes when asked.  See
+``docs/exploration.md``.
 """
 
 from repro.explore.space import (
@@ -26,7 +27,6 @@ from repro.explore.space import (
 from repro.explore.bounds import CellBound, cell_bound, register_lower_bound
 from repro.explore.frontier import ParetoFrontier, dominates, strictly_dominates
 from repro.explore.runner import CellOutcome, CellSolver, ServeCellSolver, run_grid
-from repro.explore.pool import InlinePool, WorkStealingPool, make_pool
 from repro.explore.explorer import ExploreReport, PrunedCell, explore
 from repro.explore.trace import (
     EXPLORE_TRACE_SCHEMA,
@@ -58,9 +58,6 @@ __all__ = [
     "CellSolver",
     "ServeCellSolver",
     "run_grid",
-    "InlinePool",
-    "WorkStealingPool",
-    "make_pool",
     "ExploreReport",
     "PrunedCell",
     "explore",

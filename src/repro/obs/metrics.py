@@ -164,7 +164,6 @@ EXPLORE_COUNTERS = (
     "pruned_bound",
     "pruned_dominated",
     "seeded_warm",
-    "steal_count",
     "frontier_size",
 )
 

@@ -67,10 +67,11 @@ def phase_size_sweep(
 ) -> List[ConvergenceCurve]:
     """One single-size phase per entry of ``sizes``, each from the initial
     schedule (Heuristic 1 restricted to one size) — the paper's Section 5
-    convergence experiment."""
+    convergence experiment.  The phases share one initial state, and so
+    one engine, as Heuristic 1's do."""
+    initial = RotationState.initial(graph, model, priority)
     curves = []
     for size in sizes:
-        initial = RotationState.initial(graph, model, priority)
         tracker = RecordingTracker()
         tracker.offer(initial)
         rotation_phase(initial, size, beta, tracker)

@@ -63,7 +63,6 @@ class TestAccounting:
         assert explored.counters["frontier_size"] == sum(
             len(pts) for pts in explored.frontiers.values()
         )
-        assert explored.counters["steal_count"] == 0  # inline pool
 
     def test_events_mirror_outcomes_and_prunes(self, reports):
         _grid, explored, _ = reports
@@ -116,11 +115,11 @@ class TestModes:
             explore(build_grid(["diffeq"], ["1A1M"]), mode="greedy")
 
     def test_workers_two_matches_inline(self):
-        grid = build_grid(["diffeq"], ["1A1M", "2A1M"], clocks=[40, 100])
+        grid = build_grid(["diffeq", "biquad"], ["1A1M", "2A1M"], clocks=[40, 100])
         solo = explore(grid, mode="explore", workers=1, backend="flat")
         duo = explore(grid, mode="explore", workers=2, backend="flat")
         for bench in solo.frontiers:
             assert solo.frontier_points(bench) == duo.frontier_points(bench)
-        # stealing only relabels sources; the fold order pins everything else
-        for key in ("solved", "pruned_bound", "pruned_dominated", "frontier_size"):
-            assert solo.counters[key] == duo.counters[key]
+        # each benchmark lane is solved whole by one worker, so the counters
+        # match exactly (tests/explore/test_lanes.py checks the full report)
+        assert solo.counters == duo.counters

@@ -109,6 +109,46 @@ class TestSweepIsTheScheduler:
         assert len(built) == 2
 
 
+def _fresh_engine_sizes(graph, model, sizes, beta=40):
+    """The size sweep's former loop, kept as the reference: a fresh
+    initial state (and engine) per size."""
+    from repro.core.phases import rotation_phase
+
+    curves = []
+    for size in sizes:
+        initial = RotationState.initial(graph, model)
+        tracker = RecordingTracker()
+        tracker.offer(initial)
+        rotation_phase(initial, size, beta, tracker)
+        curves.append(ConvergenceCurve(f"size {size}", tuple(tracker.history)))
+    return curves
+
+
+class TestSizeSweepSharesOneEngine:
+    def test_one_engine_for_all_sizes(self, monkeypatch):
+        from repro.core.flat.engine import FlatEngine
+
+        built = []
+        init = FlatEngine.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FlatEngine, "__init__", counting)
+        phase_size_sweep(diffeq(), ResourceModel.adders_mults(2, 1), sizes=[1, 2, 3, 4])
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("bench", ["diffeq", "biquad", "elliptic"])
+    def test_curves_equal_fresh_engines(self, bench):
+        from repro.suite import get_benchmark
+
+        graph = get_benchmark(bench)
+        model = ResourceModel.adders_mults(2, 1)
+        sizes = [1, 2, 3, 4]
+        assert phase_size_sweep(graph, model, sizes) == _fresh_engine_sizes(graph, model, sizes)
+
+
 class TestSvgChart:
     def test_well_formed(self):
         curves = [ConvergenceCurve("demo", (8, 7, 7, 6))]

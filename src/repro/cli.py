@@ -598,7 +598,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache_size=args.cache_size,
         artifacts=args.artifacts,
         inline=args.inline,
-        batch_window=args.batch_window,
     )
     return 0
 
@@ -866,12 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--inline",
         action="store_true",
         help="solve in-process instead of in worker shards (debugging)",
-    )
-    p.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.01,
-        help="seconds to hold a miss open for cohort batching (0 disables)",
     )
     p.set_defaults(func=cmd_serve)
 

@@ -3,9 +3,17 @@
 A :class:`Tracer` records *spans*: named, nested, monotonic-clock-timed
 intervals around the pipeline's phases (rotation loop, retiming, priority
 repair, placement, wrap search) and the flat backend's integer kernels.
-Spans form a tree — ``begin``/``end`` push and pop a stack — and every
-finished span becomes one :class:`SpanEvent` with a parent index, depth,
-start offset and duration in nanoseconds, plus free-form attributes.
+Spans form a tree — ``begin``/``end`` push and pop the open-span chain —
+and every finished span becomes one :class:`SpanEvent` with a parent
+index, depth, start offset and duration in nanoseconds, plus free-form
+attributes.
+
+The open-span chain lives in a :class:`contextvars.ContextVar`, not in
+the tracer: each asyncio task and each thread has its own copy, so two
+concurrent served requests build two separate trees instead of nesting
+one inside the other.  The chain links carry their tracer, and a span's
+parent is the innermost open span *of its own tracer*, so nested
+tracers never cross-link.
 
 Instrumentation sites are compiled in permanently but cost almost nothing
 when tracing is off: the module-level :data:`active` tracer is the
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 #: Version tag written into trace headers; bump on incompatible changes.
@@ -100,6 +109,13 @@ class _SpanCloser:
         return False
 
 
+#: The running context's open spans, innermost first, as linked
+#: ``(tracer, event, outer_link)`` tuples (``None`` when none is open).
+_OPEN: ContextVar[Optional[Tuple]] = ContextVar("repro_obs_open_spans", default=None)
+_get_open = _OPEN.get
+_set_open = _OPEN.set
+
+
 class Tracer:
     """Collects a span tree over one (or more) scheduling runs."""
 
@@ -108,32 +124,47 @@ class Tracer:
     def __init__(self, meta: Optional[Dict[str, Any]] = None, clock=time.perf_counter_ns):
         self.meta: Dict[str, Any] = dict(meta or {})
         self.events: List[SpanEvent] = []
-        self._stack: List[SpanEvent] = []
         self._clock = clock
         self._t0: Optional[int] = None
         self._closer = _SpanCloser(self)
 
     # ------------------------------------------------------------------
     def begin(self, name: str, **attrs: Any) -> None:
-        """Open a span; it becomes the parent of spans begun before end()."""
+        """Open a span; in this context it becomes the parent of spans
+        begun before end()."""
         now = self._clock()
         if self._t0 is None:
             self._t0 = now
-        stack = self._stack
-        ev = SpanEvent(
-            len(self.events),
-            stack[-1].index if stack else -1,
-            len(stack),
-            name,
-            now - self._t0,
-            attrs,
-        )
+        head = link = _get_open()
+        while link is not None and link[0] is not self:
+            link = link[2]
+        if link is None:
+            ev = SpanEvent(len(self.events), -1, 0, name, now - self._t0, attrs)
+        else:
+            outer = link[1]
+            ev = SpanEvent(len(self.events), outer.index, outer.depth + 1, name, now - self._t0, attrs)
         self.events.append(ev)
-        stack.append(ev)
+        _set_open((self, ev, head))
 
     def end(self) -> None:
-        """Close the innermost open span."""
-        ev = self._stack.pop()
+        """Close this context's innermost open span of this tracer."""
+        head = _get_open()
+        if head is not None and head[0] is self:
+            ev = head[1]
+            _set_open(head[2])
+        else:
+            # Another tracer's spans opened inside ours: unlink ours alone.
+            others = []
+            link = head
+            while link is not None and link[0] is not self:
+                others.append(link)
+                link = link[2]
+            if link is None:
+                raise IndexError("end() without an open span")
+            ev, rest = link[1], link[2]
+            for tracer, other, _ in reversed(others):
+                rest = (tracer, other, rest)
+            _set_open(rest)
         ev.dur_ns = (self._clock() - self._t0) - ev.t0_ns
 
     def span(self, name: str, **attrs: Any) -> _SpanCloser:
@@ -145,7 +176,8 @@ class Tracer:
     # ------------------------------------------------------------------
     @property
     def open_spans(self) -> int:
-        return len(self._stack)
+        """Spans begun and not yet ended, in any context."""
+        return sum(1 for ev in self.events if ev.dur_ns < 0)
 
     def shape(self) -> Tuple:
         """Timing-free tree identity of every recorded span, in start order."""

@@ -1,25 +1,24 @@
-"""Worker pools for cache misses: sharded processes, cohorts, sessions.
+"""Worker pools for cache misses: sharded processes and sessions.
 
 :class:`ShardedPool` owns N single-worker ``ProcessPoolExecutor`` shards.
-A request is routed by its fingerprint — ``shard = int(fp[:16], 16) % N``
-— so repeated solves of one graph always land on the worker that already
-compiled it, and the per-worker session store (warm re-solves) never has
-to migrate.  A crashed worker produces a *structured error response* (the
-client is never left hanging) and the shard is rebuilt for the next
-request.
+The caller picks the shard — a cold miss goes to its fingerprint's,
+``shard_of(fp) = int(fp[:16], 16) % N``, so repeated solves of one graph
+always land on the worker that already compiled it, and a warm re-solve
+goes to the shard holding its base session.  Each miss is one
+``submit(shard, fn, *args)`` call.  A crashed worker produces a
+*structured error response* (the client is never left hanging) and the
+shard is rebuilt for the next request.
 
-Three worker entry points, all pure functions of their payloads:
+Two worker entry points, both pure functions of their payloads:
 
 * :func:`solve_one` — a single canonical request;
-* :func:`solve_cohort` — a same-model cohort solved member by member in
-  one worker call, so the cohort shares one shard and one round trip;
 * :func:`solve_warm` — a warm re-solve of an edited graph through a
   worker-resident :class:`~repro.core.session.MutableSchedulingSession`
   (repair, not re-search); the session store is keyed by fingerprint so
   an edit chain keeps hitting its own session.
 
-:class:`InlinePool` runs the same entry points synchronously in-process —
-the gate smoke tier and the tests use it to avoid fork costs.
+:class:`InlinePool` runs the same entry points in-process — the gate
+smoke tier and the tests use it to avoid fork costs.
 """
 
 from __future__ import annotations
@@ -28,14 +27,14 @@ import asyncio
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ReproError
 
 #: Worker-resident sessions: fingerprint -> (session, applied_edits, cfg_key).
 #: Bounded LRU; lives in the worker process (one per shard).
 _SESSIONS: "OrderedDict[str, Any]" = OrderedDict()
-_SESSION_CAP = 32
+SESSION_CAP = 32
 
 #: Size-1 down-rotations a warm repair runs before answering
 #: (``MutableSchedulingSession.resolve(polish=...)``).  A bare repair keeps
@@ -71,15 +70,6 @@ def solve_one(fp: str, canonical: Mapping[str, Any]) -> Dict[str, Any]:
         return _error_payload("ReproError", exc)
     except Exception as exc:  # pragma: no cover - defensive
         return _error_payload("InternalError", exc)
-
-
-def solve_cohort(
-    items: Sequence[Tuple[str, Mapping[str, Any]]]
-) -> List[Dict[str, Any]]:
-    """Solve a same-(model, options) cohort in one worker call: each
-    member in order through :func:`solve_one`, so one member's error
-    never spoils the others."""
-    return [solve_one(fp, canonical) for fp, canonical in items]
 
 
 def solve_warm(
@@ -138,7 +128,7 @@ def solve_warm(
         payload = result_payload(result)
         payload_meta = {"repaired": repaired and session.metrics["repairs"] > 0}
         _SESSIONS[fp] = (session, edits, cfg_key)
-        while len(_SESSIONS) > _SESSION_CAP:
+        while len(_SESSIONS) > SESSION_CAP:
             _SESSIONS.popitem(last=False)
         return {**payload, "session": payload_meta}
     except ReproError as exc:
@@ -167,7 +157,8 @@ class ShardedPool:
             self._shards[shard] = ex
         return ex
 
-    async def _submit(self, shard: int, fn, *args) -> Dict[str, Any]:
+    async def submit(self, shard: int, fn, *args) -> Dict[str, Any]:
+        """Run ``fn(*args)`` on ``shard``'s worker."""
         try:
             future = self._executor(shard).submit(fn, *args)
             return await asyncio.wrap_future(future)
@@ -181,32 +172,6 @@ class ShardedPool:
             if broken is not None:
                 broken.shutdown(wait=False, cancel_futures=True)
             return _error_payload("WorkerCrash", exc)
-
-    async def solve(self, fp: str, canonical: Mapping[str, Any]) -> Dict[str, Any]:
-        return await self._submit(self.shard_of(fp), solve_one, fp, canonical)
-
-    async def solve_cohort(
-        self, items: Sequence[Tuple[str, Mapping[str, Any]]]
-    ) -> List[Dict[str, Any]]:
-        # Cohorts route by their first member so the whole batch shares one
-        # worker's compile caches.
-        shard = self.shard_of(items[0][0])
-        out = await self._submit(shard, solve_cohort, list(items))
-        if isinstance(out, dict) and "error" in out:
-            return [out for _ in items]
-        return out
-
-    async def solve_warm(
-        self,
-        fp: str,
-        canonical: Mapping[str, Any],
-        base_fp: Optional[str],
-        edits: Sequence[Mapping[str, Any]],
-        shard: int,
-    ) -> Dict[str, Any]:
-        """Run the warm solve on ``shard``: the one holding ``base_fp``'s
-        session, which the caller tracks."""
-        return await self._submit(shard, solve_warm, fp, canonical, base_fp, list(edits))
 
     def shutdown(self) -> None:
         for i, ex in enumerate(self._shards):
@@ -229,23 +194,11 @@ class InlinePool:
     def shard_of(self, fp: str) -> int:
         return 0
 
-    async def solve(self, fp: str, canonical: Mapping[str, Any]) -> Dict[str, Any]:
-        return solve_one(fp, canonical)
-
-    async def solve_cohort(
-        self, items: Sequence[Tuple[str, Mapping[str, Any]]]
-    ) -> List[Dict[str, Any]]:
-        return solve_cohort(list(items))
-
-    async def solve_warm(
-        self,
-        fp: str,
-        canonical: Mapping[str, Any],
-        base_fp: Optional[str],
-        edits: Sequence[Mapping[str, Any]],
-        shard: int,
-    ) -> Dict[str, Any]:
-        return solve_warm(fp, canonical, base_fp, edits)
+    async def submit(self, shard: int, fn, *args) -> Dict[str, Any]:
+        # Yield once first, so concurrent in-process requests interleave
+        # (and coalesce) as they do on the process pool.
+        await asyncio.sleep(0)
+        return fn(*args)
 
     def shutdown(self) -> None:
         pass

@@ -4,7 +4,7 @@
 pipeline per request::
 
     fingerprint memo → [parse → canonicalize → fingerprint] → L1/L2 cache →
-    single-flight → micro-batcher → worker pool → cache insert → respond
+    single-flight → worker pool → cache insert → respond
 
 * **Fingerprint memo**: an LRU from each payload's sorted-key JSON digest
   to its fingerprint (a pure function of the payload).  The bracketed
@@ -12,14 +12,11 @@ pipeline per request::
   memoized, and payloads that are not JSON-able bypass the memo.
 * **Single-flight**: concurrent requests with one fingerprint share one
   in-flight solve (an ``asyncio.Future``); only the first dispatches.
-* **Micro-batching**: misses arriving in the same event-loop tick (or
-  inside ``batch_window`` seconds) that share a (model, options) cohort
-  key are dispatched as *one* worker call
-  (:func:`repro.serve.pool.solve_cohort`), solved one after another on
-  one shard.
-* **Warm path**: a request carrying ``base`` + ``edits`` routes to the
-  shard whose worker holds the base session and repairs instead of
-  re-searching.
+* **Dispatch**: every miss is one worker call.  A cold miss runs on the
+  shard of its own fingerprint; a warm request (``base`` + ``edits``)
+  runs on the shard whose worker holds the base session and repairs
+  instead of re-searching.  The service remembers which shard holds each
+  warm answer's session in an LRU sized to what the workers keep.
 
 Every response envelope carries the fingerprint, the cache level
 (``"memory" | "disk" | "coalesced" | "solved"``) and the wall time;
@@ -38,13 +35,13 @@ import asyncio
 import hashlib
 import json
 import time
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import ReproError
 from repro.obs import tracer as _obs
 from repro.obs.metrics import METRICS_SCHEMA, MetricsRegistry
 from repro.serve.cache import ArtifactStore, LRUCache, TwoLevelCache
-from repro.serve.pool import InlinePool, ShardedPool
+from repro.serve.pool import SESSION_CAP, InlinePool, ShardedPool, solve_one, solve_warm
 from repro.serve.protocol import (
     PROTOCOL,
     ServeError,
@@ -70,35 +67,19 @@ def _memo_key(payload: Any) -> Optional[bytes]:
     return hashlib.sha256(blob.encode("utf-8")).digest()
 
 
-def _cohort_key(canonical: Mapping[str, Any]) -> str:
-    """Requests sharing this key may solve as one worker-call cohort."""
-    return json.dumps(
-        {"model": canonical["model"], "options": canonical["options"]},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-
-
 class SchedulingService:
     """The transport-independent solve pipeline (see module docstring)."""
 
-    def __init__(
-        self,
-        pool=None,
-        cache: Optional[TwoLevelCache] = None,
-        batch_window: float = 0.0,
-    ):
+    def __init__(self, pool=None, cache: Optional[TwoLevelCache] = None):
         self.pool = pool if pool is not None else InlinePool()
         self.cache = cache if cache is not None else TwoLevelCache()
-        self.batch_window = batch_window
         self.metrics = MetricsRegistry("repro.serve")
         #: memo key of a wire payload -> its fingerprint
         self.fp_memo = LRUCache(FP_MEMO_SIZE)
         self._inflight: Dict[str, asyncio.Future] = {}
-        #: cohort key -> [(fp, canonical, future)] awaiting dispatch
-        self._pending: Dict[str, List[Tuple[str, Mapping[str, Any], asyncio.Future]]] = {}
-        #: fingerprint -> shard holding its warm session (warm-path routing)
-        self._residency: Dict[str, int] = {}
+        #: fingerprint -> shard holding its warm session (warm-path
+        #: routing); the workers keep no more sessions than this
+        self._residency = LRUCache(self.pool.workers * SESSION_CAP)
 
     # ------------------------------------------------------------------
     async def solve(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
@@ -169,12 +150,12 @@ class SchedulingService:
         return None
 
     async def solve_many(self, payloads: List[Mapping[str, Any]]) -> List[Dict[str, Any]]:
-        """Concurrent solves — misses sharing a cohort key batch together."""
+        """Concurrent solves, answered in request order."""
         return list(await asyncio.gather(*(self.solve(p) for p in payloads)))
 
     # ------------------------------------------------------------------
     async def _dispatch(self, fp, canonical, request, future: asyncio.Future):
-        """Route one miss (owns ``future``; always resolves it)."""
+        """Route one miss to its shard (owns ``future``; always resolves it)."""
         try:
             if request.edits:
                 # The session lands on the shard that runs this solve, so
@@ -182,13 +163,13 @@ class SchedulingService:
                 shard = self._residency.get(request.base) if request.base else None
                 if shard is None:
                     shard = self.pool.shard_of(request.base or fp)
-                result = await self.pool.solve_warm(
-                    fp, canonical, request.base, request.edits, shard=shard
+                result = await self.pool.submit(
+                    shard, solve_warm, fp, canonical, request.base, list(request.edits)
                 )
-                self._residency[fp] = shard
+                self._residency.put(fp, shard)
                 self.metrics.inc("warm_solves")
             else:
-                result = await self._batched_solve(fp, canonical)
+                result = await self.pool.submit(self.pool.shard_of(fp), solve_one, fp, canonical)
             if "error" not in result:
                 self.cache.insert(fp, canonical, result)
         except BaseException as exc:
@@ -198,45 +179,6 @@ class SchedulingService:
         if not future.done():
             future.set_result(result)
         return result
-
-    async def _batched_solve(self, fp, canonical) -> Dict[str, Any]:
-        """Enqueue into the cohort micro-batcher and await the verdict."""
-        loop = asyncio.get_running_loop()
-        key = _cohort_key(canonical)
-        slot: asyncio.Future = loop.create_future()
-        bucket = self._pending.get(key)
-        if bucket is None:
-            bucket = self._pending[key] = []
-            if self.batch_window > 0:
-                loop.call_later(self.batch_window, lambda: asyncio.ensure_future(self._drain(key)))
-            else:
-                loop.call_soon(lambda: asyncio.ensure_future(self._drain(key)))
-        bucket.append((fp, canonical, slot))
-        return await slot
-
-    async def _drain(self, key: str) -> None:
-        items = self._pending.pop(key, None)
-        if not items:
-            return
-        try:
-            if len(items) == 1:
-                fp, canonical, slot = items[0]
-                result = await self.pool.solve(fp, canonical)
-                results = [result]
-            else:
-                self.metrics.inc("cohorts")
-                self.metrics.inc("cohort_members", len(items))
-                results = await self.pool.solve_cohort(
-                    [(fp, canonical) for fp, canonical, _ in items]
-                )
-        except BaseException as exc:
-            for _, _, slot in items:
-                if not slot.done():
-                    slot.set_exception(exc)
-            return
-        for (_, _, slot), result in zip(items, results):
-            if not slot.done():
-                slot.set_result(result)
 
     # ------------------------------------------------------------------
     def _envelope(self, fp, cache_level, t0, result=None, error=None) -> Dict[str, Any]:
@@ -275,14 +217,11 @@ def build_service(
     cache_size: int = 512,
     artifacts: Optional[str] = None,
     inline: bool = False,
-    batch_window: float = 0.0,
 ) -> SchedulingService:
     """Assemble a service: pool + two-level cache + metrics."""
     pool = InlinePool() if inline else ShardedPool(workers)
     store = ArtifactStore(artifacts) if artifacts else None
-    return SchedulingService(
-        pool=pool, cache=TwoLevelCache(cache_size, store), batch_window=batch_window
-    )
+    return SchedulingService(pool=pool, cache=TwoLevelCache(cache_size, store))
 
 
 # ----------------------------------------------------------------------
@@ -396,13 +335,12 @@ def run_server(
     cache_size: int = 512,
     artifacts: Optional[str] = None,
     inline: bool = False,
-    batch_window: float = 0.0,
     ready=None,
 ) -> None:
     """Blocking entry point (``rotsched serve``); Ctrl-C stops it."""
 
     async def main():
-        service = build_service(workers, cache_size, artifacts, inline, batch_window)
+        service = build_service(workers, cache_size, artifacts, inline)
         server = await start_server(service, host, port)
         if ready is not None:
             ready(server)

@@ -18,14 +18,13 @@ SCRIPT = """
 import sys
 
 from repro.explore import build_grid, explore
-from repro.serve.pool import solve_cohort
+from repro.serve.pool import solve_one
 from repro.serve.protocol import canonical_request, fingerprint, parse_request
 
-items = []
+answers = []
 for bench in ("diffeq", "biquad"):
     canonical = canonical_request(parse_request({"graph": {"benchmark": bench}, "config": "2A1M"}))
-    items.append((fingerprint(canonical), canonical))
-answers = solve_cohort(items)
+    answers.append(solve_one(fingerprint(canonical), canonical))
 assert len(answers) == 2 and not any("error" in a for a in answers), answers
 
 cells = build_grid(["diffeq"], ("1A1M", "2A1M"), clocks=(50, 100))

@@ -1,5 +1,6 @@
 """Unit tests for repro.obs.tracer: spans, activation, overhead."""
 
+import asyncio
 import time
 
 import pytest
@@ -45,6 +46,39 @@ class TestTracer:
         tr = Tracer()
         with pytest.raises(Exception):
             tr.end()
+
+    def test_concurrent_tasks_keep_their_own_parents(self):
+        tr = Tracer()
+
+        async def request(name):
+            with tr.span(name):
+                await asyncio.sleep(0)
+                with tr.span(name + ".inner"):
+                    await asyncio.sleep(0)
+
+        async def main():
+            await asyncio.gather(request("a"), request("b"))
+
+        asyncio.run(main())
+        assert tr.open_spans == 0
+        by_name = {e.name: e for e in tr.events}
+        assert by_name["a"].parent == by_name["b"].parent == -1
+        assert by_name["a.inner"].parent == by_name["a"].index
+        assert by_name["b.inner"].parent == by_name["b"].index
+
+    def test_two_tracers_never_cross_link(self):
+        outer, inner = Tracer(), Tracer()
+        outer.begin("o1")
+        inner.begin("i1")
+        outer.begin("o2")
+        outer.end()  # closes o2
+        outer.end()  # closes o1, under inner's open i1
+        inner.begin("i2")
+        inner.end()
+        inner.end()
+        assert outer.open_spans == inner.open_spans == 0
+        assert [(e.name, e.parent, e.depth) for e in outer.events] == [("o1", -1, 0), ("o2", 0, 1)]
+        assert [(e.name, e.parent, e.depth) for e in inner.events] == [("i1", -1, 0), ("i2", 0, 1)]
 
     def test_t0_offsets_relative_to_first_span(self):
         tr = Tracer()

@@ -16,7 +16,7 @@ from repro.serve import (
     run_loadgen,
     start_server,
 )
-from repro.serve.pool import ShardedPool
+from repro.serve.pool import ShardedPool, solve_one
 from repro.serve.protocol import request_fingerprint
 
 DIFFEQ = {"graph": {"benchmark": "diffeq"}, "config": "2A1M"}
@@ -181,8 +181,8 @@ class TestShardedPool:
                 from repro.serve.protocol import canonical_request, parse_request
 
                 canonical = canonical_request(parse_request(DIFFEQ))
-                crashed = await pool.solve(fp, canonical)
-                recovered = await pool.solve(fp, canonical)
+                crashed = await pool.submit(0, solve_one, fp, canonical)
+                recovered = await pool.submit(0, solve_one, fp, canonical)
                 return pool.crashes, crashed, recovered
             finally:
                 pool.shutdown()

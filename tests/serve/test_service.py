@@ -1,6 +1,6 @@
 """Service-pipeline tests: cache levels, the fingerprint memo, coalescing,
-warm path, batching, removed-backend errors, and the cached-vs-fresh
-differential oracle."""
+shard routing, per-request span trees, warm path, removed-backend errors,
+and the cached-vs-fresh differential oracle."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from repro.obs import tracing
 from repro.qa import GOLDEN_REQUESTS, check_serve_differential
 from repro.serve import build_service, schedule_bits
 from repro.serve import server as server_mod
-from repro.serve.pool import _SESSIONS, InlinePool
+from repro.serve.pool import _SESSIONS, SESSION_CAP, InlinePool, ShardedPool
 from repro.serve.protocol import (
     canonical_request,
     parse_request,
@@ -184,20 +184,69 @@ class TestSingleFlight:
         counters = service.metrics.as_dict()["counters"]
         assert counters["coalesced"] == 5 and counters["misses"] == 1
 
-    def test_cohort_batching_shares_one_worker_call(self, service):
-        # Same model+options, different graphs, same tick -> one cohort.
+
+class RecordingPool:
+    """Two shards, run in-process, recording each ``submit`` call."""
+
+    workers = 2
+    crashes = 0
+    shard_of = ShardedPool.shard_of
+
+    def __init__(self):
+        self.calls = []
+
+    async def submit(self, shard, fn, *args):
+        self.calls.append((shard, fn.__name__, args[0]))
+        return await InlinePool().submit(shard, fn, *args)
+
+    def shutdown(self):
+        pass
+
+
+class TestRouting:
+    def test_concurrent_misses_submit_to_their_own_shard(self):
+        # Same model and options, different graphs, one tick: each miss is
+        # its own worker call on the shard of its own fingerprint.
         burst = [
             {"graph": {"benchmark": b}, "config": "2A1M"}
-            for b in ("diffeq", "biquad", "allpole")
+            for b in ("diffeq", "allpole", "biquad")
         ]
+        pool = RecordingPool()
+        service = server_mod.SchedulingService(pool=pool)
         envelopes = run(service.solve_many(burst))
         assert all(e["cache"] == "solved" for e in envelopes)
-        counters = service.metrics.as_dict()["counters"]
-        assert counters["cohorts"] == 1
-        assert counters["cohort_members"] == 3
+        fps = [e["fingerprint"] for e in envelopes]
+        assert sorted(pool.calls) == sorted(
+            (pool.shard_of(fp), "solve_one", fp) for fp in fps
+        )
+        assert {shard for shard, _, _ in pool.calls} == {0, 1}
         for payload, envelope in zip(burst, envelopes):
             fresh = solve_canonical(canonical_request(parse_request(payload)))
             assert schedule_bits(envelope["result"]) == schedule_bits(fresh)
+
+
+class TestTracing:
+    def test_concurrent_misses_give_one_tree_per_request(self, service):
+        burst = [
+            {"graph": {"benchmark": b}, "config": "2A1M"}
+            for b in ("diffeq", "biquad")
+        ]
+        with tracing() as tr:
+            run(service.solve_many(burst))
+        assert tr.open_spans == 0
+        roots = [e for e in tr.events if e.parent == -1]
+        assert [e.name for e in roots] == ["serve.request", "serve.request"]
+
+        def root_of(ev):
+            while ev.parent != -1:
+                ev = tr.events[ev.parent]
+            return ev.index
+
+        solves = [e for e in tr.events if e.name == "serve.solve"]
+        assert sorted(root_of(e) for e in solves) == sorted(e.index for e in roots)
+        for ev in tr.events:
+            if ev.parent != -1:
+                assert ev.depth == tr.events[ev.parent].depth + 1
 
 
 class TestWarmPath:
@@ -254,6 +303,46 @@ class TestWarmPath:
         )))
         assert schedule_bits(warm2["result"]) == schedule_bits(fresh)
 
+    def test_residency_is_bounded_and_chains_still_repair(self):
+        """The shard map of warm sessions is an LRU of what the workers
+        can hold; after it overflows, a fresh chain still repairs on the
+        shard that holds its session."""
+        shard_of = ShardedPool(workers=2).shard_of
+        base_fp = request_fingerprint(DIFFEQ)
+        edits1 = next(
+            e for e in (
+                [{"edit": "set_delay", "src": 8, "dst": 10, "delay": d}]
+                for d in range(1, 64)
+            )
+            if shard_of(request_fingerprint({**DIFFEQ, "edits": e})) != shard_of(base_fp)
+        )
+        edits2 = edits1 + [{"edit": "add_edge", "src": 4, "dst": 9, "delay": 2}]
+
+        async def main():
+            svc = build_service(workers=2)
+            try:
+                cap = svc._residency.maxsize
+                for i in range(cap + 5):
+                    svc._residency.put(f"{i:064x}", i % 2)
+                sizes = [cap, len(svc._residency)]
+                base = await svc.solve(DIFFEQ)
+                warm1 = await svc.solve({**DIFFEQ, "base": base["fingerprint"],
+                                         "edits": edits1})
+                warm2 = await svc.solve({**DIFFEQ, "base": warm1["fingerprint"],
+                                         "edits": edits2})
+                return sizes + [len(svc._residency)], warm2
+            finally:
+                svc.close()
+
+        (cap, full, after), warm2 = run(main())
+        assert cap == 2 * SESSION_CAP
+        assert full == after == cap
+        assert warm2["result"]["session"]["repaired"] is True
+        fresh = solve_canonical(canonical_request(parse_request(
+            {**DIFFEQ, "edits": edits2}
+        )))
+        assert schedule_bits(warm2["result"]) == schedule_bits(fresh)
+
     def test_warm_fingerprint_matches_direct_request(self, service):
         # base is an acceleration hint, never a cache-key input.
         edits = [{"edit": "set_exec_time", "node": 3, "time": 2}]
@@ -285,8 +374,8 @@ class TestWarmPath:
 
 class TestNumpyDegradation:
     """Serving needs no numpy: with it unimportable, requests for the
-    removed backends get a structured error and cohorts still solve as a
-    sequential flat loop."""
+    removed backends get a structured error and concurrent misses still
+    solve on the flat backend."""
 
     @pytest.fixture(autouse=True)
     def no_numpy(self, monkeypatch):
@@ -299,7 +388,7 @@ class TestNumpyDegradation:
             assert out["error"]["type"] == "ServeError"
             assert f"unknown backend {backend!r}" in out["error"]["message"]
 
-    def test_cohort_falls_back_to_sequential_flat(self, service):
+    def test_concurrent_misses_equal_fresh(self, service):
         burst = [
             {"graph": {"benchmark": b}, "config": "2A1M"}
             for b in ("diffeq", "biquad")

@@ -32,9 +32,9 @@ Subcommands:
   fail on counter drift, a missed ratio floor, or wall time past its
   envelope in reference-ms (wall time scaled by the frozen kernel of
   ``perfbench/common.py``); ``--record`` rewrites the file.
-* ``gate`` — the single pre-merge entry point: tier-1 pytest, the golden
-  engine-parity suite, ``fuzz --smoke --jobs 4``, ``perfcheck --smoke``,
-  and a trace smoke (trace one cell, validate the schema).
+* ``gate`` — the single pre-merge entry point: tier-1 pytest (which
+  holds the golden engine-parity suite), ``fuzz --smoke --jobs 4``,
+  ``perfcheck --smoke``, and trace, explore and serve smokes.
 """
 
 from __future__ import annotations
@@ -276,27 +276,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import profile_of, read_trace, render_profile, tracing
 
     if args.input:
-        from repro.explore.trace import is_explore_trace
-
-        if is_explore_trace(args.input):
-            # An exploration trace, not a span trace: render its decision
-            # log and the explore/v1 metrics record instead of a profile.
-            from repro.explore import read_explore_trace, render_explore_trace
-            from repro.obs import explore_metrics, render_metrics
-
-            xtrace = read_explore_trace(args.input)
-            print(render_explore_trace(xtrace, top=args.top or 10))
-            summaries = [
-                e for e in xtrace["events"] if e.get("event") == "summary"
-            ]
-            if summaries:
-                last = summaries[-1]
-                print(render_metrics(explore_metrics(
-                    last.get("counters", {}),
-                    mode=xtrace["header"].get("mode", "explore"),
-                    elapsed=last.get("elapsed"),
-                )))
-            return 0
         trace = read_trace(args.input)
         prof = profile_of(trace)
         meta = ", ".join(f"{k}={v}" for k, v in sorted(trace.meta.items()))
@@ -421,9 +400,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_gate(args: argparse.Namespace) -> int:
-    """The single pre-merge entry point: tier-1 tests, the golden engine
-    parity suite, the fuzz smoke tier, the perfcheck smoke, and a trace
-    smoke, in that order, failing fast."""
+    """The single pre-merge entry point: tier-1 tests (the golden engine
+    parity suite among them), the fuzz smoke tier, the perfcheck smoke,
+    and the trace, explore and serve smokes, in that order, failing fast."""
     import os
     import subprocess
 
@@ -432,19 +411,12 @@ def cmd_gate(args: argparse.Namespace) -> int:
         p for p in ("src", env.get("PYTHONPATH", "")) if p
     )
 
-    def run_pytest(label: str, extra: List[str]) -> bool:
-        cmd = [sys.executable, "-m", "pytest", "-q"] + extra
-        print(f"gate: {label}: {' '.join(cmd)}")
-        code = subprocess.call(cmd, env=env)
-        print(f"gate: {label}: {'PASS' if code == 0 else f'FAIL (exit {code})'}")
-        return code == 0
-
     if not args.skip_tests:
-        if not run_pytest("tier-1 tests", ["-x"]):
-            return 1
-        if not run_pytest(
-            "golden parity suite", ["tests/core/test_engine_parity.py"]
-        ):
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x"]
+        print(f"gate: tier-1 tests: {' '.join(cmd)}")
+        code = subprocess.call(cmd, env=env)
+        print(f"gate: tier-1 tests: {'PASS' if code == 0 else f'FAIL (exit {code})'}")
+        if code != 0:
             return 1
 
     from repro.qa import run_fuzz, smoke_cases
@@ -529,10 +501,11 @@ def cmd_gate(args: argparse.Namespace) -> int:
 
 def cmd_explore(args: argparse.Namespace) -> int:
     import json
+    from contextlib import nullcontext
 
-    from repro.explore import build_grid, explore, write_explore_trace
+    from repro.explore import build_grid, explore
     from repro.explore.runner import ServeCellSolver
-    from repro.obs import explore_metrics, render_metrics
+    from repro.obs import tracing, write_trace
 
     cells = build_grid(
         args.benchmarks,
@@ -545,15 +518,17 @@ def cmd_explore(args: argparse.Namespace) -> int:
     serve_solver = None
     if args.via == "serve":
         serve_solver = ServeCellSolver(args.host, args.port)
+    meta = {"command": "explore", "mode": args.mode, "cells": len(cells), "workers": args.workers}
     try:
-        report = explore(
-            cells,
-            mode=args.mode,
-            workers=args.workers,
-            backend=args.backend,
-            round_size=args.round_size,
-            serve_solver=serve_solver,
-        )
+        with tracing(meta=meta) if args.trace else nullcontext() as tr:
+            report = explore(
+                cells,
+                mode=args.mode,
+                workers=args.workers,
+                backend=args.backend,
+                round_size=args.round_size,
+                serve_solver=serve_solver,
+            )
     finally:
         if serve_solver is not None:
             serve_solver.close()
@@ -569,16 +544,12 @@ def cmd_explore(args: argparse.Namespace) -> int:
             print(f"  {point.render():42s} <- {achievers}")
     print(report.counter_line())
     if args.trace:
-        n = write_explore_trace(report, args.trace)
-        print(f"trace: {n} event(s) -> {args.trace}")
+        n = write_trace(tr, args.trace)
+        print(f"trace: {n} span event(s) -> {args.trace}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report.as_json(), fh, indent=2, sort_keys=True)
         print(f"report -> {args.json}")
-    if args.metrics:
-        print(render_metrics(explore_metrics(
-            report.counters, mode=report.mode, elapsed=report.elapsed
-        )))
     return 0
 
 
@@ -826,8 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "gate",
-        help="pre-merge gate: tier-1 tests + golden parity suite + fuzz smoke "
-        "+ perfcheck smoke + trace smoke + serve smoke",
+        help="pre-merge gate: tier-1 tests (golden parity suite included) + fuzz "
+        "smoke + perfcheck smoke + trace, explore and serve smokes",
     )
     p.add_argument(
         "--jobs", type=int, default=4, help="worker processes for the fuzz tier"
@@ -838,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--skip-tests",
         action="store_true",
-        help="run only the fuzz smoke tier (assume pytest already ran)",
+        help="skip the tier-1 pytest run (assume it already ran)",
     )
     p.set_defaults(func=cmd_gate)
 
@@ -928,12 +899,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1", help="serve daemon host (--via serve)")
     p.add_argument("--port", type=int, default=8347, help="serve daemon port (--via serve)")
-    p.add_argument("--trace", default=None, help="write the JSONL exploration trace here")
-    p.add_argument("--json", default=None, help="write the full report as JSON here")
     p.add_argument(
-        "--metrics", action="store_true",
-        help="print the explore/v1 record in the unified metrics schema",
+        "--trace", default=None,
+        help="write the run's JSONL span trace here (read it with profile --input)",
     )
+    p.add_argument("--json", default=None, help="write the full report as JSON here")
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("unfold", help="unfold a graph and save it as JSON")

@@ -28,13 +28,6 @@ from repro.explore.bounds import CellBound, cell_bound, register_lower_bound
 from repro.explore.frontier import ParetoFrontier, dominates, strictly_dominates
 from repro.explore.runner import CellOutcome, CellSolver, ServeCellSolver, run_grid
 from repro.explore.explorer import ExploreReport, PrunedCell, explore
-from repro.explore.trace import (
-    EXPLORE_TRACE_SCHEMA,
-    is_explore_trace,
-    read_explore_trace,
-    render_explore_trace,
-    write_explore_trace,
-)
 
 __all__ = [
     "ADD_NS",
@@ -61,9 +54,4 @@ __all__ = [
     "ExploreReport",
     "PrunedCell",
     "explore",
-    "EXPLORE_TRACE_SCHEMA",
-    "is_explore_trace",
-    "read_explore_trace",
-    "render_explore_trace",
-    "write_explore_trace",
 ]

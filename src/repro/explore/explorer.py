@@ -24,12 +24,21 @@ whose memo and warm sessions last across the lane's rounds:
 
 A lane's result is a pure function of its own cells, so the merged
 report does not depend on the worker count or on timing: outcomes in
-grid order, pruned cells and events concatenated in first-seen lane
-order, counters summed.  With ``workers >= 2`` and two or more lanes,
-the lanes run on ``min(workers, lanes)`` forked processes, started once
-per call; lanes are handed out largest first (most cells, first-seen
-order breaking ties) to whichever worker is idle.  Everything else runs
+grid order, pruned cells concatenated in first-seen lane order,
+counters summed.  With ``workers >= 2`` and two or more lanes, the
+lanes run on ``min(workers, lanes)`` forked processes, started once per
+call; lanes are handed out largest first (most cells, first-seen order
+breaking ties) to whichever worker is idle.  Everything else runs
 inline.
+
+Each call reports through the active :mod:`repro.obs.tracer` as one
+``explore`` span holding an ``explore.lane`` per lane, its
+``explore.round`` spans, and per cell an ``explore.prune`` (kind, lower
+bound, blocker), an ``explore.solve`` (the core's spans nest under it)
+and an ``explore.fold`` (source, frontier verdict, point, bound gap).
+A forked lane records under a fresh tracer that travels back with its
+result and is grafted in lane order, so the ``explore.*`` spans are the
+same for every worker count.
 
 ``mode="exhaustive"`` is one inline pass of cold solves in grid order,
 unpruned and unranked — the baseline the perfcheck explore tier
@@ -39,10 +48,12 @@ measures the speedup against.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs import tracer as _obs
 from repro.explore.space import CellSpec, ExploreError, Point, cell_cost, family_key
 from repro.explore.bounds import CellBound, cell_bound, overlap
 from repro.explore.frontier import ParetoFrontier
@@ -93,7 +104,6 @@ class ExploreReport:
     frontiers: Dict[str, List[Tuple[Point, List[str]]]]
     counters: Dict[str, int]
     elapsed: float = 0.0
-    events: List[Dict[str, Any]] = field(default_factory=list)
 
     def frontier_points(self, bench: str) -> List[Point]:
         return [p for p, _ in self.frontiers.get(bench, [])]
@@ -117,13 +127,14 @@ class ExploreReport:
 
 @dataclass
 class _Lane:
-    """What one lane produced; a lane worker pickles it back whole."""
+    """What one lane produced; a lane worker pickles it back whole, with
+    the tracer its spans went to when the parent traces."""
 
     outcomes: Dict[int, CellOutcome]
     pruned: List[PrunedCell]
-    events: List[Dict[str, Any]]
     counters: Dict[str, int]
     frontiers: Dict[str, List[Tuple[Point, List[str]]]]
+    trace: Optional[_obs.Tracer] = None
 
 
 def _classify(blocker: Point, spec: CellSpec) -> str:
@@ -201,12 +212,21 @@ def _run_lane(
 ) -> _Lane:
     """Run the prune -> rank -> solve -> fold rounds on ``items``
     (``(grid index, cell)`` pairs, in grid order) with ``solve``."""
-    lane = _Lane({}, [], [], {k: 0 for k in COUNTER_KEYS}, {})
+    tr = _obs.active
+    lane = _Lane({}, [], {k: 0 for k in COUNTER_KEYS}, {})
     counters = lane.counters
     frontiers: Dict[str, ParetoFrontier] = {}
     frontier_crit: Dict[str, List[frozenset]] = {}
     # (family, adders, mults) -> outcome, for adjacency + gap ranking.
     solved_index: Dict[Tuple, CellOutcome] = {}
+    bounds: Dict[int, CellBound] = {}
+
+    def solve_all(specs: List[CellSpec]) -> List[CellOutcome]:
+        got = []
+        for spec in specs:
+            with tr.span("explore.solve", cell=spec.label()):
+                got.append(_on_cell(spec, solve))
+        return got
 
     def fold(selection: List[Tuple[int, CellSpec]], got: List[CellOutcome]) -> None:
         by_spec = {o.spec: o for o in got}
@@ -225,36 +245,47 @@ def _run_lane(
                 frontier_crit.setdefault(spec.bench, []).append(crit)
             fam = family_key(spec)
             solved_index[(fam, spec.adders, spec.mults)] = outcome
-            lane.events.append({"event": "solved", **outcome.as_json(), "frontier": verdict})
+            if tr.enabled:
+                bound = bounds.get(idx)
+                gap = None if bound is None else str(outcome.point.period_ns - bound.lb_period_ns)
+                tr.begin("explore.fold", cell=spec.label(), source=outcome.source,
+                         frontier=verdict, point=outcome.point.as_json(), gap=gap)
+                tr.end()
 
-    if mode == "exhaustive":
-        fold(items, [_on_cell(spec, solve) for _idx, spec in items])
-    else:
-        bounds = {idx: _on_cell(spec, cell_bound) for idx, spec in items}
-        remaining = list(items)
-        while remaining:
-            counters["rounds"] += 1
-            # 1. prune against the current frontiers, canonical order
-            survivors: List[Tuple[int, CellSpec]] = []
-            for idx, spec in remaining:
-                front = frontiers.get(spec.bench)
-                blocker = front.blocker(bounds[idx].lb_point) if front is not None else None
-                if blocker is not None:
-                    kind = _classify(blocker, spec)
-                    counters[kind] += 1
-                    record = PrunedCell(spec, bounds[idx].lb_point, blocker, kind)
-                    lane.pruned.append(record)
-                    lane.events.append({"event": "pruned", **record.as_json()})
-                else:
-                    survivors.append((idx, spec))
-            remaining = survivors
-            if not remaining:
-                break
-            # 2. feedback ranking, 3. solve one round, 4. fold
-            selection = _rank(remaining, bounds, solved_index, frontier_crit)[:round_size]
-            chosen = {idx for idx, _spec in selection}
-            remaining = [item for item in remaining if item[0] not in chosen]
-            fold(selection, [_on_cell(spec, solve) for spec in _solve_order(selection)])
+    benches = ",".join(dict.fromkeys(spec.bench for _idx, spec in items))
+    with tr.span("explore.lane", bench=benches, cells=len(items)):
+        if mode == "exhaustive":
+            fold(items, solve_all([spec for _idx, spec in items]))
+        else:
+            bounds.update((idx, _on_cell(spec, cell_bound)) for idx, spec in items)
+            remaining = list(items)
+            while remaining:
+                counters["rounds"] += 1
+                with tr.span("explore.round", round=counters["rounds"]):
+                    # 1. prune against the current frontiers, canonical order
+                    survivors: List[Tuple[int, CellSpec]] = []
+                    for idx, spec in remaining:
+                        front = frontiers.get(spec.bench)
+                        lb_point = bounds[idx].lb_point
+                        blocker = front.blocker(lb_point) if front is not None else None
+                        if blocker is None:
+                            survivors.append((idx, spec))
+                            continue
+                        kind = _classify(blocker, spec)
+                        counters[kind] += 1
+                        lane.pruned.append(PrunedCell(spec, lb_point, blocker, kind))
+                        if tr.enabled:
+                            tr.begin("explore.prune", cell=spec.label(), kind=kind,
+                                     lb=lb_point.as_json(), blocker=blocker.as_json())
+                            tr.end()
+                    remaining = survivors
+                    if not remaining:
+                        break
+                    # 2. feedback ranking, 3. solve one round, 4. fold
+                    selection = _rank(remaining, bounds, solved_index, frontier_crit)[:round_size]
+                    chosen = {idx for idx, _spec in selection}
+                    remaining = [item for item in remaining if item[0] not in chosen]
+                    fold(selection, solve_all(_solve_order(selection)))
     lane.frontiers = {bench: f.points() for bench, f in frontiers.items()}
     return lane
 
@@ -270,11 +301,16 @@ def _solver(
     return solver.solve_cold if mode == "exhaustive" else solver.solve
 
 
-def _lane_worker(items: List[Tuple[int, CellSpec]], round_size: int, backend: Optional[str]) -> _Lane:
+def _lane_worker(
+    items: List[Tuple[int, CellSpec]], round_size: int, backend: Optional[str], traced: bool
+) -> _Lane:
     """One lane in a worker process, on its own solver; outcomes travel
-    back without their :class:`~repro.core.scheduler.RotationResult`."""
-    lane = _run_lane(items, "explore", round_size, _solver("explore", backend, None))
+    back without their :class:`~repro.core.scheduler.RotationResult`,
+    and with ``traced`` the lane's spans travel back on a fresh tracer."""
+    with _obs.tracing() if traced else nullcontext() as tracer:
+        lane = _run_lane(items, "explore", round_size, _solver("explore", backend, None))
     lane.outcomes = {idx: o.strip() for idx, o in lane.outcomes.items()}
+    lane.trace = tracer
     return lane
 
 
@@ -283,6 +319,7 @@ def _run_lanes(
     workers: int,
     round_size: int,
     backend: Optional[str],
+    traced: bool,
 ) -> List[_Lane]:
     """Run ``lanes`` on ``min(workers, len(lanes))`` forked processes,
     largest first, and return their results in ``lanes`` order.
@@ -299,7 +336,9 @@ def _run_lanes(
     try:
         # sorted() is stable, so first-seen order breaks ties in size
         order = sorted(range(len(lanes)), key=lambda i: -len(lanes[i]))
-        futures = {i: pool.submit(_lane_worker, lanes[i], round_size, backend) for i in order}
+        futures = {
+            i: pool.submit(_lane_worker, lanes[i], round_size, backend, traced) for i in order
+        }
         return [futures[i].result() for i in range(len(lanes))]
     except BrokenProcessPool as exc:
         raise ExploreError(f"a lane worker died mid-lane: {exc}") from exc
@@ -341,18 +380,23 @@ def explore(
         by_bench.setdefault(item[1].bench, []).append(item)
     # the exhaustive sweep is one cold pass in grid order
     lanes = list(by_bench.values()) if mode == "explore" else [items]
-    if mode == "explore" and serve_solver is None and workers >= 2 and len(lanes) >= 2:
-        done = _run_lanes(lanes, workers, round_size, backend)
-    else:
-        done = [_run_lane(lane, mode, round_size, _solver(mode, backend, serve_solver))
-                for lane in lanes]
+    tr = _obs.active
+    with tr.span("explore", mode=mode, cells=len(cells)):
+        if mode == "explore" and serve_solver is None and workers >= 2 and len(lanes) >= 2:
+            done = _run_lanes(lanes, workers, round_size, backend, tr.enabled)
+            for lane in done:
+                if lane.trace is not None:
+                    tr.graft(lane.trace)
+        else:
+            done = [_run_lane(lane, mode, round_size, _solver(mode, backend, serve_solver))
+                    for lane in lanes]
 
     counters = {k: sum(lane.counters[k] for lane in done) for k in COUNTER_KEYS}
     frontiers = {bench: pts for lane in done for bench, pts in lane.frontiers.items()}
     counters["cells_total"] = len(cells)
     counters["frontier_size"] = sum(len(pts) for pts in frontiers.values())
     outcomes = {idx: o for lane in done for idx, o in lane.outcomes.items()}
-    report = ExploreReport(
+    return ExploreReport(
         mode=mode,
         cells=cells,
         outcomes=[outcomes[i] for i in sorted(outcomes)],
@@ -360,8 +404,4 @@ def explore(
         frontiers=dict(sorted(frontiers.items())),
         counters=counters,
         elapsed=time.perf_counter() - t0,
-        events=[e for lane in done for e in lane.events],
     )
-    report.events.append({"event": "summary", "mode": mode, "counters": dict(counters),
-                          "elapsed": report.elapsed})
-    return report

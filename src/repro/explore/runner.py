@@ -102,9 +102,9 @@ def _outcome(spec: CellSpec, result, elapsed: float, source: str) -> CellOutcome
 class CellSolver:
     """Local cell execution with both reuse mechanisms (memo, warm chains).
 
-    One instance per worker process; its memo and session caches are the
-    worker's private state (the explorer's chunking keeps each family on
-    one worker so the chains actually connect).
+    One instance per lane; its memo and session caches are the lane's
+    private state (a lane is one benchmark, so every family of its cells
+    stays on one solver and the warm chains connect).
     """
 
     def __init__(self, backend: Optional[str] = None):

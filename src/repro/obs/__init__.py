@@ -6,8 +6,8 @@ Four pieces, all stdlib-only:
   (:data:`~repro.obs.tracer.NULL`) so permanent instrumentation sites
   cost nearly nothing when tracing is off.
 * :mod:`repro.obs.metrics` — the unified counters/gauges/timers/extras
-  schema every producer (flat engine, fuzz runner, serve, explore) reports
-  through.
+  schema every producer (flat engine, fuzz runner, serve) reports
+  through; explore reports through the span tracer instead.
 * :mod:`repro.obs.export` / :mod:`repro.obs.profile` — JSONL trace
   round-tripping, structural validation, and the self-vs-cumulative
   per-span profile report.
@@ -18,15 +18,7 @@ Four pieces, all stdlib-only:
 """
 
 from repro.obs.export import Trace, TraceError, parse_trace, read_trace, validate_trace, write_trace
-from repro.obs.metrics import (
-    EXPLORE_COUNTERS,
-    EXPLORE_RECORD,
-    METRICS_SCHEMA,
-    MetricsRegistry,
-    engine_metrics,
-    explore_metrics,
-    render_metrics,
-)
+from repro.obs.metrics import METRICS_SCHEMA, MetricsRegistry, engine_metrics, render_metrics
 from repro.obs.perfcheck import (
     MIN_EXPLORE_SPEEDUP,
     MIN_REPAIR_SPEEDUP,
@@ -75,9 +67,6 @@ __all__ = [
     "current",
     "deactivate",
     "engine_metrics",
-    "explore_metrics",
-    "EXPLORE_COUNTERS",
-    "EXPLORE_RECORD",
     "parse_trace",
     "profile_of",
     "read_trace",

@@ -1,7 +1,8 @@
 """JSONL trace export and import.
 
 A trace file is line-delimited JSON: one header object followed by one
-object per span event, in span *start* order::
+object per span event, in span *start* order (spans grafted from another
+tracer follow as one block, see :meth:`~repro.obs.tracer.Tracer.graft`)::
 
     {"schema": "repro.obs/trace/v1", "meta": {...}, "events": 6204}
     {"i": 0, "parent": -1, "depth": 0, "name": "solve", "t0_ns": 0,

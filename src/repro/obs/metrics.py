@@ -1,8 +1,8 @@
 """The unified metrics registry: counters, gauges and timers, one schema.
 
 Every metrics producer in the repo — the flat engine, the QA fuzz
-runner, serve and explore — reports through this schema so downstream consumers
-(the CLI, perfcheck, future serve/explore layers) read one shape::
+runner and serve — reports through this schema so downstream consumers
+(the CLI, perfcheck) read one shape::
 
     {
       "schema": "repro.obs/metrics/v1",
@@ -151,41 +151,6 @@ def engine_metrics(
         reg.set_counter(k, v)
     for k, v in (extras or {}).items():
         reg.set_extra(k, v)
-    return reg.as_dict()
-
-
-#: Record tag of an exploration metrics snapshot.
-EXPLORE_RECORD = "explore/v1"
-
-#: The counters every ``explore/v1`` record must carry (in this order).
-EXPLORE_COUNTERS = (
-    "cells_total",
-    "solved",
-    "pruned_bound",
-    "pruned_dominated",
-    "seeded_warm",
-    "frontier_size",
-)
-
-
-def explore_metrics(
-    counters: Dict[str, int],
-    mode: str = "explore",
-    elapsed: Optional[float] = None,
-) -> Dict[str, Any]:
-    """An ``explore/v1`` record in the unified metrics schema.
-
-    ``counters`` is an :class:`repro.explore.ExploreReport` counter dict;
-    the :data:`EXPLORE_COUNTERS` are always present (zero-filled), any
-    further keys (``dedup_hits``, ``rounds``) ride along as extras.
-    """
-    reg = MetricsRegistry("repro.explore", record=EXPLORE_RECORD, mode=mode)
-    for key in EXPLORE_COUNTERS:
-        reg.set_counter(key, int(counters.get(key, 0)))
-    for key in sorted(set(counters) - set(EXPLORE_COUNTERS)):
-        reg.set_extra(key, int(counters[key]))
-    if elapsed is not None:
-        reg.observe("explore", elapsed)
     return reg.as_dict()
 
 

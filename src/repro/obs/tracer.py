@@ -173,6 +173,32 @@ class Tracer:
         self.begin(name, **attrs)
         return self._closer
 
+    def graft(self, other: "Tracer") -> None:
+        """Append ``other``'s spans under this context's innermost open span
+        of this tracer (as roots when none is open).
+
+        Indices, parents and depths are renumbered, and start offsets are
+        rebased from ``other``'s first span onto this tracer's.  That is
+        exact when both read one monotonic clock: the default
+        ``perf_counter_ns`` is system-wide, so a forked worker's tracer,
+        pickled back, grafts onto its parent's.
+        """
+        if other._t0 is None:
+            return
+        if self._t0 is None:
+            self._t0 = other._t0
+        link = _get_open()
+        while link is not None and link[0] is not self:
+            link = link[2]
+        parent, depth = (link[1].index, link[1].depth + 1) if link is not None else (-1, 0)
+        base = len(self.events)
+        shift = other._t0 - self._t0
+        for ev in other.events:
+            self.events.append(SpanEvent(
+                ev.index + base, ev.parent + base if ev.parent >= 0 else parent,
+                ev.depth + depth, ev.name, ev.t0_ns + shift, ev.attrs, ev.dur_ns,
+            ))
+
     # ------------------------------------------------------------------
     @property
     def open_spans(self) -> int:

@@ -196,8 +196,8 @@ def run_cell(case: FuzzCase) -> List[OracleFailure]:
 
 
 def _run_cell_timed(case: FuzzCase) -> Tuple[float, List[OracleFailure]]:
-    """Worker-side :func:`run_cell` that also reports the cell's wall time
-    (the parent folds it into the run's metrics)."""
+    """:func:`run_cell` that also reports the cell's wall time (the fuzz
+    loop folds it into the run's metrics)."""
     t0 = time.perf_counter()
     failures = run_cell(case)
     return time.perf_counter() - t0, failures
@@ -276,57 +276,6 @@ def _record_failure(
     )
 
 
-def _run_fuzz_parallel(
-    cases: Sequence[FuzzCase],
-    jobs: int,
-    budget_seconds: Optional[float],
-    max_cells: Optional[int],
-    out_dir: str,
-    shrink: bool,
-    t0: float,
-) -> Optional[FuzzReport]:
-    """Certify cells across a process pool; None when pools are unusable.
-
-    Workers run :func:`run_cell` only (graphs are rebuilt from their seeds
-    inside each worker, so nothing unpicklable crosses the boundary); the
-    parent collects results *in case order* and does all shrinking and
-    bundle writing itself, so failure reports are deterministic and
-    path-ordered exactly like the sequential loop's.
-    """
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        report = FuzzReport()
-        reg = MetricsRegistry("repro.qa.runner", mode="parallel", jobs=jobs)
-        todo = list(cases if max_cells is None else cases[:max_cells])
-        report.skipped = len(cases) - len(todo)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_cell_timed, case) for case in todo]
-            for idx, (case, future) in enumerate(zip(todo, futures)):
-                if (
-                    budget_seconds is not None
-                    and time.perf_counter() - t0 > budget_seconds
-                ):
-                    for late in futures[idx:]:
-                        late.cancel()
-                    report.skipped += len(todo) - idx
-                    break
-                cell_seconds, failures = future.result()
-                reg.observe("cell", cell_seconds)
-                report.cells += 1
-                if not failures:
-                    report.clean += 1
-                    continue
-                _record_failure(
-                    report, case, case.build_graph(), failures, out_dir, shrink, reg
-                )
-        report.elapsed = time.perf_counter() - t0
-        _finish_metrics(report, reg)
-        return report
-    except Exception:
-        return None
-
-
 def run_fuzz(
     cases: Sequence[FuzzCase],
     *,
@@ -346,35 +295,51 @@ def run_fuzz(
         out_dir: where repro bundles are written.
         shrink: delta-debug failing graphs before bundling (disable for
             speed when triaging interactively).
-        jobs: certify cells across this many worker processes (failures
-            are still reported deterministically in case order); ``None``
-            or ``1`` runs in-process.  Falls back to the sequential loop
-            when multiprocessing is unavailable.
+        jobs: certify cells across this many worker processes; ``None``
+            or ``1`` runs in-process, as does a host that cannot create a
+            process pool.  Either way the parent takes the results in
+            case order and does all shrinking and bundle writing itself,
+            so the report is the same, and an error in either surfaces
+            at once.
     """
     t0 = time.perf_counter()
-    if jobs is not None and jobs > 1 and len(cases) > 1:
-        report = _run_fuzz_parallel(
-            cases, jobs, budget_seconds, max_cells, out_dir, shrink, t0
-        )
-        if report is not None:
-            return report
     report = FuzzReport()
-    reg = MetricsRegistry("repro.qa.runner", mode="sequential")
-    for idx, case in enumerate(cases):
-        if max_cells is not None and idx >= max_cells:
-            report.skipped = len(cases) - idx
-            break
-        if budget_seconds is not None and time.perf_counter() - t0 > budget_seconds:
-            report.skipped = len(cases) - idx
-            break
-        graph = case.build_graph()
-        with reg.timer("cell"):
-            failures = run_cell_on_graph(graph, case.config, case.path)
-        report.cells += 1
-        if not failures:
-            report.clean += 1
-            continue
-        _record_failure(report, case, graph, failures, out_dir, shrink, reg)
+    todo = list(cases if max_cells is None else cases[:max_cells])
+    report.skipped = len(cases) - len(todo)
+    pool = None
+    if jobs is not None and jobs > 1 and len(todo) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        try:
+            pool = ProcessPoolExecutor(max_workers=jobs)
+        except (OSError, NotImplementedError):
+            pass
+    if pool is None:
+        reg = MetricsRegistry("repro.qa.runner", mode="sequential")
+    else:
+        reg = MetricsRegistry("repro.qa.runner", mode="parallel", jobs=jobs)
+    try:
+        if pool is None:
+            results = map(_run_cell_timed, todo)
+        else:
+            # Workers rebuild graphs from their seeds, so nothing
+            # unpicklable crosses the boundary.
+            futures = [pool.submit(_run_cell_timed, case) for case in todo]
+            results = (future.result() for future in futures)
+        for idx, case in enumerate(todo):
+            if budget_seconds is not None and time.perf_counter() - t0 > budget_seconds:
+                report.skipped += len(todo) - idx
+                break
+            cell_seconds, failures = next(results)
+            reg.observe("cell", cell_seconds)
+            report.cells += 1
+            if not failures:
+                report.clean += 1
+                continue
+            _record_failure(report, case, case.build_graph(), failures, out_dir, shrink, reg)
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
     report.elapsed = time.perf_counter() - t0
     _finish_metrics(report, reg)
     return report

@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import signal
 import time
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -337,16 +338,19 @@ def run_server(
     inline: bool = False,
     ready=None,
 ) -> None:
-    """Blocking entry point (``rotsched serve``); Ctrl-C stops it."""
+    """Blocking entry point (``rotsched serve``); Ctrl-C or SIGTERM stops
+    it, and either way the worker pool is shut down before it returns."""
 
     async def main():
         service = build_service(workers, cache_size, artifacts, inline)
         server = await start_server(service, host, port)
         if ready is not None:
             ready(server)
+        stop = asyncio.Event()
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, stop.set)
         try:
             async with server:
-                await server.serve_forever()
+                await stop.wait()
         finally:
             service.close()
 

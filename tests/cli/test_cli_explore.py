@@ -1,4 +1,4 @@
-"""The ``rotsched explore`` command and explore-trace profile input."""
+"""The ``rotsched explore`` command and its span trace as profile input."""
 
 import json
 
@@ -33,23 +33,16 @@ def test_json_output(tmp_path):
     assert "diffeq" in payload["frontiers"]
 
 
-def test_metrics_output(capsys):
-    assert main([
-        "explore", "diffeq", "-c", "1A1M", "--clocks", "40", "--metrics",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "record: explore/v1" in out
-    assert "counter solved = 1" in out
-
-
 def test_trace_then_profile(tmp_path, capsys):
     trace = tmp_path / "explore.jsonl"
     assert main([
         "explore", "diffeq", "biquad", "-c", "1A1M", "2A2M",
-        "--clocks", "40", "100", "--trace", str(trace),
+        "--clocks", "40", "100", "--workers", "2", "--trace", str(trace),
     ]) == 0
-    capsys.readouterr()
+    assert "span event(s)" in capsys.readouterr().out
     assert main(["profile", "--input", str(trace)]) == 0
     out = capsys.readouterr().out
-    assert "exploration trace" in out
-    assert "explore/v1" in out
+    assert "explore.solve" in out
+    assert "explore.fold" in out
+    assert "kernel." in out  # the lanes' core spans came back from the workers
+

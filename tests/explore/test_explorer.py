@@ -1,5 +1,7 @@
 """The feedback loop: frontier equality, accounting, pruning soundness."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.explore import (
@@ -8,9 +10,10 @@ from repro.explore import (
     dominates,
     explore,
 )
-from repro.explore.bounds import clear_caches
+from repro.explore.bounds import cell_bound, clear_caches
 from repro.explore.explorer import COUNTER_KEYS
 from repro.explore.space import ExploreError
+from repro.obs import tracing
 
 
 def small_grid():
@@ -20,15 +23,21 @@ def small_grid():
 
 
 @pytest.fixture(scope="module")
-def reports():
+def traced():
+    """The explore run, traced (tracing never steers, so every assertion
+    on the report holds for an untraced run too)."""
+    clear_caches()
+    # round_size below the grid size forces multiple prune/rank rounds
+    with tracing() as tr:
+        explored = explore(small_grid(), mode="explore", round_size=4)
+    return explored, tr
+
+
+@pytest.fixture(scope="module")
+def reports(traced):
     """One explore + one exhaustive run of the same grid, shared across
     the module's assertions (both are deterministic)."""
-    clear_caches()
-    grid = small_grid()
-    # round_size below the grid size forces multiple prune/rank rounds
-    explored = explore(grid, mode="explore", round_size=4)
-    exhaustive = explore(grid, mode="exhaustive")
-    return grid, explored, exhaustive
+    return small_grid(), traced[0], explore(small_grid(), mode="exhaustive")
 
 
 class TestFrontierEquality:
@@ -64,12 +73,21 @@ class TestAccounting:
             len(pts) for pts in explored.frontiers.values()
         )
 
-    def test_events_mirror_outcomes_and_prunes(self, reports):
-        _grid, explored, _ = reports
-        kinds = [e["event"] for e in explored.events]
-        assert kinds.count("solved") == explored.counters["solved"]
-        assert kinds.count("pruned") == len(explored.pruned)
-        assert kinds[-1] == "summary"
+    def test_events_mirror_outcomes_and_prunes(self, traced):
+        explored, tr = traced
+        names = [e.name for e in tr.events]
+        assert names.count("explore.fold") == len(explored.outcomes)
+        assert names.count("explore.prune") == len(explored.pruned)
+        assert names.count("explore.round") == explored.counters["rounds"]
+        folds = {e.attrs["cell"]: e.attrs for e in tr.events if e.name == "explore.fold"}
+        solves = {e.attrs["cell"] for e in tr.events if e.name == "explore.solve"}
+        assert solves == set(folds)
+        for outcome in explored.outcomes:
+            fold = folds[outcome.spec.label()]
+            assert fold["point"] == outcome.point.as_json()
+            assert fold["source"] == outcome.source
+            gap = outcome.point.period_ns - cell_bound(outcome.spec).lb_period_ns
+            assert Fraction(fold["gap"]) == gap >= 0
 
 
 class TestPruningSoundness:

@@ -1,5 +1,6 @@
-"""Per-benchmark lanes: worker-count invariance, lane purity, dispatch
-order, and failures that end in an ExploreError with no worker left."""
+"""Per-benchmark lanes: worker-count invariance (report and spans), lane
+purity, dispatch order, and failures that end in an ExploreError with no
+worker left."""
 
 import multiprocessing
 import os
@@ -10,6 +11,7 @@ from repro.explore import CellSolver, CellSpec, build_grid, explore
 from repro.explore import explorer
 from repro.explore.bounds import clear_caches
 from repro.explore.space import ExploreError
+from repro.obs import Trace, tracing, validate_trace
 
 
 def three_lane_grid():
@@ -19,56 +21,77 @@ def three_lane_grid():
     )
 
 
-def _events(report):
-    """The event log without its timings."""
-    return [{k: v for k, v in event.items() if k != "elapsed"} for event in report.events]
-
-
 def _shape(report):
     return {
         "counters": report.counters,
         "outcomes": [(o.spec, o.point, o.length, o.registers, o.source) for o in report.outcomes],
         "pruned": [p.as_json() for p in report.pruned],
         "frontiers": report.frontiers,
-        "events": _events(report),
     }
+
+
+def _explore_spans(tracer):
+    """The explorer's own spans below the ``explore`` root, without timings."""
+    return [(e.name, e.attrs) for e in tracer.events if e.name.startswith("explore.")]
+
+
+def _traced_explore(grid, workers=1):
+    with tracing() as tr:
+        report = explore(grid, mode="explore", workers=workers, round_size=4)
+    return report, tr
 
 
 @pytest.fixture(scope="module")
 def by_workers():
+    """Traced runs: tracing never steers, so the reports are the untraced ones."""
     grid = three_lane_grid()
-    out = {}
+    reports, tracers = {}, {}
     for workers in (1, 2, 3):
         clear_caches()
-        out[workers] = explore(grid, mode="explore", workers=workers, round_size=4)
-    return grid, out
+        reports[workers], tracers[workers] = _traced_explore(grid, workers)
+    return grid, reports, tracers
 
 
 class TestWorkerCountInvariance:
     def test_workers_do_not_change_the_report(self, by_workers):
-        _grid, reports = by_workers
+        _grid, reports, tracers = by_workers
         assert _shape(reports[2]) == _shape(reports[1])
         assert _shape(reports[3]) == _shape(reports[1])
+        assert _explore_spans(tracers[2]) == _explore_spans(tracers[1])
+        assert _explore_spans(tracers[3]) == _explore_spans(tracers[1])
         assert reports[1].counters["rounds"] > 3  # more than one round per lane
 
     def test_each_lane_equals_its_own_explore(self, by_workers):
-        grid, reports = by_workers
+        grid, reports, tracers = by_workers
         full = _shape(reports[2])
         benches = list(dict.fromkeys(spec.bench for spec in grid))
-        events, pruned = [], []
+        spans, pruned = [], []
         for bench in benches:
-            alone = explore([s for s in grid if s.bench == bench], mode="explore", round_size=4)
+            alone, tr = _traced_explore([s for s in grid if s.bench == bench])
             mine = _shape(alone)
             assert mine["outcomes"] == [o for o in full["outcomes"] if o[0].bench == bench]
             assert mine["frontiers"] == {bench: full["frontiers"][bench]}
-            events += mine["events"][:-1]
+            spans += _explore_spans(tr)
             pruned += mine["pruned"]
-        # pruned cells and events concatenate in first-seen lane order
-        assert full["events"][:-1] == events
+        # pruned cells and spans concatenate in first-seen lane order
+        assert _explore_spans(tracers[2]) == spans
         assert full["pruned"] == pruned
 
+    def test_forked_lanes_send_their_spans_back(self, by_workers):
+        _grid, _reports, tracers = by_workers
+        trace = Trace.from_tracer(tracers[2])
+        assert validate_trace(trace) == []
+        assert len(trace.events) == len(tracers[1].events)
+        root = trace.events[0]
+        assert (root.name, root.parent) == ("explore", -1)
+        lanes = [e for e in trace.events if e.name == "explore.lane"]
+        assert len(lanes) == 3 and all(e.parent == root.index for e in lanes)
+        # the core's spans nest under the explorer's solves
+        solves = {e.index for e in trace.events if e.name == "explore.solve"}
+        assert any(e.parent in solves and not e.name.startswith("explore") for e in trace.events)
+
     def test_outcomes_in_grid_order(self, by_workers):
-        grid, reports = by_workers
+        grid, reports, _tracers = by_workers
         solved = [o.spec for o in reports[2].outcomes]
         assert solved == [s for s in grid if s in set(solved)]
 

@@ -6,7 +6,9 @@ import time
 import pytest
 
 from repro.core.scheduler import rotation_schedule
-from repro.obs import NULL, NullTracer, Tracer, activate, current, deactivate, tracing
+from repro.obs import (
+    NULL, NullTracer, Trace, Tracer, activate, current, deactivate, tracing, validate_trace,
+)
 from repro.obs import tracer as tracer_mod
 from repro.qa.runner import config_model
 from repro.suite import get_benchmark
@@ -79,6 +81,44 @@ class TestTracer:
         assert outer.open_spans == inner.open_spans == 0
         assert [(e.name, e.parent, e.depth) for e in outer.events] == [("o1", -1, 0), ("o2", 0, 1)]
         assert [(e.name, e.parent, e.depth) for e in inner.events] == [("i1", -1, 0), ("i2", 0, 1)]
+
+    def test_graft_renumbers_and_rebases_under_the_open_span(self):
+        ticks = iter(range(10, 1000, 10))
+        clock = lambda: next(ticks)  # noqa: E731 - one clock shared by both tracers
+        parent, child = Tracer(clock=clock), Tracer(clock=clock)
+        parent.begin("root")  # 10
+        with parent.span("before"):  # 20..30
+            pass
+        with child.span("lane", bench="x"):  # 40..70
+            with child.span("solve"):  # 50..60
+                pass
+        with child.span("lane"):  # 80..90
+            pass
+        parent.graft(child)
+        parent.end()  # 100
+        got = [(e.index, e.name, e.parent, e.depth, e.t0_ns, e.dur_ns) for e in parent.events]
+        assert got == [
+            (0, "root", -1, 0, 0, 90),
+            (1, "before", 0, 1, 10, 10),
+            (2, "lane", 0, 1, 30, 30),
+            (3, "solve", 2, 2, 40, 10),
+            (4, "lane", 0, 1, 70, 10),
+        ]
+        assert parent.events[2].attrs == {"bench": "x"}
+        assert validate_trace(Trace.from_tracer(parent)) == []
+
+    def test_graft_without_an_open_span_adds_roots(self):
+        parent, child = Tracer(), Tracer()
+        parent.graft(child)  # nothing recorded: a no-op
+        assert parent.events == []
+        with child.span("a"):
+            with child.span("b"):
+                pass
+        parent.graft(child)
+        parent.graft(child)
+        assert [(e.index, e.parent, e.depth) for e in parent.events] == [
+            (0, -1, 0), (1, 0, 1), (2, -1, 0), (3, 2, 1),
+        ]
 
     def test_t0_offsets_relative_to_first_span(self):
         tr = Tracer()

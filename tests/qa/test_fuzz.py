@@ -135,3 +135,24 @@ class TestParallelFuzz:
         report = run_fuzz(cases, out_dir=str(tmp_path), jobs=2, max_cells=3)
         assert report.cells == 3
         assert report.skipped == len(cases) - 3
+
+    def test_recording_error_propagates_without_an_inline_rerun(self, tmp_path, monkeypatch):
+        import repro.qa.runner as runner_mod
+
+        parent = os.getpid()
+        inline_runs = []
+
+        def planted_failure(graph, config, path):
+            if os.getpid() == parent:
+                inline_runs.append(path)
+            return [OracleFailure("crash", "planted")]
+
+        def broken_record(*_args, **_kwargs):
+            raise RuntimeError("bundle write failed")
+
+        monkeypatch.setattr(runner_mod, "run_cell_on_graph", planted_failure)
+        monkeypatch.setattr(runner_mod, "_record_failure", broken_record)
+        cases = grid_cases(seeds=[1], configs=("1A1M",), paths=("h1", "h2"))[:4]
+        with pytest.raises(RuntimeError, match="bundle write failed"):
+            run_fuzz(cases, out_dir=str(tmp_path), jobs=2)
+        assert inline_runs == []

@@ -6,9 +6,14 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+import socket
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.serve import (
     ServeClient,
     build_service,
@@ -211,3 +216,67 @@ class TestShardedPool:
         assert out["error"]["type"] == "WorkerCrash"
         assert stats["worker_crashes"] == 1
         assert "error" not in retry  # shard rebuilt, request re-solvable
+
+
+def _live_group_members(pgid: int):
+    """PIDs of the process group's members that still run (zombies excluded)."""
+    alive = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii", errors="replace") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        state, _ppid, pgrp = stat[stat.rindex(")") + 2:].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            alive.append(int(entry))
+    return alive
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads the process group from /proc")
+class TestDaemonProcess:
+    def test_sigterm_shuts_the_worker_pool_down(self):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", str(port), "--workers", "2"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+        )
+        client = ServeClient(port=port, timeout=60.0)
+        try:
+            deadline = time.monotonic() + 60
+            while True:
+                try:
+                    if client.health().get("ok"):
+                        break
+                except OSError:
+                    pass
+                assert proc.poll() is None and time.monotonic() < deadline, "daemon never came up"
+                time.sleep(0.05)
+            # one miss per shard, so both workers are running
+            pool, by_shard = ShardedPool(2), {}
+            for config in ("1A1M", "2A1M", "2A2M", "3A2M", "1A2M", "3A3M"):
+                payload = dict(DIFFEQ, config=config)
+                by_shard.setdefault(pool.shard_of(request_fingerprint(payload)), payload)
+            assert sorted(by_shard) == [0, 1]
+            for payload in by_shard.values():
+                assert "error" not in client.solve(payload)
+            assert len(_live_group_members(proc.pid)) >= 3  # the daemon and its two workers
+
+            proc.terminate()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while _live_group_members(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _live_group_members(proc.pid) == []
+        finally:
+            client.close()
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=10)

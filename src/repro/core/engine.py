@@ -79,11 +79,8 @@ class EngineStats:
     rotations: int = 0
     initial_schedules: int = 0
     view_hits: int = 0
-    view_derives: int = 0
     view_builds: int = 0
     view_evictions: int = 0
-    dirty_priority_nodes: int = 0
-    priority_entries_reused: int = 0
     priority_full_rebuilds: int = 0
     edges_rescanned: int = 0
     grid_delta_rotations: int = 0

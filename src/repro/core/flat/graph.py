@@ -43,7 +43,7 @@ class FlatGraph:
         "graph", "nodes", "index", "n", "m",
         "esrc", "edst", "edelay", "eids", "epos",
         "out_ptr", "out_edge", "in_ptr", "in_edge",
-        "out_at", "in_at", "inc_at",
+        "out_at", "in_at",
         "opclass", "op_names",
     )
 
@@ -67,8 +67,7 @@ class FlatGraph:
         # walk out_edge/in_edge see edges exactly as graph.out_edges /
         # graph.in_edges would enumerate them.  out_at/in_at hold the same
         # positions as per-node tuples (faster to iterate from hot loops
-        # than an array slice); inc_at concatenates both for the derive
-        # scan over all edges incident to a node.
+        # than an array slice).
         out_at: List[Tuple[int, ...]] = [
             tuple(epos[e.eid] for e in graph.out_edges(v)) for v in self.nodes
         ]
@@ -76,9 +75,6 @@ class FlatGraph:
             tuple(epos[e.eid] for e in graph.in_edges(v)) for v in self.nodes
         ]
         self.out_at, self.in_at = out_at, in_at
-        self.inc_at: List[Tuple[int, ...]] = [
-            out_at[i] + in_at[i] for i in range(self.n)
-        ]
         out_ptr = array("q", [0])
         out_edge = array("q")
         for pos in out_at:
@@ -146,8 +142,6 @@ class FlatGraph:
             else:
                 return False
         if dirty_nodes or dirty_edges:
-            out_at, in_at = self.out_at, self.in_at
-            self.inc_at = [out_at[i] + in_at[i] for i in range(self.n)]
             self._rebuild_csr()
         if dirty_nodes:
             self._rebuild_opclass()

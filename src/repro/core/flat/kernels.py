@@ -152,8 +152,8 @@ def flat_priority_columns(
 
     Fuses the intermediate columns with the sort-key build (one reversed
     topological sweep for ``descendants`` instead of sweep + listcomp) —
-    the engines call this on every full priority rebuild, which on deep
-    graphs is nearly every derive.  Values match :func:`flat_reach` /
+    the engine calls this on every struct-view build: initial schedules,
+    session repairs and every mobility rotation.  Values match :func:`flat_reach` /
     :func:`flat_heights` / :func:`flat_mobility` + :func:`flat_sort_keys`
     exactly.
     """

@@ -67,6 +67,14 @@ class SpanEvent:
         self.dur_ns = dur_ns
         self.attrs = attrs
 
+    def __reduce__(self):
+        # Constructor args instead of the default slots-state dict: forked
+        # explore lanes pickle every span they send back.
+        return (SpanEvent, (
+            self.index, self.parent, self.depth, self.name, self.t0_ns,
+            self.attrs, self.dur_ns,
+        ))
+
     def shape(self) -> Tuple:
         """Timing-free identity: what determinism tests compare across runs."""
         return (

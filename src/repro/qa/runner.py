@@ -13,7 +13,8 @@ Scheduler paths:
 ========== ==========================================================
 ``h1``      rotation scheduling, heuristic 1, incremental engine on
 ``h2``      rotation scheduling, heuristic 2, incremental engine on
-``parity``  h2 under both backends (flat / naive); bit-identical
+``parity``  h2 under both backends (flat / naive), with the default
+            ``descendants`` priority and with ``combined``; bit-identical
 ``dag_list``   non-pipelined DAG list-scheduling baseline
 ``modulo``     iterative modulo scheduling baseline (flat + kernel forms)
 ``retime_ls``  retime-then-list-schedule baseline
@@ -155,9 +156,17 @@ def _run_path(graph: DFG, model: ResourceModel, path: str) -> List[OracleFailure
         result = rotation_schedule(graph, model, heuristic=path)
         return certify_rotation(graph, model, result)
     if path == "parity":
-        flat = rotation_schedule(graph, model, heuristic="h2", backend="flat")
-        naive = rotation_schedule(graph, model, heuristic="h2", backend="naive")
-        return check_parity(flat, naive, "flat vs naive") + certify_rotation(graph, model, flat)
+        failures: List[OracleFailure] = []
+        for priority in ("descendants", "combined"):
+            flat = rotation_schedule(
+                graph, model, heuristic="h2", backend="flat", priority=priority
+            )
+            naive = rotation_schedule(
+                graph, model, heuristic="h2", backend="naive", priority=priority
+            )
+            failures += check_parity(flat, naive, f"flat vs naive ({priority})")
+            failures += certify_rotation(graph, model, flat)
+        return failures
     if path == "dag_list":
         from repro.baselines.dag_list import dag_list_schedule
 

@@ -17,7 +17,7 @@ class TestEngineStats:
         assert "chain_tip_reuses=" in out
         # the transition memos are flat's own counters
         for key in ("rotation_memo_hits=", "rotation_memo_misses=", "wrap_memo_hits=",
-                    "initial_memo_hits=", "struct_view_builds=", "struct_view_derives="):
+                    "initial_memo_hits=", "struct_view_builds="):
             assert key in out
 
     def test_schedule_engine_stats_naive(self, capsys):

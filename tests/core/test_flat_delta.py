@@ -11,7 +11,7 @@ FIELDS = (
     "nodes", "index", "n", "m",
     "esrc", "edst", "edelay", "eids", "epos",
     "out_ptr", "out_edge", "in_ptr", "in_edge",
-    "out_at", "in_at", "inc_at",
+    "out_at", "in_at",
     "opclass", "op_names",
 )
 

@@ -75,12 +75,13 @@ class TestEngineMetrics:
         assert set(extras) == {
             "chain_tip_reuses", "wrap_interval_collapses",
             "rotation_memo_hits", "rotation_memo_misses", "wrap_memo_hits",
-            "initial_memo_hits", "struct_view_builds", "struct_view_derives",
+            "initial_memo_hits", "struct_view_builds",
             "lap_replays", "rotations_replayed",
         }
         # h2 revisits transitions: lap replay or the memos must answer some
         # of them, every rotation is answered exactly one of the three ways,
-        # and every miss either derives or builds a struct view
+        # and only whole-graph placements (here: initial schedules) consult
+        # struct views; rotation misses derive from the moved subgraph
         assert extras["rotation_memo_hits"] + extras["rotations_replayed"] > 0
         assert extras["wrap_memo_hits"] > 0
         assert extras["lap_replays"] <= extras["rotations_replayed"]
@@ -88,8 +89,9 @@ class TestEngineMetrics:
             extras["rotation_memo_hits"] + extras["rotation_memo_misses"]
             + extras["rotations_replayed"]
         ) == snap["counters"]["rotations"]
-        assert extras["struct_view_derives"] == snap["counters"]["view_derives"]
         assert extras["struct_view_builds"] == snap["counters"]["view_builds"]
+        counters = snap["counters"]
+        assert 0 < counters["view_builds"] + counters["view_hits"] <= counters["initial_schedules"]
 
     def test_naive_backend_has_no_metrics(self):
         graph = get_benchmark("diffeq")

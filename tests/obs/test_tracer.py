@@ -1,6 +1,7 @@
 """Unit tests for repro.obs.tracer: spans, activation, overhead."""
 
 import asyncio
+import pickle
 import time
 
 import pytest
@@ -119,6 +120,31 @@ class TestTracer:
         assert [(e.index, e.parent, e.depth) for e in parent.events] == [
             (0, -1, 0), (1, 0, 1), (2, -1, 0), (3, 2, 1),
         ]
+
+    def test_pickled_spans_keep_every_field_and_graft_alike(self):
+        """A span pickles as its constructor args; a lane tracer sent back
+        through pickle grafts to the same tree as the original."""
+        lane = Tracer()
+        with lane.span("lane", bench="x"):
+            with lane.span("solve", cells=2):
+                pass
+        lane.begin("open")  # still open: dur_ns stays -1
+        clone = pickle.loads(pickle.dumps(lane))
+        fields = lambda ev: (  # noqa: E731
+            ev.index, ev.parent, ev.depth, ev.name, ev.t0_ns, ev.dur_ns, ev.attrs,
+        )
+        assert [fields(e) for e in clone.events] == [fields(e) for e in lane.events]
+        assert clone.events[-1].dur_ns == -1
+        lane.end()
+
+        def grafted(child):
+            parent = Tracer()
+            with parent.span("explore"):
+                parent.graft(child)
+            return parent.shape()
+
+        sent = pickle.loads(pickle.dumps(lane))
+        assert grafted(sent) == grafted(lane)
 
     def test_t0_offsets_relative_to_first_span(self):
         tr = Tracer()

@@ -8,10 +8,12 @@ execution, analyze value lifetimes, bind registers, measure interconnect,
 pick the cheapest member of the optimal set Q, and emit the Verilog
 datapath skeleton plus an SVG chart.
 
-Run:  python examples/full_hls_flow.py           (writes build/ artifacts)
+Run:  python examples/full_hls_flow.py [OUT_DIR]
+      (writes the artifacts to OUT_DIR, default examples/build/)
 """
 
 import os
+import sys
 
 from repro import (
     ResourceModel,
@@ -25,8 +27,7 @@ from repro.binding import emit_datapath, interconnect_cost, interconnect_report
 from repro.report.svg import save_svg, schedule_svg
 
 
-def main() -> None:
-    out_dir = os.path.join(os.path.dirname(__file__), "build")
+def main(out_dir: str = os.path.join(os.path.dirname(__file__), "build")) -> None:
     os.makedirs(out_dir, exist_ok=True)
 
     graph = elliptic()
@@ -72,4 +73,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])

@@ -65,7 +65,7 @@ def main() -> None:
     print(
         f"\nsession metrics: {m['edits_applied']} edits, {m['repairs']} repairs, "
         f"{m['nodes_invalidated']} nodes invalidated / {m['nodes_kept']} kept, "
-        f"{m['engine_patches']} engine patches, {m['engine_recompiles']} recompiles"
+        f"{m['engine_recompiles']} engine recompiles"
     )
 
 

@@ -349,8 +349,7 @@ def cmd_session(args: argparse.Namespace) -> int:
     print(
         f"metrics: edits {m['edits_applied']}, repairs {m['repairs']}, "
         f"full solves {m['full_solves']}, invalidated {m['nodes_invalidated']}, "
-        f"kept {m['nodes_kept']}, engine patches {m['engine_patches']}, "
-        f"recompiles {m['engine_recompiles']}"
+        f"kept {m['nodes_kept']}, engine recompiles {m['engine_recompiles']}"
     )
     if args.render:
         print()

@@ -7,8 +7,8 @@ rotated set ``X`` — "no graphs or weights on graph edges are modified".
 Two backends exist:
 
 * ``flat`` (the default) — :class:`repro.core.flat.engine.FlatEngine`:
-  integer kernels over a CSR snapshot of the graph, delta-maintained
-  occupancy grids and rotation transition memos;
+  integer kernels over an integer-array snapshot of the graph,
+  delta-maintained occupancy grids and rotation transition memos;
 * ``naive`` — no engine: every rotation recomputes priorities,
   adjacency and occupancy from scratch.  It is the oracle the golden
   parity suite pins ``flat`` against bit for bit.
@@ -29,7 +29,7 @@ from repro.errors import SchedulingError
 _STRUCTURAL_PRIORITIES = {"descendants", "height", "combined", "mobility"}
 
 #: Selectable backends: ``flat`` = integer kernels + rotation transition
-#: memos over CSR snapshots (repro.core.flat), ``naive`` = recompute
+#: memos over integer-array snapshots (repro.core.flat), ``naive`` = recompute
 #: everything (no engine).
 BACKENDS = ("flat", "naive")
 

@@ -1,4 +1,4 @@
-"""Flat-array scheduling core: CSR snapshots + integer kernels.
+"""Flat-array scheduling core: integer-array snapshots + integer kernels.
 
 ``backend="flat"`` (the default) routes rotation scheduling through
 :class:`FlatEngine`, which runs every hot kernel over the integer columns

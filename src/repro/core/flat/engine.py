@@ -244,8 +244,8 @@ class FlatEngine:
     snapshotted once into a :class:`FlatGraph` and the snapshot's epoch is
     recorded (:meth:`compatible_with` compares it against the live graph's
     epoch, falling back to the naive path after unsynchronized in-place
-    mutation).  :meth:`apply_delta` resynchronizes the snapshot after
-    mutation — the MutableSchedulingSession path.
+    mutation).  :meth:`resync` recompiles the snapshot after mutation —
+    the MutableSchedulingSession path.
     """
 
     backend_name = "flat"
@@ -267,8 +267,8 @@ class FlatEngine:
         self._stats = EngineStats()
         self.fg = FlatGraph(graph)
         self.fm = FlatModel(self.fg, model)
-        # Graph epoch the snapshot was compiled/patched at; apply_delta
-        # resynchronizes it after in-place mutation (session path).
+        # Graph epoch the snapshot was compiled at; resync recompiles it
+        # after in-place mutation (session path).
         self._epoch = graph.epoch
         self._next_token = 0
         # Backend-specific counters, reported as ``extras`` in the unified
@@ -282,12 +282,10 @@ class FlatEngine:
         self._reset_caches()
 
     def _reset_caches(self) -> None:
-        # Engine-owned node-list snapshot handed to lazy schedules and
-        # retimings.  fg.nodes is mutated *in place* by apply_delta, so
-        # lazies must hold a list that is replaced (never mutated) when
-        # the graph changes — outstanding lazies then still materialize
+        # Node list handed to lazy schedules and retimings.  Every compile
+        # makes a fresh list, so outstanding lazies keep materializing
         # against the node order they were minted under.
-        self._node_list: List = list(self.fg.nodes)
+        self._node_list: List = self.fg.nodes
         # dr tuple -> _StructView.
         self._svs: Dict[Tuple[int, ...], _StructView] = {}
         # engine_token -> _VecState for every state this engine produced.
@@ -329,35 +327,21 @@ class FlatEngine:
             and self._epoch == self.graph.epoch
         )
 
-    # -- delta resynchronization (MutableSchedulingSession path) --------
-    def apply_delta(self, edits, model: Optional[ResourceModel] = None) -> Dict[str, int]:
-        """Resynchronize the engine after in-place graph/model mutation.
+    # -- resynchronization (MutableSchedulingSession path) --------------
+    def resync(self, model: Optional[ResourceModel] = None) -> None:
+        """Recompile the engine against the live graph after in-place edits.
 
-        ``edits`` is :meth:`DFG.edits_since` output covering everything
-        since this engine's epoch (``None`` — log truncated — forces a full
-        recompile); ``model`` optionally replaces the resource model.  The
-        FlatGraph snapshot is patched in place when the damage is local and
-        recompiled otherwise; the FlatModel, the struct views, the state
-        records, every memo and the chain tip are always rebuilt/cleared —
-        they depend on both graph and model.  Returns
-        ``{"patched": 0|1, "recompiled": 0|1}``.
+        ``model`` optionally replaces the resource model.  The FlatGraph
+        and FlatModel snapshots are compiled afresh, and the struct views,
+        the state records, every memo and the chain tip are cleared — they
+        depend on both graph and model.
         """
         if model is not None:
             self.model = model
-        patched = recompiled = False
-        if edits is None:
-            self.fg = FlatGraph(self.graph)
-            recompiled = True
-        elif edits:
-            if self.fg.apply_delta(edits):
-                patched = True
-            else:
-                self.fg = FlatGraph(self.graph)
-                recompiled = True
+        self.fg = FlatGraph(self.graph)
         self.fm = FlatModel(self.fg, self.model)
         self._reset_caches()
         self._epoch = self.graph.epoch
-        return {"patched": int(patched), "recompiled": int(recompiled)}
 
     # -- records -------------------------------------------------------
     def _rv_phantom(self, r: Retiming) -> Tuple[Tuple[int, ...], dict]:

@@ -1,12 +1,12 @@
-"""CSR snapshots of a :class:`~repro.dfg.graph.DFG` and a resource model.
+"""Integer-array snapshots of a :class:`~repro.dfg.graph.DFG` and a resource model.
 
 The dict-based graph is the right representation for construction and
 analysis APIs — node ids are arbitrary hashables (``unfold`` produces
 tuple ids), edges are objects — but every hot kernel of rotation
 scheduling only ever needs *numbers*: which node, which edge, what delay,
 what latency.  :class:`FlatGraph` compiles a DFG once into contiguous
-integer columns (``array('q')`` + CSR incidence lists) with an id↔index
-table so the tuple ids survive, and :class:`FlatModel` compiles a
+integer columns (``array('q')`` + per-node incidence tuples) with an
+id↔index table so the tuple ids survive, and :class:`FlatModel` compiles a
 :class:`~repro.schedule.resources.ResourceModel` against those op-class
 columns.  Everything downstream (:mod:`repro.core.flat.kernels`,
 :class:`repro.core.flat.engine.FlatEngine`) indexes these arrays and never
@@ -14,11 +14,8 @@ hashes a node id again.
 
 During a scheduling run both snapshots are fixed: a rotation never changes
 the graph (the paper's point — only the retiming vector moves), so one
-compile serves the run.  Between runs a :class:`FlatGraph` can be patched
-in place to track DFG mutations via :meth:`FlatGraph.apply_delta` (the
-MutableSchedulingSession path), which splices the CSR arrays and compacts
-the id↔index table instead of recompiling; past a damage threshold it
-declines and the caller recompiles.
+compile serves the run.  After a session edits the graph the engine
+simply compiles a fresh snapshot (one pass over the edges).
 """
 
 from __future__ import annotations
@@ -41,8 +38,7 @@ class FlatGraph:
 
     __slots__ = (
         "graph", "nodes", "index", "n", "m",
-        "esrc", "edst", "edelay", "eids", "epos",
-        "out_ptr", "out_edge", "in_ptr", "in_edge",
+        "esrc", "edst", "edelay", "eids",
         "out_at", "in_at",
         "opclass", "op_names",
     )
@@ -56,37 +52,26 @@ class FlatGraph:
         self.m = len(edges)
         index = self.index
 
-        self.esrc = array("q", (index[e.src] for e in edges))
-        self.edst = array("q", (index[e.dst] for e in edges))
-        self.edelay = array("q", (e.delay for e in edges))
-        self.eids = array("q", (e.eid for e in edges))
-        epos = {e.eid: k for k, e in enumerate(edges)}
-        self.epos = epos
-
-        # CSR incidence in the DFG's own insertion order, so kernels that
-        # walk out_edge/in_edge see edges exactly as graph.out_edges /
-        # graph.in_edges would enumerate them.  out_at/in_at hold the same
-        # positions as per-node tuples (faster to iterate from hot loops
-        # than an array slice).
-        out_at: List[Tuple[int, ...]] = [
-            tuple(epos[e.eid] for e in graph.out_edges(v)) for v in self.nodes
-        ]
-        in_at: List[Tuple[int, ...]] = [
-            tuple(epos[e.eid] for e in graph.in_edges(v)) for v in self.nodes
-        ]
-        self.out_at, self.in_at = out_at, in_at
-        out_ptr = array("q", [0])
-        out_edge = array("q")
-        for pos in out_at:
-            out_edge.extend(pos)
-            out_ptr.append(len(out_edge))
-        in_ptr = array("q", [0])
-        in_edge = array("q")
-        for pos in in_at:
-            in_edge.extend(pos)
-            in_ptr.append(len(in_edge))
-        self.out_ptr, self.out_edge = out_ptr, out_edge
-        self.in_ptr, self.in_edge = in_ptr, in_edge
+        # One pass over the edges, in insertion order: appending position k
+        # to out_at[src] / in_at[dst] reproduces graph.out_edges /
+        # graph.in_edges order exactly (the DFG lists incident eids in
+        # insertion order, and set_delay keeps an edge's id and position).
+        esrc, edst, edelay, eids = array("q"), array("q"), array("q"), array("q")
+        out_l: List[List[int]] = [[] for _ in range(self.n)]
+        in_l: List[List[int]] = [[] for _ in range(self.n)]
+        for k, e in enumerate(edges):
+            si, di = index[e.src], index[e.dst]
+            esrc.append(si)
+            edst.append(di)
+            edelay.append(e.delay)
+            eids.append(e.eid)
+            out_l[si].append(k)
+            in_l[di].append(k)
+        self.esrc, self.edst, self.edelay, self.eids = esrc, edst, edelay, eids
+        # Per-node edge positions as tuples (faster to iterate from hot
+        # loops than an array slice).
+        self.out_at: List[Tuple[int, ...]] = [tuple(p) for p in out_l]
+        self.in_at: List[Tuple[int, ...]] = [tuple(p) for p in in_l]
 
         # Op-class column: distinct op strings in first-appearance order.
         op_ids: Dict[str, int] = {}
@@ -99,138 +84,6 @@ class FlatGraph:
             opclass.append(cid)
         self.opclass = opclass
         self.op_names: List[str] = list(op_ids)
-
-    # ------------------------------------------------------------------
-    # in-place delta patching (MutableSchedulingSession path)
-    # ------------------------------------------------------------------
-    def apply_delta(self, edits) -> bool:
-        """Patch this snapshot in place to match ``self.graph`` after ``edits``.
-
-        ``edits`` is the :meth:`DFG.edits_since` record of everything that
-        happened to the live graph since this snapshot was synchronized,
-        oldest first.  Returns ``False`` — leaving the snapshot in an
-        undefined state — when the structural damage exceeds the recompile
-        threshold (splicing N columns costs more than one O(V+E) compile);
-        the caller must then rebuild via ``FlatGraph(graph)``.  After a
-        ``True`` return the patched snapshot is field-for-field identical
-        to a fresh compile of the mutated graph.
-        """
-        structural = sum(
-            1 for e in edits if e.kind not in ("set_delay", "set_exec_time")
-        )
-        if structural > max(8, (self.n + self.m) // 2):
-            return False
-        dirty_nodes = dirty_edges = False
-        for ed in edits:
-            kind = ed.kind
-            if kind == "set_delay":
-                self.edelay[self.epos[ed.eid]] = ed.delay
-            elif kind == "set_exec_time":
-                pass  # node_time lives in FlatModel; the caller rebuilds it
-            elif kind == "add_edge":
-                self._patch_add_edge(ed)
-                dirty_edges = True
-            elif kind == "remove_edge":
-                self._patch_remove_edge(ed.eid)
-                dirty_edges = True
-            elif kind == "add_node":
-                self._patch_add_node(ed.node)
-                dirty_nodes = True
-            elif kind == "remove_node":
-                self._patch_remove_node(ed.node)
-                dirty_nodes = True
-            else:
-                return False
-        if dirty_nodes or dirty_edges:
-            self._rebuild_csr()
-        if dirty_nodes:
-            self._rebuild_opclass()
-        return True
-
-    def _patch_add_node(self, node: NodeId) -> None:
-        self.index[node] = self.n
-        self.nodes.append(node)
-        self.n += 1
-        self.out_at.append(())
-        self.in_at.append(())
-
-    def _patch_remove_node(self, node: NodeId) -> None:
-        # The DFG logs a node removal after its incident-edge removals, so
-        # by the time this record is replayed the node's rows are empty and
-        # only the index table and edge endpoints need compacting.
-        i = self.index.pop(node)
-        del self.nodes[i]
-        self.n -= 1
-        del self.out_at[i]
-        del self.in_at[i]
-        for v, j in self.index.items():
-            if j > i:
-                self.index[v] = j - 1
-        esrc, edst = self.esrc, self.edst
-        for k in range(self.m):
-            if esrc[k] > i:
-                esrc[k] -= 1
-            if edst[k] > i:
-                edst[k] -= 1
-
-    def _patch_add_edge(self, ed) -> None:
-        k = self.m
-        si, di = self.index[ed.src], self.index[ed.dst]
-        self.esrc.append(si)
-        self.edst.append(di)
-        self.edelay.append(ed.delay)
-        self.eids.append(ed.eid)
-        self.epos[ed.eid] = k
-        self.m += 1
-        self.out_at[si] += (k,)
-        self.in_at[di] += (k,)
-
-    def _patch_remove_edge(self, eid: int) -> None:
-        k = self.epos.pop(eid)
-        del self.esrc[k]
-        del self.edst[k]
-        del self.edelay[k]
-        del self.eids[k]
-        self.m -= 1
-        for e2, p in self.epos.items():
-            if p > k:
-                self.epos[e2] = p - 1
-        for at in (self.out_at, self.in_at):
-            for i in range(self.n):
-                row = at[i]
-                for p in row:
-                    if p >= k:
-                        at[i] = tuple(q - 1 if q > k else q for q in row if q != k)
-                        break
-
-    def _rebuild_csr(self) -> None:
-        out_ptr = array("q", [0])
-        out_edge = array("q")
-        for pos in self.out_at:
-            out_edge.extend(pos)
-            out_ptr.append(len(out_edge))
-        in_ptr = array("q", [0])
-        in_edge = array("q")
-        for pos in self.in_at:
-            in_edge.extend(pos)
-            in_ptr.append(len(in_edge))
-        self.out_ptr, self.out_edge = out_ptr, out_edge
-        self.in_ptr, self.in_edge = in_ptr, in_edge
-
-    def _rebuild_opclass(self) -> None:
-        # First-appearance numbering over the *current* node order matches a
-        # fresh compile exactly (dict insertion order survives removals).
-        graph = self.graph
-        op_ids: Dict[str, int] = {}
-        opclass = array("q")
-        for v in self.nodes:
-            op = graph.op(v)
-            cid = op_ids.get(op)
-            if cid is None:
-                cid = op_ids[op] = len(op_ids)
-            opclass.append(cid)
-        self.opclass = opclass
-        self.op_names = list(op_ids)
 
     # ------------------------------------------------------------------
     def rvec(self, retiming) -> List[int]:

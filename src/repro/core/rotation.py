@@ -150,9 +150,8 @@ class RotationState:
         fp = self.__dict__.get("_fp")
         if fp is None:
             eng = self.engine
-            fp_state = getattr(eng, "fp_state", None)
-            if fp_state is not None and eng.compatible_with(self):
-                fp = fp_state(self)
+            if eng is not None and eng.compatible_with(self):
+                fp = eng.fp_state(self)
             else:
                 sched = self.schedule
                 lo = sched.first_cs
@@ -171,9 +170,8 @@ class RotationState:
         w = self.__dict__.get("_wrapped")
         if w is None:
             eng = self.engine
-            wrap_state = getattr(eng, "wrap_state", None)
-            if wrap_state is not None and eng.compatible_with(self):
-                w = wrap_state(self)
+            if eng is not None and eng.compatible_with(self):
+                w = eng.wrap_state(self)
             else:
                 w = wrap(self.schedule, self.retiming)
             object.__setattr__(self, "_wrapped", w)
@@ -285,9 +283,7 @@ class RotationState:
     def _up_rotate(self, size: int) -> "RotationState":
         eng = self.engine
         if eng is not None and eng.compatible_with(self):
-            up = getattr(eng, "up_rotate", None)
-            if up is not None:
-                return up(self, size)
+            return eng.up_rotate(self, size)
         sched = self.schedule.normalized()
         last = sched.last_cs
         moved = sched.nodes_starting_in(last - size + 1, last)

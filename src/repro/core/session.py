@@ -3,10 +3,9 @@
 The public API so far was solve-from-scratch: every call to
 :func:`repro.core.scheduler.rotation_schedule` recompiles the graph,
 rebuilds every cache, and runs the full rotation heuristic.  Yet the whole
-machinery underneath — CSR snapshots patched in place, transition memos,
-reusable occupancy grids, interval-collapsed wrap search — is built for
-*small deltas*.  This module exposes that capability as a first-class
-session:
+machinery underneath — transition memos, reusable occupancy grids,
+interval-collapsed wrap search — is built for *small deltas*.  This
+module exposes that capability as a first-class session:
 
     session = open_session(graph, model)
     result = session.resolve()                      # full heuristic solve
@@ -18,9 +17,8 @@ Edits mutate the session's private copy of the graph through the DFG's
 versioned-mutation protocol (edit log + epoch, see
 :mod:`repro.dfg.graph`).  ``resolve()`` then:
 
-1. asks the backend engine to :meth:`apply_delta` — FlatGraph CSR patching
-   with id↔index compaction (full recompile past a damage threshold) on
-   the flat backend;
+1. asks the backend engine to :meth:`resync` — a fresh FlatGraph and
+   FlatModel compile on the flat backend;
 2. restricts the previous schedule's retiming to the surviving nodes,
    anchors new nodes next to their neighbours, and legalizes the result by
    Bellman relaxation over ``r(v) <= r(u) + d(e)`` (always feasible:
@@ -146,7 +144,6 @@ class MutableSchedulingSession:
             "repairs": 0,
             "nodes_invalidated": 0,
             "nodes_kept": 0,
-            "engine_patches": 0,
             "engine_recompiles": 0,
         }
 
@@ -332,11 +329,8 @@ class MutableSchedulingSession:
             return
         if edits is not None and not edits and not self._model_dirty:
             return
-        info = self._engine.apply_delta(
-            edits, model=self.model if self._model_dirty else None
-        )
-        self.metrics["engine_patches"] += info.get("patched", 0)
-        self.metrics["engine_recompiles"] += info.get("recompiled", 0)
+        self._engine.resync(self.model if self._model_dirty else None)
+        self.metrics["engine_recompiles"] += 1
         self._epoch = self.graph.epoch
 
     def _full_solve(self, t0: float) -> RotationResult:

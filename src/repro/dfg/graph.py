@@ -40,9 +40,9 @@ class GraphEdit:
 
     Every mutating operation appends exactly one record and bumps the
     graph's :attr:`DFG.epoch`, so a cache built at epoch ``k`` can ask
-    :meth:`DFG.edits_since` for precisely what happened after ``k`` and
-    patch itself instead of recompiling.  Only the fields relevant to the
-    ``kind`` are set:
+    :meth:`DFG.edits_since` for precisely what happened after ``k`` (a
+    session's repair reads it to find the edited nodes).  Only the fields
+    relevant to the ``kind`` are set:
 
     ==================  ====================================================
     ``add_node``         ``node``, ``op``, ``time``

@@ -3,8 +3,10 @@
 Each flat kernel is pinned against its dict-based counterpart in
 ``repro.dfg.analysis`` / ``repro.schedule`` over seeded random graphs —
 including tuple-id unfolded graphs and multi-edges with distinct delays —
-plus a ``FlatGraph`` -> ``DFG`` round-trip identity.  The engine's
-transition memos and lazy objects are pinned in ``test_vector.py``.
+plus a ``FlatGraph`` -> ``DFG`` round-trip identity and the compile of
+randomly edited benchmark graphs against the DFG's own incidence API.
+The engine's transition memos and lazy objects are pinned in
+``test_vector.py``.
 """
 
 import random
@@ -12,6 +14,7 @@ import re
 
 import pytest
 
+from repro import diffeq, elliptic, lattice
 from repro.core.flat import (
     FlatGraph,
     FlatModel,
@@ -209,6 +212,55 @@ def test_flatgraph_roundtrip_identity(tag, graph):
     a, b = to_json_dict(graph), to_json_dict(rebuilt)
     a.pop("name"), b.pop("name")
     assert a == b
+
+
+def mutate(graph: DFG, rng: random.Random, fresh_counter: list) -> None:
+    """One random in-place structural/timing mutation."""
+    kind = rng.randrange(6)
+    nodes = graph.nodes
+    if kind == 0:  # add node
+        node = f"fx{fresh_counter[0]}"
+        fresh_counter[0] += 1
+        graph.add_node(node, rng.choice(["add", "mul"]))
+        if nodes:
+            graph.add_edge(rng.choice(nodes), node, rng.randint(1, 2))
+    elif kind == 1 and graph.num_nodes > 3:  # remove node
+        graph.remove_node(rng.choice(nodes))
+    elif kind == 2 and len(nodes) >= 2:  # add edge
+        graph.add_edge(rng.choice(nodes), rng.choice(nodes), rng.randint(0, 3))
+    elif kind == 3 and graph.num_edges > 1:  # remove edge
+        graph.remove_edge(rng.choice(graph.edges))
+    elif kind == 4 and graph.num_edges:  # set delay
+        graph.set_delay(rng.choice(graph.edges), rng.randint(0, 3))
+    elif kind == 5 and nodes:  # set exec time
+        graph.set_exec_time(rng.choice(nodes), rng.randint(1, 3))
+
+
+@pytest.mark.parametrize("bench", [diffeq, elliptic, lattice])
+@pytest.mark.parametrize("seed", range(6))
+def test_compile_after_mutations_matches_dfg_api(bench, seed):
+    """The one-pass compile of an edited graph (removals leave gaps in the
+    edge ids, set_delay rewrites edges in place) agrees with the DFG's own
+    incidence API and first-appearance op numbering."""
+    graph = bench()
+    rng = random.Random(seed)
+    counter = [0]
+    for _ in range(8):
+        mutate(graph, rng, counter)
+    fg = FlatGraph(graph)
+    edges = graph.edges
+    pos = {e.eid: k for k, e in enumerate(edges)}
+    assert fg.nodes == graph.nodes and (fg.n, fg.m) == (graph.num_nodes, len(edges))
+    assert list(fg.esrc) == [fg.index[e.src] for e in edges]
+    assert list(fg.edst) == [fg.index[e.dst] for e in edges]
+    assert list(fg.edelay) == [e.delay for e in edges]
+    assert list(fg.eids) == [e.eid for e in edges]
+    for i, v in enumerate(graph.nodes):
+        assert fg.out_at[i] == tuple(pos[e.eid] for e in graph.out_edges(v))
+        assert fg.in_at[i] == tuple(pos[e.eid] for e in graph.in_edges(v))
+    ops = list(dict.fromkeys(graph.op(v) for v in graph.nodes))
+    assert fg.op_names == ops
+    assert list(fg.opclass) == [ops.index(graph.op(v)) for v in graph.nodes]
 
 
 def test_flat_grid_double_booking_raises():

@@ -133,7 +133,7 @@ class TestRepair:
             ("add_node", [{"edit": "add_node", "node": "qx", "op": "add"}]),
             ("remove_node", [{"edit": "remove_node", "node": "mb1_2"}]),
             ("shrink_units", [{"edit": "set_resource_counts", "counts": {"adder": 1}}]),
-            # past the retained edit log: the engine resyncs via apply_delta(None)
+            # past the retained edit log: one resync, as for any edit batch
             ("log_truncated", toggles),
         ]
         for label, ops in steps:
@@ -172,15 +172,16 @@ class TestRepair:
         assert m["nodes_invalidated"] >= 1
         assert m["nodes_kept"] >= 1
 
-    def test_structural_edits_flow_through_engine_patch(self):
+    def test_structural_edits_flow_through_engine_recompile(self):
         session = open_session(elliptic(), ResourceModel.adders_mults(3, 2), backend="flat")
         session.resolve()
+        assert session.metrics["engine_recompiles"] == 0
         session.remove_node("M8")
         session.resolve()
-        assert session.metrics["engine_patches"] >= 1
+        assert session.metrics["engine_recompiles"] == 1
         # still bit-identical to a from-scratch solve of the edited graph
         want = rotation_schedule(session.graph, session.model, heuristic="h2", backend="flat")
-        same_result(session.resolve(mode="solve"), want, "post-patch solve")
+        same_result(session.resolve(mode="solve"), want, "post-recompile solve")
 
     def test_add_node_repair_schedules_it(self):
         session = open_session(diffeq(), ResourceModel.adders_mults(1, 1))

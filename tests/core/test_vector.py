@@ -7,7 +7,7 @@ what it computes — the dict-based analysis in ``repro.dfg.analysis`` /
 ``repro.schedule`` or a structural invariant — over a graph set that also
 carries a duplicated zero-delay edge.  The engine cases cover the flat
 engine's transition memos and lazy objects (pickling and survival across
-``apply_delta``), the rejection of the removed backend names, and runs
+an engine resync), the rejection of the removed backend names, and runs
 with numpy made unimportable.
 """
 
@@ -286,11 +286,11 @@ def test_lazy_state_pickles_and_materializes():
     )
 
 
-def test_lazy_objects_survive_apply_delta():
+def test_lazy_objects_survive_resync():
     """Regression: lazy schedules/retimings must materialize against the
-    node order they were minted under, even after ``apply_delta`` has
-    mutated the engine's node list (sessions hold the previous solution
-    across edits — repairs diverged from naive before this was pinned)."""
+    node order they were minted under, even after the engine has resynced
+    to an edited graph (sessions hold the previous solution across edits —
+    repairs diverged from naive before this was pinned)."""
     from repro.core.session import open_session
 
     graph = random_dsp_kernel(taps=3, seed=0, recursive=True)

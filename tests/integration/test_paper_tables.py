@@ -1,7 +1,8 @@
 """Integration tests reproducing the paper's experimental tables.
 
 Table 1 is pinned exactly in ``tests/suite/test_benchmarks.py``; here we
-re-run the scheduling experiments behind Tables 2 and 3.  Expected values
+re-run the scheduling experiments behind Tables 2 and 3, and check
+Table 2's "our LB" column in EXPERIMENTS.md against the live bound.  Expected values
 are the paper's RS column except for the two documented deviations (see
 EXPERIMENTS.md):
 
@@ -12,11 +13,17 @@ EXPERIMENTS.md):
   stops at 3 on our reconstruction).
 """
 
+from pathlib import Path
+
 import pytest
 
+from repro.bounds import combined_lower_bound
+from repro.cli import parse_config
 from repro.schedule import ResourceModel
 from repro.core import rotation_schedule
-from repro.suite import get_benchmark
+from repro.suite import elliptic, get_benchmark
+
+EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 
 #: (adders, mults, pipelined) -> expected RS length on THIS reproduction
 TABLE2_ELLIPTIC = [
@@ -85,6 +92,27 @@ class TestTable2:
         model = ResourceModel.adders_mults(3, 3)
         res = rotation_schedule(get_benchmark("elliptic"), model)
         assert res.depth <= 3
+
+
+class TestTable2Doc:
+    def test_our_lb_column_is_the_live_bound(self):
+        """Every row of EXPERIMENTS.md's Table 2 quotes, as "our LB",
+        exactly what ``combined_lower_bound`` gives for that config."""
+        section = EXPERIMENTS_MD.read_text().split("## Table 2", 1)[1].split("\n## ", 1)[0]
+        rows = [
+            [c.strip() for c in line.strip().strip("|").split("|")]
+            for line in section.splitlines()
+            if line.startswith("|")
+        ]
+        header, body = rows[0], rows[2:]
+        col = header.index("our LB")
+        quoted = {r[0]: int(r[col]) for r in body}
+        live = {
+            cfg: combined_lower_bound(elliptic(), parse_config(cfg)[0]).combined
+            for cfg in quoted
+        }
+        assert len(quoted) == len(TABLE2_ELLIPTIC)
+        assert quoted == live
 
 
 class TestTable3:

@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.bounds.lower_bounds import resource_bound
 from repro.dfg.graph import DFG
+from repro.dfg.iteration_bound import iteration_bound_ceil
 from repro.schedule.resources import ResourceModel
 from repro.core.engine import make_engine
 from repro.core.rotation import RotationState
@@ -39,6 +41,11 @@ class BestTracker:
     schedules ("the number of optimal schedules found ranges from 15 to
     35"); ``cap`` bounds memory.  ``initial_length`` is the span of the
     first state offered (the search's starting schedule).
+
+    ``bound``, when set, is a length no schedule can beat.  Once the best
+    length meets it with ``cap`` entries held the tracker is :attr:`done`:
+    no later offer can be shorter or admit a tie, so ``entries`` are final
+    and the search may stop.
     """
 
     cap: int = 64
@@ -47,6 +54,16 @@ class BestTracker:
     entries: List[Tuple[RotationState, WrappedSchedule]] = field(default_factory=list)
     _seen: Set[Tuple] = field(default_factory=set)
     offers: int = 0
+    bound: Optional[int] = None
+
+    @property
+    def done(self) -> bool:
+        """True once no later offer can change ``entries``."""
+        return (
+            self.bound is not None
+            and self.length == self.bound
+            and len(self.entries) >= self.cap
+        )
 
     def offer(self, state: RotationState) -> WrappedSchedule:
         """Score a state (wrapped length) and record it if it ties or wins."""
@@ -118,6 +135,9 @@ def rotation_phase(
     that lap, ``R`` advancing by the lap's displacement each time round.
     The flat engine then replays the rest of the phase in one step,
     bit-identical; the naive path, the parity oracle, runs every rotation.
+
+    The phase returns early, at the offer that makes ``best.done`` hold
+    (the replay stops at that offer too).
     """
     with _obs.active.span("phase", size=size, beta=beta):
         current = size
@@ -126,6 +146,8 @@ def rotation_phase(
         seen: Dict[Tuple, int] = {}
         visited: List[RotationState] = []
         for it in range(beta):
+            if best.done:
+                break
             length = state.length
             while current >= length and current > 1:
                 current = (current + 1) // 2  # ceil(i/2)
@@ -167,19 +189,25 @@ def heuristic_1(
         cap: max number of tied-optimal schedules retained.
         engine: ``None`` shares one default-backend engine across phases,
             ``False`` runs cache-free, or pass a prebuilt engine.
-        tracker: the tracker to fill (default: a fresh ``BestTracker(cap)``;
-            the convergence sweep passes a recording one).
+        tracker: the tracker to fill (default: a fresh ``BestTracker(cap)``
+            bounded by :func:`search_bound`, so the search stops once its
+            entries are certified; a passed tracker keeps its own bound —
+            the convergence sweep passes an unbounded recording one).
     """
     if engine is None:
         engine = make_engine(None, graph, model, priority)
     initial = RotationState.initial(graph, model, priority, engine=engine)
-    best = tracker if tracker is not None else BestTracker(cap=cap)
+    best = tracker if tracker is not None else BestTracker(
+        cap=cap, bound=search_bound(graph, model)
+    )
     best.offer(initial)
     if beta is None:
         beta = max(8, 2 * graph.num_nodes)
     if sigma is None:
         sigma = max(1, initial.length - 1)
     for size in range(1, sigma + 1):
+        if best.done:
+            break
         rotation_phase(initial, size, beta, best)
     return best
 
@@ -204,7 +232,9 @@ def heuristic_2(
     if engine is None:
         engine = make_engine(None, graph, model, priority)
     state = RotationState.initial(graph, model, priority, engine=engine)
-    best = tracker if tracker is not None else BestTracker(cap=cap)
+    best = tracker if tracker is not None else BestTracker(
+        cap=cap, bound=search_bound(graph, model)
+    )
     best.offer(state)
     if beta is None:
         beta = max(8, 2 * graph.num_nodes)
@@ -212,12 +242,26 @@ def heuristic_2(
         sigma = max(1, state.length - 1)
     for size in range(sigma, 0, -1):
         state = rotation_phase(state, size, beta, best)
+        if best.done:
+            break
         # Re-seed the next phase from a fresh list schedule of G_R.
         state = RotationState.initial(
             graph, model, priority, retiming=state.retiming, engine=engine
         )
         best.offer(state)
     return best
+
+
+def search_bound(graph: DFG, model: ResourceModel) -> Optional[int]:
+    """The ``bound`` a heuristic gives its own tracker: the value of
+    :func:`~repro.bounds.lower_bounds.combined_lower_bound`, built from
+    ``ceil(IB)`` alone (no exact ratio, no cycle enumeration).  None when
+    a node has an explicit time: occupancy still uses the unit latency,
+    so the override-aware bound does not bound the scheduler's lengths."""
+    if any(graph.explicit_time(v) is not None for v in graph.nodes):
+        return None
+    ib = iteration_bound_ceil(graph, model.timing())
+    return max([ib, *resource_bound(graph, model).values()])
 
 
 HEURISTICS = {"h1": heuristic_1, "h2": heuristic_2}

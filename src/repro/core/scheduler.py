@@ -47,6 +47,10 @@ class RotationResult:
     #: session repair: the previous result's length).
     initial_length: int
     optimal_count: int
+    #: Rotations run (re-seeds included).  The default search stops once
+    #: its length meets the lower bound with ``cap`` ties held, since no
+    #: later rotation could change the result, so this is not fixed by
+    #: beta and sigma alone.
     rotations_performed: int
     #: Wall seconds from the start of the solve or repair through depth
     #: reduction (engine set-up, search and finish; not the caller's

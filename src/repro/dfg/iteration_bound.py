@@ -280,6 +280,24 @@ def iteration_bound(
 
 
 def iteration_bound_ceil(graph: DFG, timing: Optional[Timing] = None, method: str = "auto") -> int:
-    """The integer bound quoted in the paper's Table 1: ``ceil(IB)``."""
-    bound = iteration_bound(graph, timing, method)
-    return -(-bound.numerator // bound.denominator)
+    """The integer bound quoted in the paper's Table 1: ``ceil(IB)``.
+
+    ``"auto"`` never forms the exact ratio: ``ceil(IB)`` is the least
+    integer ``L`` that no cycle's ratio exceeds, found by bisecting over
+    the parametric probe (a handful of Bellman-Ford passes, no cycle
+    enumeration).  The other methods take the ceiling of
+    :func:`iteration_bound`.
+    """
+    if method != "auto":
+        bound = iteration_bound(graph, timing, method)
+        return -(-bound.numerator // bound.denominator)
+    topological_order(graph)  # zero-delay legality check
+    arrays = _constraint_arrays(graph, timing)
+    lo, hi = 0, sum(graph.time(v, timing) for v in graph.nodes)  # IB <= total time
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _arrays_have_cycle(arrays, Fraction(mid), strict=True):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo

@@ -15,7 +15,7 @@ of invariants the paper states (and the repo elsewhere only spot-checks):
 * **semantics** — the pipelined execution reproduces the sequential
   reference value streams bit-for-bit (:mod:`repro.sim`);
 * **parity** — the incremental engine and the recompute-everything path
-  produce identical schedules.
+  produce identical results: schedules, tie sets and rotation counts.
 
 Each oracle returns a list of :class:`OracleFailure` (empty = clean), so
 the fuzz runner can aggregate them per cell and the unit tests can aim
@@ -160,7 +160,10 @@ def check_semantics(
 def check_parity(
     engine: RotationResult, naive: RotationResult, label: str = ""
 ) -> List[OracleFailure]:
-    """Bit-parity of two scheduling outcomes (engine backend vs reference).
+    """Bit-parity of two scheduling outcomes (engine backend vs reference):
+    length, depth, start map and retiming, the tie count, the rotations
+    run (so a backend that stops its search elsewhere is caught) and each
+    alternate's start map, retiming and period.
 
     ``label`` names the pair under test (e.g. ``"flat vs naive"``) so a
     three-way backend comparison reports which backend diverged.
@@ -181,6 +184,14 @@ def check_parity(
         problems.append(
             f"retimings differ: {engine.retiming!r} != {naive.retiming!r}"
         )
+    for name in ("optimal_count", "rotations_performed"):
+        if getattr(engine, name) != getattr(naive, name):
+            problems.append(f"{name} {getattr(engine, name)} != {getattr(naive, name)}")
+    alts = [[(a.schedule.start_map, a.retiming, a.period) for a in r.alternates]
+            for r in (engine, naive)]
+    if alts[0] != alts[1]:
+        diverge = next((k for k, (a, b) in enumerate(zip(*alts)) if a != b), min(map(len, alts)))
+        problems.append(f"alternates diverge at #{diverge} ({len(alts[0])} vs {len(alts[1])})")
     prefix = f"{label}: " if label else ""
     return [OracleFailure("parity", prefix + p) for p in problems]
 

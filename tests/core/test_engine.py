@@ -7,9 +7,11 @@ import pytest
 
 from repro.dfg import io as dfg_io
 from repro.dfg.graph import DFG
+from repro.core.engine import make_engine
 from repro.core.flat import FlatEngine
+from repro.core.phases import BestTracker, heuristic_2
 from repro.core.rotation import RotationState
-from repro.core.scheduler import rotation_schedule
+from repro.core.scheduler import finish, rotation_schedule
 from repro.schedule.resources import ResourceModel
 from repro.suite import diffeq, elliptic
 from repro.errors import RotationError
@@ -124,7 +126,12 @@ class TestViewDerivation:
 
 class TestEngineStats:
     def test_h2_run_populates_counters(self):
-        result = rotation_schedule(elliptic(), ResourceModel.adders_mults(3, 2), "h2")
+        # The full search (an unbounded tracker): the certified stop ends
+        # this cell's default search before any rotation repeats.
+        graph, model = elliptic(), ResourceModel.adders_mults(3, 2)
+        engine = make_engine(None, graph, model, "descendants")
+        best = heuristic_2(graph, model, engine=engine, tracker=BestTracker())
+        result = finish(best, engine, graph, model, "h2", best.initial_length, 0.0)[0]
         stats = result.engine_stats
         assert stats["rotations"] > 0
         assert stats["view_builds"] >= 1

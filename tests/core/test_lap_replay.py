@@ -6,15 +6,21 @@ one step once the flat engine sees a pre-rotation state come round again
 keeps the literal loop — one rotation and one offer per step — and pins
 the replaying phase against it: the tracker's entries in order, its offer
 count, every phase's final state, and the full scheduling result.
+
+Each cell runs twice: the full search (an unbounded tracker), where most
+phases repeat a lap, and the default search, whose tracker carries the
+lower bound and stops once its entries are certified.  The literal loop
+applies the same stop, one offer at a time.
 """
 
 import pytest
 
 from repro.core import phases
+from repro.core.engine import make_engine
 from repro.core.flat import FlatEngine
-from repro.core.phases import BestTracker
+from repro.core.phases import BestTracker, search_bound
 from repro.core.rotation import RotationState
-from repro.core.scheduler import rotation_schedule
+from repro.core.scheduler import finish, rotation_schedule
 from repro.report import convergence
 from repro.schedule.resources import ResourceModel
 from repro.suite import BENCHMARKS
@@ -35,6 +41,8 @@ def literal_phase(state, size, beta, best):
     """The paper's ``RotationPhase`` run one rotation at a time."""
     current = size
     for _ in range(beta):
+        if best.done:
+            break
         length = state.length
         while current >= length and current > 1:
             current = (current + 1) // 2
@@ -61,32 +69,39 @@ def entry_bits(best):
     ]
 
 
-def solve(graph, model, heuristic, phase, monkeypatch):
-    """``rotation_schedule`` with ``phase`` as the rotation phase; returns
-    the result, the heuristic's tracker and every phase's final state."""
-    trackers, finals = [], []
+class Tracker(BestTracker):
+    """Notes whether a lap replay ended the search (a replay counts its
+    offers after admitting its ties)."""
 
-    class Tracker(BestTracker):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            trackers.append(self)
+    replay_stopped = False
+
+    def replayed(self, count):
+        super().replayed(count)
+        self.replay_stopped |= self.done
+
+
+def solve(graph, model, heuristic, phase, monkeypatch, bounded):
+    """``heuristic`` with ``phase`` as the rotation phase, then the
+    scheduler's ``finish``; returns the result, the tracker and every
+    phase's final state.  The tracker is unbounded (the full search)
+    unless ``bounded`` gives it the default search's bound."""
+    finals = []
 
     def recording_phase(state, size, beta, best):
         out = phase(state, size, beta, best)
         finals.append(out)
         return out
 
+    engine = make_engine(None, graph, model, "descendants")
+    best = Tracker(bound=search_bound(graph, model) if bounded else None)
     with monkeypatch.context() as m:
-        m.setattr(phases, "BestTracker", Tracker)
         m.setattr(phases, "rotation_phase", recording_phase)
-        result = rotation_schedule(graph, model, heuristic=heuristic)
-    (best,) = trackers
+        phases.HEURISTICS[heuristic](graph, model, engine=engine, tracker=best)
+    result = finish(best, engine, graph, model, heuristic, best.initial_length, 0.0)[0]
     return result, best, finals
 
 
-def assert_same_search(graph, model, heuristic, monkeypatch):
-    ref, ref_best, ref_finals = solve(graph, model, heuristic, literal_phase, monkeypatch)
-    got, best, finals = solve(graph, model, heuristic, REPLAYING_PHASE, monkeypatch)
+def same_result(got, ref):
     assert got.length == ref.length
     assert got.schedule.start_map == ref.schedule.start_map
     assert got.retiming == ref.retiming
@@ -95,6 +110,15 @@ def assert_same_search(graph, model, heuristic, monkeypatch):
     assert [(a.schedule.start_map, a.retiming) for a in got.alternates] == [
         (a.schedule.start_map, a.retiming) for a in ref.alternates
     ]
+
+
+def assert_same_search(graph, model, heuristic, monkeypatch, bounded=False):
+    args = (graph, model, heuristic)
+    ref, ref_best, ref_finals = solve(*args, literal_phase, monkeypatch, bounded)
+    got, best, finals = solve(*args, REPLAYING_PHASE, monkeypatch, bounded)
+    same_result(got, ref)
+    if bounded:  # the default search, as rotation_schedule runs it
+        same_result(got, rotation_schedule(*args))
     assert best.offers == ref_best.offers
     assert best.length == ref_best.length
     assert entry_bits(best) == entry_bits(ref_best)
@@ -108,17 +132,36 @@ def assert_same_search(graph, model, heuristic, monkeypatch):
         extras["rotation_memo_hits"] + extras["rotation_memo_misses"]
         + extras["rotations_replayed"]
     ) == stats["counters"]["rotations"]
-    return extras
+    return extras, best
 
 
 @pytest.mark.parametrize("heuristic", ["h1", "h2"])
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("bench", sorted(BENCHMARKS))
 def test_paper_cells_replay_like_the_literal_loop(bench, config, heuristic, monkeypatch):
-    extras = assert_same_search(
+    extras, _ = assert_same_search(
         BENCHMARKS[bench].build(), CONFIGS[config], heuristic, monkeypatch
     )
     assert extras["lap_replays"] > 0
+
+
+@pytest.mark.parametrize("heuristic", ["h1", "h2"])
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("bench", sorted(BENCHMARKS))
+def test_stopped_paper_cells_replay_like_the_literal_loop(bench, config, heuristic, monkeypatch):
+    assert_same_search(
+        BENCHMARKS[bench].build(), CONFIGS[config], heuristic, monkeypatch, bounded=True
+    )
+
+
+def test_a_replay_can_end_the_search(monkeypatch):
+    """The replay stops at the tie that fills the cap at the bound, and
+    counts only the offers up to it."""
+    extras, best = assert_same_search(
+        BENCHMARKS["allpole"].build(), CONFIGS["3A2M"], "h1", monkeypatch, bounded=True
+    )
+    assert best.done and best.replay_stopped
+    assert extras["rotations_replayed"] > 0
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -126,7 +169,8 @@ def test_random_graphs_replay_like_the_literal_loop(seed, monkeypatch):
     graph = random_dfg(10 + 3 * seed, seed=seed)
     config = sorted(CONFIGS)[seed % len(CONFIGS)]
     for heuristic in ("h1", "h2"):
-        assert_same_search(graph, CONFIGS[config], heuristic, monkeypatch)
+        for bounded in (False, True):
+            assert_same_search(graph, CONFIGS[config], heuristic, monkeypatch, bounded)
 
 
 def test_cap_filling_mid_replay():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dfg import Timing, critical_path_length, iteration_bound
 from repro.dfg.iteration_bound import (
+    iteration_bound_ceil,
     iteration_bound_enumerate,
     iteration_bound_parametric,
 )
@@ -23,6 +24,16 @@ class TestIterationBoundProps:
         assert iteration_bound_enumerate(g, timing) == iteration_bound_parametric(
             g, timing
         )
+
+    @given(graph_seeds, st.integers(4, 24))
+    @settings(max_examples=40, deadline=None)
+    def test_bisected_ceiling_equals_ceiling_of_exact_bound(self, seed, n):
+        """The default ``iteration_bound_ceil`` bisects for ``ceil(IB)``
+        without forming the exact ratio; it must round it exactly."""
+        g = random_dfg(n, seed=seed)
+        exact = iteration_bound_enumerate(g, timing)
+        assert iteration_bound_ceil(g, timing) == -(-exact.numerator // exact.denominator)
+        assert iteration_bound_ceil(g, timing) == iteration_bound_ceil(g, timing, "enumerate")
 
     @given(graph_seeds)
     @settings(max_examples=30, deadline=None)

@@ -33,7 +33,7 @@ from repro.schedule.verify import (
     realizing_retiming,
 )
 from repro.bounds.lower_bounds import resource_bound
-from repro.dfg.iteration_bound import iteration_bound
+from repro.dfg.iteration_bound import iteration_bound_ceil
 from repro.errors import SchedulingError
 
 
@@ -70,8 +70,7 @@ class ModuloResult:
 def min_initiation_interval(graph: DFG, model: ResourceModel) -> int:
     """``max(ResMII, RecMII)``."""
     res_mii = max(resource_bound(graph, model).values(), default=1)
-    ib = iteration_bound(graph, model.timing())
-    rec_mii = -(-ib.numerator // ib.denominator)
+    rec_mii = iteration_bound_ceil(graph, model.timing())
     return max(1, res_mii, rec_mii)
 
 

@@ -23,7 +23,7 @@ from typing import Dict, Optional
 from repro.dfg.graph import DFG, NodeId, Timing
 from repro.dfg.retiming import Retiming
 from repro.dfg.analysis import critical_path_length, topological_order, retimed_delay
-from repro.dfg.iteration_bound import iteration_bound
+from repro.dfg.iteration_bound import iteration_bound_ceil
 from repro.schedule.resources import ResourceModel
 from repro.schedule.schedule import Schedule
 from repro.schedule.list_scheduler import full_schedule
@@ -91,9 +91,8 @@ def feas_retiming(
 def min_period_retiming(graph: DFG, timing: Optional[Timing] = None) -> Retiming:
     """Binary search over periods with FEAS — minimal-CP retiming."""
     hi = critical_path_length(graph, timing)
-    ib = iteration_bound(graph, timing)
     lo = max(
-        -(-ib.numerator // ib.denominator),
+        iteration_bound_ceil(graph, timing),
         max(graph.time(v, timing) for v in graph.nodes),
     )
     best: Optional[Retiming] = feas_retiming(graph, hi, timing)

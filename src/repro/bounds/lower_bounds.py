@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, Optional
 
 from repro.dfg.graph import DFG, Timing
-from repro.dfg.iteration_bound import iteration_bound
+from repro.dfg.iteration_bound import fraction_ceil, iteration_bound
 from repro.schedule.resources import ResourceModel
 
 
@@ -38,7 +38,7 @@ class LowerBoundReport:
     @property
     def binding(self) -> str:
         """Which constraint is binding (``"cycles"`` or a unit-class name)."""
-        ib_ceil = -(-self.iteration_bound.numerator // self.iteration_bound.denominator)
+        ib_ceil = fraction_ceil(self.iteration_bound)
         best_unit = max(self.resource_bounds, key=self.resource_bounds.get, default="")
         if ib_ceil >= self.resource_bounds.get(best_unit, 0):
             return "cycles"
@@ -71,8 +71,7 @@ def combined_lower_bound(
     tm = timing if timing is not None else model.timing()
     ib = iteration_bound(graph, tm)
     rb = resource_bound(graph, model)
-    ib_ceil = -(-ib.numerator // ib.denominator)
-    combined = max([ib_ceil, *rb.values()])
+    combined = max([fraction_ceil(ib), *rb.values()])
     return LowerBoundReport(iteration_bound=ib, resource_bounds=rb, combined=combined)
 
 

@@ -275,7 +275,7 @@ class FlatEngine:
         # metrics schema (repro.obs.metrics) — they have no counterpart in
         # the shared EngineStats semantics.
         self._extras: Dict[str, int] = dict.fromkeys((
-            "chain_tip_reuses", "wrap_interval_collapses", "rotation_memo_hits",
+            "chain_tip_reuses", "rotation_memo_hits",
             "rotation_memo_misses", "wrap_memo_hits", "initial_memo_hits",
             "struct_view_builds", "lap_replays", "rotations_replayed",
         ), 0)
@@ -608,7 +608,7 @@ class FlatEngine:
             )
 
     def _wrap_period(self, starts, dr) -> int:
-        return flat_wrap_period(self.fg, self.fm, starts, dr, self._extras)
+        return flat_wrap_period(self.fg, self.fm, starts, dr)
 
     # -- engine-backed RotationState operations ------------------------
     def initial_state(self, retiming: Optional[Retiming] = None):

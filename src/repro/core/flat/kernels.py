@@ -601,9 +601,7 @@ def flat_latest_fit(
 # ----------------------------------------------------------------------
 # kernel 5: the wrap() period search
 # ----------------------------------------------------------------------
-def flat_wrap_period(
-    fg, fm, starts: Sequence[int], dr: Sequence[int], extras: Optional[dict] = None
-) -> int:
+def flat_wrap_period(fg, fm, starts: Sequence[int], dr: Sequence[int]) -> int:
     """Minimum modulo-legal period of a *normalized* start vector.
 
     Exact mirror of :func:`repro.core.wrapping.wrap`'s search: periods
@@ -611,11 +609,6 @@ def flat_wrap_period(
     the plain span; first period with no resource slot over-subscribed
     modulo the period and every precedence ``finish(src) <= start(dst) +
     period * dr(e)`` satisfied wins.
-
-    ``extras`` (a counter dict, e.g. the flat engine's backend extras)
-    receives ``wrap_interval_collapses`` increments when a violated
-    ``dr == 0`` precedence collapses the feasible interval to empty —
-    observability only, never affects the result.
     """
     n = fg.n
     lat = fm.node_latency
@@ -657,10 +650,6 @@ def flat_wrap_period(
                 hi = cap_p
         elif gap > 0:
             hi = lo - 1
-            if extras is not None:
-                extras["wrap_interval_collapses"] = (
-                    extras.get("wrap_interval_collapses", 0) + 1
-                )
             break
     nunits = len(caps)
     # Slot counters never exceed the instance cap before the candidate is

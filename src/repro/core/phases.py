@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.bounds.lower_bounds import resource_bound
+from repro.bounds.lower_bounds import combined_lower_bound
 from repro.dfg.graph import DFG
-from repro.dfg.iteration_bound import iteration_bound_ceil
 from repro.schedule.resources import ResourceModel
 from repro.core.engine import make_engine
 from repro.core.rotation import RotationState
@@ -254,14 +253,12 @@ def heuristic_2(
 
 def search_bound(graph: DFG, model: ResourceModel) -> Optional[int]:
     """The ``bound`` a heuristic gives its own tracker: the value of
-    :func:`~repro.bounds.lower_bounds.combined_lower_bound`, built from
-    ``ceil(IB)`` alone (no exact ratio, no cycle enumeration).  None when
-    a node has an explicit time: occupancy still uses the unit latency,
-    so the override-aware bound does not bound the scheduler's lengths."""
+    :func:`~repro.bounds.lower_bounds.combined_lower_bound`.  None when a
+    node has an explicit time: occupancy still uses the unit latency, so
+    the override-aware bound does not bound the scheduler's lengths."""
     if any(graph.explicit_time(v) is not None for v in graph.nodes):
         return None
-    ib = iteration_bound_ceil(graph, model.timing())
-    return max([ib, *resource_bound(graph, model).values()])
+    return combined_lower_bound(graph, model).combined
 
 
 HEURISTICS = {"h1": heuristic_1, "h2": heuristic_2}

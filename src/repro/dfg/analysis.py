@@ -342,29 +342,3 @@ def roots(graph: DFG, r: Optional[Retiming] = None) -> List[NodeId]:
 def leaves(graph: DFG, r: Optional[Retiming] = None) -> List[NodeId]:
     """Nodes with no zero-delay out-edges."""
     return [v for v in graph.nodes if not zero_delay_successors(graph, v, r)]
-
-
-def simple_cycles(graph: DFG) -> List[List[NodeId]]:
-    """All simple cycles of the full (delayed) graph, via networkx.
-
-    Only intended for the small benchmark graphs; the iteration bound has a
-    polynomial path that avoids enumeration.
-    """
-    import networkx as nx
-
-    g = nx.DiGraph()
-    g.add_nodes_from(graph.nodes)
-    for e in graph.edges:
-        g.add_edge(e.src, e.dst)
-    return [list(c) for c in nx.simple_cycles(g)]
-
-
-def strongly_connected_components(graph: DFG) -> List[List[NodeId]]:
-    """SCCs of the full graph (nontrivial SCCs are where cycles live)."""
-    import networkx as nx
-
-    g = nx.DiGraph()
-    g.add_nodes_from(graph.nodes)
-    for e in graph.edges:
-        g.add_edge(e.src, e.dst)
-    return [sorted(c, key=str) for c in nx.strongly_connected_components(g)]

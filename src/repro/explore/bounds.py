@@ -40,8 +40,8 @@ from repro.dfg.unfold import fold_node
 from repro.bounds.lower_bounds import combined_lower_bound
 from repro.explore.space import CellSpec, Point, cell_cost, cell_graph, cell_model
 
-#: Above this node count only the critical cycle feeds the register
-#: bound (same cutoff as ``iteration_bound(method="auto")``).
+#: The explorer's own cutoff: above this node count only the critical
+#: cycle feeds the register bound (the period bound never enumerates).
 ENUMERATE_LIMIT = 60
 
 

@@ -47,6 +47,7 @@ measures the speedup against.
 
 from __future__ import annotations
 
+import gc
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -306,7 +307,12 @@ def _lane_worker(
 ) -> _Lane:
     """One lane in a worker process, on its own solver; outcomes travel
     back without their :class:`~repro.core.scheduler.RotationResult`,
-    and with ``traced`` the lane's spans travel back on a fresh tracer."""
+    and with ``traced`` the lane's spans travel back on a fresh tracer.
+
+    The heap inherited at fork is frozen first: every full collection in
+    the lane would otherwise rescan all of it (30–40 ms a time on the
+    headline grid), landing in whichever cell crosses the threshold."""
+    gc.freeze()
     with _obs.tracing() if traced else nullcontext() as tracer:
         lane = _run_lane(items, "explore", round_size, _solver("explore", backend, None))
     lane.outcomes = {idx: o.strip() for idx, o in lane.outcomes.items()}

@@ -1,4 +1,4 @@
-"""Unit tests for the iteration bound (both algorithms)."""
+"""Unit tests for the iteration bound, against cycle enumeration."""
 
 import importlib
 from fractions import Fraction
@@ -6,9 +6,32 @@ from fractions import Fraction
 import pytest
 
 from repro.dfg import DFG, Timing, critical_cycle, cycle_ratios, iteration_bound, iteration_bound_ceil
-from repro.dfg.iteration_bound import iteration_bound_enumerate, iteration_bound_parametric
 from repro.suite import all_benchmarks, PAPER_TIMING
 from repro.errors import ZeroDelayCycleError
+
+
+def enumerated_bound(g, timing=None):
+    """The reference bound: the largest enumerated cycle ratio (0 when
+    the graph is acyclic)."""
+    return max((r for r, _ in cycle_ratios(g, timing)), default=Fraction(0))
+
+
+#: the two ways to the bound that must agree: enumeration, and the
+#: parametric routine (cycle improvement on weights ``p*d(e) - q*t(src)``)
+ALGORITHMS = {"enumerate": enumerated_bound, "parametric": iteration_bound}
+
+
+def _ib_mod():
+    return importlib.import_module("repro.dfg.iteration_bound")
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``repro.dfg.iteration_bound.<name>`` to count its calls."""
+    ib_mod = _ib_mod()
+    calls = []
+    real = getattr(ib_mod, name)
+    monkeypatch.setattr(ib_mod, name, lambda *a: calls.append(1) or real(*a))
+    return calls
 
 
 class TestSmallGraphs:
@@ -34,7 +57,8 @@ class TestSmallGraphs:
 
     def test_acyclic_graph_bound_zero(self, diamond):
         assert iteration_bound(diamond, Timing.unit()) == 0
-        assert iteration_bound_parametric(diamond, Timing.unit()) == 0
+        assert iteration_bound_ceil(diamond, Timing.unit()) == 0
+        assert iteration_bound(DFG("empty")) == 0
 
     def test_zero_delay_cycle_rejected(self):
         g = DFG()
@@ -67,11 +91,11 @@ class TestSmallGraphs:
 
 
 class TestAlgorithmsAgree:
-    @pytest.mark.parametrize("method", ["enumerate", "parametric"])
+    @pytest.mark.parametrize("method", list(ALGORITHMS))
     def test_benchmarks(self, method):
         expected = {"elliptic": 16, "diffeq": 6, "lattice": 2, "allpole": 8, "biquad": 4}
         for g in all_benchmarks():
-            bound = iteration_bound(g, PAPER_TIMING, method=method)
+            bound = ALGORITHMS[method](g, PAPER_TIMING)
             assert bound == expected[g.name], g.name
 
     def test_agreement_on_random_graphs(self):
@@ -80,12 +104,10 @@ class TestAlgorithmsAgree:
         timing = Timing({"add": 1, "mul": 2})
         for seed in range(8):
             g = random_dfg(16, seed=seed, forward_density=0.2, backward_density=0.12)
-            assert iteration_bound_enumerate(g, timing) == iteration_bound_parametric(
-                g, timing
-            ), f"seed {seed}"
+            assert enumerated_bound(g, timing) == iteration_bound(g, timing), f"seed {seed}"
 
     def test_exact_rational_snap(self):
-        # bound 7/3 must come back exactly, not as a float approximation
+        # bound 5/2 must come back exactly, not as a float approximation
         g = DFG()
         for n in "abc":
             g.add_node(n, "add")
@@ -97,55 +119,48 @@ class TestAlgorithmsAgree:
         g.add_edge("m", "a", 2)
         timing = Timing({"add": 1, "mul": 4})
         # cycles: (1+1+1)/3 = 1; (1+4)/2 = 5/2
-        assert iteration_bound_parametric(g, timing) == Fraction(5, 2)
+        bound = iteration_bound(g, timing)
+        assert type(bound) is Fraction
+        assert (bound.numerator, bound.denominator) == (5, 2)
 
     def test_parametric_compiles_arrays_once(self, monkeypatch):
-        # The constraint-graph columns are built a single time and reused
-        # by every binary-search / snap probe; pin both the reuse and the
-        # exact rational the probes converge to.
-        import importlib
-
+        # The edge columns are compiled a single time and every
+        # Bellman-Ford round of the cycle improvement runs on them; pin
+        # both the reuse and the exact rational the rounds converge to.
         from repro.suite import random_dfg
 
-        ib_mod = importlib.import_module("repro.dfg.iteration_bound")
-
-        builds = []
-        probes = []
-        real_build = ib_mod._constraint_arrays
-        real_probe = ib_mod._arrays_have_cycle
-        monkeypatch.setattr(
-            ib_mod,
-            "_constraint_arrays",
-            lambda g, t: builds.append(1) or real_build(g, t),
-        )
-        monkeypatch.setattr(
-            ib_mod,
-            "_arrays_have_cycle",
-            lambda a, lam, strict: probes.append(1) or real_probe(a, lam, strict),
-        )
+        compiles = _count_calls(monkeypatch, "topological_order")
+        rounds = _count_calls(monkeypatch, "_beating_cycle")
         g = random_dfg(16, seed=8, forward_density=0.2, backward_density=0.12)
-        assert ib_mod.iteration_bound_parametric(g, Timing.unit()) == Fraction(7, 2)
-        assert len(builds) == 1
-        assert len(probes) > 40  # the whole search ran on the one snapshot
+        assert iteration_bound(g, Timing.unit()) == Fraction(7, 2)
+        assert len(compiles) == 1
+        # at least one improving round, and the round that proves no
+        # cycle beats 7/2
+        assert 2 <= len(rounds) <= g.num_edges
 
     def test_parametric_pins_paper_table1_elliptic(self):
         # Table 1's elliptic bound is exactly the integer 16 under the
         # paper timing — the rational comes back as 16/1, not 15.999...
+        # The 68-node unfolding, past the cutoff where the bound used to
+        # switch algorithms, scales it exactly.
+        from repro.dfg import unfold
         from repro.suite import BENCHMARKS
 
-        bound = iteration_bound_parametric(
-            BENCHMARKS["elliptic"].build(), PAPER_TIMING
-        )
-        assert bound == Fraction(16, 1)
+        graph = BENCHMARKS["elliptic"].build()
+        bound = iteration_bound(graph, PAPER_TIMING)
         assert (bound.numerator, bound.denominator) == (16, 1)
+        unfolded = unfold(graph, 2)
+        assert unfolded.num_nodes == 68
+        assert iteration_bound(unfolded, PAPER_TIMING) == Fraction(32, 1)
 
 
 class TestArraysCacheEpoch:
-    """The parametric bound's compiled-arrays memo must die with its epoch.
+    """The bound's memo (edge columns plus one answer per node-time
+    vector) must die with its epoch.
 
-    The memo is keyed per (graph, timing, epoch): an in-place mutation
+    The memo is keyed per (graph, epoch, node times): an in-place mutation
     (DFG versioned-mutation protocol) bumps the epoch, and the next bound
-    query must recompile rather than probe stale delay/time columns.
+    query must recompile rather than reuse stale delay columns or answers.
     """
 
     def test_mutation_invalidates_compiled_arrays(self):
@@ -155,18 +170,15 @@ class TestArraysCacheEpoch:
         g.add_edge("a", "m", 0)
         back = g.add_edge("m", "a", 2)
         timing = Timing({"add": 1, "mul": 4})
-        assert iteration_bound_parametric(g, timing) == Fraction(5, 2)
-        # Halve the delay budget on the cycle: the bound must double-check
-        # against the *new* arrays, not the memoized ones.
+        assert iteration_bound(g, timing) == Fraction(5, 2)
+        # Halve the delay budget on the cycle: the bound must be computed
+        # on the *new* columns, not answered from the memo.
         g.set_delay(back, 1)
-        assert iteration_bound_parametric(g, timing) == Fraction(5, 1)
+        assert iteration_bound(g, timing) == Fraction(5, 1)
         g.set_delay(back, 2)
-        assert iteration_bound_parametric(g, timing) == Fraction(5, 2)
+        assert iteration_bound(g, timing) == Fraction(5, 2)
 
     def test_unchanged_graph_reuses_arrays_across_calls(self, monkeypatch):
-        import importlib
-
-        ib_mod = importlib.import_module("repro.dfg.iteration_bound")
         g = DFG("reuse")
         g.add_node("a", "add")
         g.add_node("m", "mul")
@@ -174,20 +186,41 @@ class TestArraysCacheEpoch:
         eid = g.add_edge("m", "a", 1)
         timing = Timing({"add": 1, "mul": 2})
 
-        compiles = []
-        real_loop = ib_mod._compile_constraint_arrays
-        monkeypatch.setattr(
-            ib_mod,
-            "_compile_constraint_arrays",
-            lambda graph, t: compiles.append(1) or real_loop(graph, t),
-        )
-        first = ib_mod.iteration_bound_parametric(g, timing)
-        second = ib_mod.iteration_bound_parametric(g, timing)
+        compiles = _count_calls(monkeypatch, "topological_order")
+        solves = _count_calls(monkeypatch, "_max_cycle_ratio")
+        first = iteration_bound(g, timing)
+        second = iteration_bound(g, timing)
         assert first == second == Fraction(3, 1)
-        assert len(compiles) == 1  # second call hit the epoch-keyed memo
+        assert (len(compiles), len(solves)) == (1, 1)  # second call hit the memo
+        assert iteration_bound(g, Timing({"add": 1, "mul": 5})) == Fraction(6, 1)
+        assert (len(compiles), len(solves)) == (1, 2)  # new times, same columns
         g.set_delay(eid, 3)
-        assert ib_mod.iteration_bound_parametric(g, timing) == Fraction(1, 1)
-        assert len(compiles) == 2  # epoch bump forced a recompile
+        assert iteration_bound(g, timing) == Fraction(1, 1)
+        assert (len(compiles), len(solves)) == (2, 3)  # epoch bump forced a recompile
+
+    def test_fresh_equal_timing_hits_the_memo(self, monkeypatch):
+        # ResourceModel.timing() builds a new Timing on every call; the
+        # memo is keyed by the node times' value, so a thousand certified
+        # -stop bounds on one graph leave one answer and compute it once.
+        from repro.core.phases import search_bound
+        from repro.schedule.resources import ResourceModel
+        from repro.suite import elliptic
+
+        g = elliptic()
+        model = ResourceModel.adders_mults(3, 2)
+        solves = _count_calls(monkeypatch, "_max_cycle_ratio")
+        assert {search_bound(g, model) for _ in range(1000)} == {16}
+        assert len(solves) == 1
+        assert len(_ib_mod()._COLUMNS[g][-1]) == 1
+        # an epoch bump (delay edit, new edge) still recomputes
+        back = next(e for e in g.edges if e.delay > 0)
+        g.set_delay(back, back.delay + 1)
+        search_bound(g, model)
+        assert len(solves) == 2
+        g.add_edge(g.nodes[0], g.nodes[1], 1)
+        search_bound(g, model)
+        assert len(solves) == 3
+        assert len(_ib_mod()._COLUMNS[g][-1]) == 1
 
     def test_structural_mutations_also_invalidate(self):
         g = DFG("grow")
@@ -196,11 +229,11 @@ class TestArraysCacheEpoch:
         g.add_edge("a", "b", 0)
         g.add_edge("b", "a", 2)
         timing = Timing({"add": 1})
-        assert iteration_bound_parametric(g, timing) == Fraction(1, 1)
+        assert iteration_bound(g, timing) == Fraction(1, 1)
         g.add_node("c", "add")
         g.add_edge("b", "c", 0)
         g.add_edge("c", "a", 1)  # new cycle: 3 time / 1 delay
-        assert iteration_bound_parametric(g, timing) == Fraction(3, 1)
+        assert iteration_bound(g, timing) == Fraction(3, 1)
 
     def test_session_edit_then_bound_sees_fresh_value(self):
         # The end-to-end shape the serve warm path relies on: a session
@@ -214,14 +247,14 @@ class TestArraysCacheEpoch:
             g, ResourceModel.adders_mults(2, 1), copy_graph=False
         )
         timing = Timing({"add": 1, "mul": 2})
-        before = iteration_bound_parametric(g, timing)
+        before = iteration_bound(g, timing)
         e = next(e for e in g.edges if e.delay > 0)
         session.apply_edit({"edit": "set_delay", "src": e.src, "dst": e.dst,
                            "delay": e.delay + 4})
         session.resolve()
-        after = iteration_bound_parametric(g, timing)
-        fresh = iteration_bound_parametric(g.copy(), timing)
-        assert after == fresh
+        after = iteration_bound(g, timing)
+        fresh = iteration_bound(g.copy(), timing)
+        assert after == fresh == enumerated_bound(g, timing)
         assert before != after  # the extra registers loosened the bound
 
 
@@ -239,10 +272,10 @@ class TestCycleCache:
 
     @staticmethod
     def _uncached(g, timing):
-        ib_mod = importlib.import_module("repro.dfg.iteration_bound")
+        ib_mod = _ib_mod()
         ib_mod._CYCLES_CACHE.pop(g, None)
         out = (
-            iteration_bound_enumerate(g, timing),
+            enumerated_bound(g, timing),
             sorted(cycle_ratios(g, timing)),
             critical_cycle(g, timing),
         )
@@ -251,22 +284,22 @@ class TestCycleCache:
 
     def test_cached_equals_uncached_on_paper_graphs(self):
         for g in all_benchmarks():
-            iteration_bound_enumerate(g, PAPER_TIMING)  # warm the cache
+            enumerated_bound(g, PAPER_TIMING)  # warm the cache
             for timing in self.TIMINGS:
                 cached = (
-                    iteration_bound_enumerate(g, timing),
+                    enumerated_bound(g, timing),
                     sorted(cycle_ratios(g, timing)),
                     critical_cycle(g, timing),
                 )
                 assert cached == self._uncached(g, timing), (g.name, timing)
-                assert cached[0] == iteration_bound_parametric(g, timing), g.name
-                iteration_bound_enumerate(g, PAPER_TIMING)  # re-warm
+                assert cached[0] == iteration_bound(g, timing), g.name
+                enumerated_bound(g, PAPER_TIMING)  # re-warm
 
     def test_one_enumeration_serves_every_timing(self, monkeypatch):
         from repro.explore.bounds import register_lower_bound
         from repro.suite import elliptic
 
-        ib_mod = importlib.import_module("repro.dfg.iteration_bound")
+        ib_mod = _ib_mod()
         calls = []
         real = ib_mod._cycle_digraph
         monkeypatch.setattr(ib_mod, "_cycle_digraph", lambda g: calls.append(1) or real(g))
@@ -289,4 +322,4 @@ class TestCycleCache:
         after = cycle_ratios(g, PAPER_TIMING)
         assert len(after) > len(before)
         assert sorted(after) == sorted(cycle_ratios(g.copy(), PAPER_TIMING))
-        assert iteration_bound(g, PAPER_TIMING) == iteration_bound_parametric(g, PAPER_TIMING)
+        assert iteration_bound(g, PAPER_TIMING) == enumerated_bound(g, PAPER_TIMING)

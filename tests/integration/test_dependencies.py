@@ -1,4 +1,5 @@
-"""Dependency footprint: the serve and explore paths never import numpy.
+"""Dependency footprint: the serve and explore paths never import numpy,
+and the lower bound never imports networkx.
 
 Every serve worker and explore process is a fresh interpreter, so one
 stray import costs each of them its resident memory.  The check runs in
@@ -36,15 +37,48 @@ print("numpy" in sys.modules)
 """
 
 
-def test_serve_cohort_and_explore_never_import_numpy():
+def run_fresh(script: str) -> str:
+    """Run ``script`` in a fresh interpreter on this checkout; its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_serve_cohort_and_explore_never_import_numpy():
+    assert run_fresh(SCRIPT) == "False"
+
+
+BOUNDS_SCRIPT = """
+import sys
+
+from repro.baselines.modulo import min_initiation_interval
+from repro.bounds import combined_lower_bound
+from repro.core.phases import search_bound
+from repro.qa.oracles import check_lower_bound
+from repro.schedule.resources import ResourceModel
+from repro.suite import all_benchmarks
+
+model = ResourceModel.adders_mults(2, 1)
+for graph in all_benchmarks():
+    lb = combined_lower_bound(graph, model).combined
+    assert check_lower_bound(graph, model, lb) == [], graph.name
+    assert search_bound(graph, model) == lb, graph.name
+    assert min_initiation_interval(graph, model) == lb, graph.name
+
+print("networkx" in sys.modules)
+"""
+
+
+def test_every_bound_in_a_solve_leaves_networkx_unimported():
+    """The lower bound runs inside every solve (the certified stop), the
+    QA oracle and the modulo baseline; none of them may pull in networkx,
+    which costs each serve worker its resident memory."""
+    assert run_fresh(BOUNDS_SCRIPT) == "False"

@@ -2,7 +2,8 @@
 
 Table 1 is pinned exactly in ``tests/suite/test_benchmarks.py``; here we
 re-run the scheduling experiments behind Tables 2 and 3, and check
-Table 2's "our LB" column in EXPERIMENTS.md against the live bound.  Expected values
+EXPERIMENTS.md's Table 1 "measured" column against the live graphs and
+Table 2's "our LB" column against the live bound.  Expected values
 are the paper's RS column except for the two documented deviations (see
 EXPERIMENTS.md):
 
@@ -21,7 +22,8 @@ from repro.bounds import combined_lower_bound
 from repro.cli import parse_config
 from repro.schedule import ResourceModel
 from repro.core import rotation_schedule
-from repro.suite import elliptic, get_benchmark
+from repro.dfg import critical_path_length, iteration_bound_ceil
+from repro.suite import PAPER_TIMING, all_benchmarks, elliptic, get_benchmark
 
 EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 
@@ -92,6 +94,31 @@ class TestTable2:
         model = ResourceModel.adders_mults(3, 3)
         res = rotation_schedule(get_benchmark("elliptic"), model)
         assert res.depth <= 3
+
+
+class TestTable1Doc:
+    def test_measured_column_is_the_live_graph(self):
+        """Every row of EXPERIMENTS.md's Table 1 quotes, as "measured",
+        exactly the live graph's mults / adds / CP / IB, in Table 1 order."""
+        section = EXPERIMENTS_MD.read_text().split("## Table 1", 1)[1].split("\n## ", 1)[0]
+        rows = [
+            [c.strip() for c in line.strip().strip("|").split("|")]
+            for line in section.splitlines()
+            if line.startswith("|")
+        ]
+        header, body = rows[0], rows[2:]
+        col = header.index("measured")
+        quoted = [tuple(int(x) for x in r[col].split("/")) for r in body]
+        live = []
+        for graph in all_benchmarks():
+            mults = graph.ops_histogram().get("mul", 0)
+            live.append((
+                mults,
+                graph.num_nodes - mults,
+                critical_path_length(graph, PAPER_TIMING),
+                iteration_bound_ceil(graph, PAPER_TIMING),
+            ))
+        assert quoted == live
 
 
 class TestTable2Doc:

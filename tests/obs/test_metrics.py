@@ -73,8 +73,7 @@ class TestEngineMetrics:
         # views and lap replay
         extras = snap["extras"]
         assert set(extras) == {
-            "chain_tip_reuses", "wrap_interval_collapses",
-            "rotation_memo_hits", "rotation_memo_misses", "wrap_memo_hits",
+            "chain_tip_reuses", "rotation_memo_hits", "rotation_memo_misses", "wrap_memo_hits",
             "initial_memo_hits", "struct_view_builds",
             "lap_replays", "rotations_replayed",
         }

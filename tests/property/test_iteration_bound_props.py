@@ -1,39 +1,40 @@
 """Property-based tests for the iteration bound."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from repro.dfg import Timing, critical_path_length, iteration_bound
-from repro.dfg.iteration_bound import (
-    iteration_bound_ceil,
-    iteration_bound_enumerate,
-    iteration_bound_parametric,
-)
+from repro.dfg import Timing, critical_path_length, cycle_ratios, iteration_bound
+from repro.dfg.iteration_bound import iteration_bound_ceil
 from repro.suite import random_chain_loop, random_dfg
 
 graph_seeds = st.integers(0, 10_000)
 timing = Timing({"add": 1, "mul": 2})
 
 
+def enumerated_bound(g, t):
+    """The reference: the largest enumerated cycle ratio (0 if acyclic)."""
+    return max((r for r, _ in cycle_ratios(g, t)), default=Fraction(0))
+
+
 class TestIterationBoundProps:
     @given(graph_seeds)
     @settings(max_examples=40, deadline=None)
     def test_enumerate_equals_parametric(self, seed):
+        """The cycle-improvement routine (parametric weights
+        ``p*d(e) - q*t(src)``) finds the largest enumerated ratio, under
+        the op timing and under per-node times."""
         g = random_dfg(12, seed=seed)
-        assert iteration_bound_enumerate(g, timing) == iteration_bound_parametric(
-            g, timing
-        )
+        assert iteration_bound(g, timing) == enumerated_bound(g, timing)
+        assert iteration_bound(g, Timing.unit()) == enumerated_bound(g, Timing.unit())
 
     @given(graph_seeds, st.integers(4, 24))
     @settings(max_examples=40, deadline=None)
-    def test_bisected_ceiling_equals_ceiling_of_exact_bound(self, seed, n):
-        """The default ``iteration_bound_ceil`` bisects for ``ceil(IB)``
-        without forming the exact ratio; it must round it exactly."""
+    def test_ceiling_of_exact_bound(self, seed, n):
+        """``iteration_bound_ceil`` rounds the exact bound up, exactly."""
         g = random_dfg(n, seed=seed)
-        exact = iteration_bound_enumerate(g, timing)
-        assert iteration_bound_ceil(g, timing) == -(-exact.numerator // exact.denominator)
-        assert iteration_bound_ceil(g, timing) == iteration_bound_ceil(g, timing, "enumerate")
+        assert iteration_bound_ceil(g, timing) == math.ceil(enumerated_bound(g, timing))
 
     @given(graph_seeds)
     @settings(max_examples=30, deadline=None)

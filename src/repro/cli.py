@@ -480,18 +480,25 @@ def cmd_gate(args: argparse.Namespace) -> int:
         return 1
     print("  frontiers equal, every cell accounted for")
 
-    print("gate: serve smoke (golden requests, inline service, 2 rounds)")
-    from repro.qa import check_serve_differential
+    print("gate: serve smoke (golden requests, inline service, 2 rounds, artifact store)")
+    import tempfile
+
+    from repro.qa import GOLDEN_REQUESTS, check_serve_differential
     from repro.serve import build_service
 
-    service = build_service(inline=True)
-    try:
-        oracle = check_serve_differential(service, rounds=2)
-    finally:
-        service.close()
+    # A memory cache smaller than the golden set sends the second round
+    # to the artifact store for some of its answers.
+    with tempfile.TemporaryDirectory() as artifacts:
+        service = build_service(
+            inline=True, cache_size=len(GOLDEN_REQUESTS) // 2, artifacts=artifacts
+        )
+        try:
+            oracle = check_serve_differential(service, rounds=2)
+        finally:
+            service.close()
     print(f"  {oracle.summary()}")
     hits = oracle.cache_levels.get("memory", 0) + oracle.cache_levels.get("disk", 0)
-    if not oracle.ok or hits < oracle.requests // 2:
+    if not oracle.ok or hits < oracle.requests // 2 or not oracle.cache_levels.get("disk"):
         print("gate: FAIL")
         return 1
     print("gate: PASS")
@@ -828,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--artifacts",
         default=None,
-        help="directory for the on-disk artifact tier (replayable qa bundles); "
+        help="directory for the on-disk artifact tier (one JSON file per answer); "
         "omit to keep the cache memory-only",
     )
     p.add_argument(

@@ -2,7 +2,7 @@
 
 A long-running stdlib-``asyncio`` HTTP/JSON daemon that answers DFG +
 resource-model + option requests from a two-level memo cache (in-process
-LRU over an on-disk ``repro.qa``-bundle artifact store), falling through
+LRU over an on-disk artifact store, one file per answer), falling through
 to a fingerprint-sharded worker pool (one worker call per miss) with
 single-flight coalescing and session-based warm re-solves of edited
 graphs.  Entry points::

@@ -2,12 +2,9 @@
 
 Level 1 (:class:`LRUCache`) holds complete response envelopes keyed by
 fingerprint; level 2 (:class:`ArtifactStore`) persists each solved request
-as a directory in the ``repro.qa`` bundle format — ``graph.json`` (the
-lossless io form of the solved graph) plus ``case.json`` with the bundle
-header — extended with a ``response.json`` holding the canonical request
-and the semantic result.  Tag-shaped models (``"3A2M"``-style) write a
-bundle that :func:`repro.qa.bundle.replay_bundle` can re-certify directly,
-so every cached answer doubles as a replayable repro case.
+as one JSON file holding its canonical form and result, which
+:meth:`ArtifactStore.export_bundle` turns into a replayable ``repro.qa``
+bundle on demand.
 
 :class:`TwoLevelCache` is the facade the server uses: memory hit, disk
 hit (promoted into memory), or miss.
@@ -15,16 +12,18 @@ hit (promoted into memory), or miss.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.dfg import io as dfg_io
 from repro.serve.protocol import PROTOCOL, ServeError, graph_from_canonical
 
-_RESPONSE_FILE = "response.json"
+#: Suffixes that make each write's temp name unique within this process.
+_TMP_SEQ = itertools.count()
 
 
 class LRUCache:
@@ -97,10 +96,11 @@ def _config_tag(canonical: Mapping[str, Any]) -> Optional[str]:
 class ArtifactStore:
     """On-disk response artifacts keyed by canonical fingerprint.
 
-    Layout: ``<root>/<fp[:2]>/<fp>/`` holding ``graph.json`` +
-    ``case.json`` (the ``repro.qa.bundle`` format, generator ``"serve"``)
-    + ``response.json``.  Writes go through a temp directory and an
-    ``os.replace`` so a crashed writer never leaves a half-readable entry.
+    Layout: one file per entry, ``<root>/<fp[:2]>/<fp>.json``, holding
+    ``{protocol, fingerprint, canonical, response}``.  A write goes to a
+    temp name unique to its writer and is ``os.replace``d into place, so a
+    crashed writer never leaves a half-readable entry; a leftover temp
+    file is never read and never blocks a later write.
     """
 
     def __init__(self, root: str):
@@ -109,72 +109,73 @@ class ArtifactStore:
         self.loaded = 0
 
     def path_for(self, fp: str) -> str:
-        return os.path.join(self.root, fp[:2], fp)
+        return os.path.join(self.root, fp[:2], fp + ".json")
+
+    def _record(self, fp: str) -> Optional[Dict[str, Any]]:
+        """The record filed under ``fp``, or ``None`` (absent, corrupt, or
+        another protocol's or fingerprint's)."""
+        try:
+            with open(self.path_for(fp), "rb") as fh:
+                record = json.loads(fh.read())
+        except (OSError, ValueError):
+            return None
+        ok = isinstance(record, dict) and record.get("protocol") == PROTOCOL
+        return record if ok and record.get("fingerprint") == fp else None
 
     def load(self, fp: str) -> Optional[Dict[str, Any]]:
         """The stored response envelope, or ``None``."""
-        path = os.path.join(self.path_for(fp), _RESPONSE_FILE)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                record = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if record.get("protocol") != PROTOCOL or record.get("fingerprint") != fp:
+        record = self._record(fp)
+        if record is None:
             return None
         self.loaded += 1
         return record["response"]
 
-    def store(
-        self,
-        fp: str,
-        canonical: Mapping[str, Any],
-        response: Mapping[str, Any],
-    ) -> Optional[str]:
+    def store(self, fp: str, canonical: Mapping[str, Any],
+              response: Mapping[str, Any]) -> Optional[str]:
         """Persist one solved request; returns the artifact path.
 
         Best-effort: an unwritable store degrades to memory-only caching
         rather than failing the request (``None`` is returned).
         """
         final = self.path_for(fp)
-        if os.path.isdir(final):
-            return final
-        tmp = final + ".tmp"
+        # json.dumps runs the C encoder; json.dump to a file would not.
+        blob = json.dumps({"protocol": PROTOCOL, "fingerprint": fp,
+                           "canonical": canonical, "response": response})
+        tmp = f"{final}.{os.getpid()}-{next(_TMP_SEQ)}.tmp"
         try:
-            os.makedirs(tmp, exist_ok=True)
-            # Deterministic affine semantics make the artifact a *fully*
-            # replayable qa bundle (the certification oracle simulates the
-            # schedule); they are attrs only — the fingerprint ignores them.
-            from repro.suite.random_graphs import attach_affine_funcs
-
-            graph = attach_affine_funcs(graph_from_canonical(canonical), seed=0)
-            dfg_io.save(graph, os.path.join(tmp, "graph.json"))
-            tag = _config_tag(canonical)
-            case = {
-                "format": "repro.qa.bundle",
-                "version": 1,
-                "generator": "serve",
-                "params": {"fingerprint": fp},
-                "config": tag if tag is not None else canonical["model"],
-                "path": canonical["options"]["heuristic"],
-                "failures": [],
-            }
-            with open(os.path.join(tmp, "case.json"), "w", encoding="utf-8") as fh:
-                json.dump(case, fh, indent=2)
-            with open(os.path.join(tmp, _RESPONSE_FILE), "w", encoding="utf-8") as fh:
-                json.dump(
-                    {
-                        "protocol": PROTOCOL,
-                        "fingerprint": fp,
-                        "canonical": dict(canonical),
-                        "response": dict(response),
-                    },
-                    fh,
-                )
+            try:
+                fh = open(tmp, "wb")
+            except FileNotFoundError:  # the shard directory's first entry
+                os.makedirs(os.path.dirname(final), exist_ok=True)
+                fh = open(tmp, "wb")
+            with fh:
+                fh.write(blob.encode("utf-8"))
             os.replace(tmp, final)
         except OSError:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
             return None
         self.stored += 1
         return final
+
+    def export_bundle(self, fp: str, out_dir: str) -> str:
+        """Write the entry for ``fp`` as a ``repro.qa`` bundle under
+        ``out_dir``; returns the bundle path.  Deterministic affine node
+        semantics (which the fingerprint ignores) let
+        :func:`repro.qa.bundle.replay_bundle` certify it by simulation."""
+        record = self._record(fp)
+        if record is None:
+            raise ServeError(f"no readable artifact for fingerprint {fp!r} under {self.root}")
+        from repro.qa.bundle import write_bundle
+        from repro.suite.random_graphs import attach_affine_funcs
+
+        canonical = record["canonical"]
+        tag = _config_tag(canonical)
+        case = {"generator": "serve", "params": {"fingerprint": fp},
+                "config": tag if tag is not None else canonical["model"],
+                "path": canonical["options"]["heuristic"]}
+        graph = attach_affine_funcs(graph_from_canonical(canonical), seed=0)
+        return write_bundle(out_dir, graph, case, [])
 
 
 class TwoLevelCache:
@@ -197,15 +198,10 @@ class TwoLevelCache:
                 return response, "disk"
         return None, None
 
-    def insert(
-        self,
-        fp: str,
-        canonical: Mapping[str, Any],
-        response: Mapping[str, Any],
-        persist: bool = True,
-    ) -> None:
+    def insert(self, fp: str, canonical: Mapping[str, Any],
+               response: Mapping[str, Any]) -> None:
         self.memory.put(fp, dict(response))
-        if persist and self.store is not None:
+        if self.store is not None:
             self.store.store(fp, canonical, response)
 
     def stats(self) -> Dict[str, Any]:

@@ -211,9 +211,10 @@ def parse_request(payload: Mapping[str, Any]) -> SolveRequest:
         # Materialize the edited graph so the canonical form (and hence the
         # fingerprint) describes the state actually solved.  Sessions are a
         # *worker-side acceleration*; correctness never depends on them.
+        # Only the edit protocol is used here, so no engine is compiled.
         from repro.core.session import MutableSchedulingSession
 
-        session = MutableSchedulingSession(graph, model, copy_graph=True)
+        session = MutableSchedulingSession(graph, model, copy_graph=True, backend="naive")
         for op in edits:
             session.apply_edit(op)
         graph = session.graph

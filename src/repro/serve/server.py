@@ -169,10 +169,14 @@ class SchedulingService:
                 )
                 self._residency.put(fp, shard)
                 self.metrics.inc("warm_solves")
+                if "error" not in result and not result["session"]["repaired"]:
+                    # a cold session build (none resident, or a mismatch)
+                    self.metrics.inc("warm_fallbacks")
             else:
                 result = await self.pool.submit(self.pool.shard_of(fp), solve_one, fp, canonical)
             if "error" not in result:
-                self.cache.insert(fp, canonical, result)
+                with _obs.active.span("serve.store", fp=fp[:12]):
+                    self.cache.insert(fp, canonical, result)
         except BaseException as exc:
             if not future.done():
                 future.set_exception(exc)
@@ -199,7 +203,8 @@ class SchedulingService:
         self.metrics.gauge("fp_memo_size", len(self.fp_memo))
         counters = self.metrics.as_dict()["counters"]
         hits = sum(counters.get(k, 0) for k in ("hits_memory", "hits_disk")) + counters.get("coalesced", 0)
-        answered = hits + counters.get("misses", 0) + counters.get("warm_solves", 0)
+        # "misses" counts every solved dispatch, warm ones included
+        answered = hits + counters.get("misses", 0)
         return {
             "schema": METRICS_SCHEMA,
             "metrics": self.metrics.as_dict(),

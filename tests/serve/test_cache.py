@@ -66,30 +66,69 @@ class TestArtifactStore:
         store = ArtifactStore(str(tmp_path))
         fp, canonical, response = solved_request()
         path = store.store(fp, canonical, response)
-        assert path is not None and os.path.isdir(path)
+        assert path == store.path_for(fp) == str(tmp_path / fp[:2] / f"{fp}.json")
         assert store.load(fp) == response
         assert store.stored == 1 and store.loaded == 1
+
+    def test_a_miss_writes_one_file(self, tmp_path):
+        # One file per entry, plus its shard directory the first time.
+        store = ArtifactStore(str(tmp_path))
+        fp, canonical, response = solved_request()
+        store.store(fp, canonical, response)
+        assert os.listdir(tmp_path) == [fp[:2]]
+        assert os.listdir(tmp_path / fp[:2]) == [f"{fp}.json"]
+        twin = fp[:2] + "0" * 62
+        store.store(twin, canonical, response)
+        assert os.listdir(tmp_path) == [fp[:2]]
+        assert sorted(os.listdir(tmp_path / fp[:2])) == sorted([f"{fp}.json", f"{twin}.json"])
 
     def test_load_rejects_fingerprint_mismatch(self, tmp_path):
         # A record copied under the wrong key must not resurface.
         store = ArtifactStore(str(tmp_path))
         fp, canonical, response = solved_request()
         path = store.store(fp, canonical, response)
-        record = json.load(open(os.path.join(path, "response.json")))
         bogus = "0" * 64
-        os.makedirs(store.path_for(bogus))
-        with open(os.path.join(store.path_for(bogus), "response.json"), "w") as fh:
-            json.dump(record, fh)
+        os.makedirs(os.path.dirname(store.path_for(bogus)))
+        with open(path) as src, open(store.path_for(bogus), "w") as dst:
+            dst.write(src.read())
         assert store.load(bogus) is None
+        assert store.load(fp) == response
 
     def test_load_missing_and_corrupt(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
         assert store.load("f" * 64) is None
         fp, canonical, response = solved_request()
         path = store.store(fp, canonical, response)
-        with open(os.path.join(path, "response.json"), "w") as fh:
-            fh.write("{not json")
+        for body in ("{not json", "[1, 2]", '{"protocol": "other/v0"}'):
+            with open(path, "w") as fh:
+                fh.write(body)
+            assert store.load(fp) is None
+        assert store.loaded == 0
+
+    def test_leftover_temp_file_is_never_loaded_nor_blocks_a_store(self, tmp_path):
+        # A writer that died between its temp write and the rename.
+        store = ArtifactStore(str(tmp_path))
+        fp, canonical, response = solved_request()
+        os.makedirs(tmp_path / fp[:2])
+        leftover = tmp_path / fp[:2] / f"{fp}.json.{os.getpid()}-0.tmp"
+        leftover.write_text(json.dumps({"protocol": "repro.serve/v1", "fingerprint": fp,
+                                        "canonical": canonical, "response": response}))
         assert store.load(fp) is None
+        assert store.store(fp, canonical, response) == store.path_for(fp)
+        assert store.load(fp) == response
+
+    def test_old_directory_layout_entry_is_a_miss(self, tmp_path):
+        # Entries of the earlier layout (a directory per fingerprint with
+        # response.json inside) are misses, and a fresh store succeeds.
+        fp, canonical, response = solved_request()
+        old = tmp_path / fp[:2] / fp
+        old.mkdir(parents=True)
+        (old / "response.json").write_text(json.dumps(
+            {"protocol": "repro.serve/v1", "fingerprint": fp, "response": response}))
+        store = ArtifactStore(str(tmp_path))
+        assert store.load(fp) is None
+        assert store.store(fp, canonical, response) is not None
+        assert store.load(fp) == response
 
     def test_unwritable_root_degrades_to_none(self, tmp_path):
         blocker = tmp_path / "file"
@@ -97,20 +136,27 @@ class TestArtifactStore:
         store = ArtifactStore(str(blocker))  # a file, not a directory
         fp, canonical, response = solved_request()
         assert store.store(fp, canonical, response) is None
+        assert store.stored == 0
 
     def test_artifact_is_a_replayable_qa_bundle(self, tmp_path):
-        # Tag-shaped models write the repro.qa bundle format: load_bundle
-        # parses it and replay_bundle re-certifies the stored graph.
-        store = ArtifactStore(str(tmp_path))
+        # An entry exports to the repro.qa bundle format: load_bundle
+        # parses it and replay_bundle re-certifies the rebuilt graph.
+        store = ArtifactStore(str(tmp_path / "store"))
         fp, canonical, response = solved_request()
-        path = store.store(fp, canonical, response)
+        store.store(fp, canonical, response)
+        path = store.export_bundle(fp, str(tmp_path / "qa"))
         bundle = load_bundle(path)
         assert bundle.case["generator"] == "serve"
         assert bundle.case["config"] == "2A1M"
+        assert bundle.case["path"] == "h2"
         assert bundle.case["params"]["fingerprint"] == fp
         assert sorted(bundle.graph.nodes) == list(range(11))  # diffeq
         _, failures = replay_bundle(path)
         assert failures == []
+
+    def test_export_of_a_missing_entry_is_a_serve_error(self, tmp_path):
+        with pytest.raises(ServeError, match="no readable artifact"):
+            ArtifactStore(str(tmp_path)).export_bundle("a" * 64, str(tmp_path / "qa"))
 
     def test_config_tag_only_for_fuzzable_models(self):
         _, canonical, _ = solved_request()

@@ -9,6 +9,7 @@ from repro.schedule.resources import ResourceModel
 from repro.serve.protocol import (
     DEFAULT_OPTIONS,
     ServeError,
+    SolveRequest,
     canonical_request,
     fingerprint,
     graph_from_canonical,
@@ -141,6 +142,34 @@ class TestFingerprint:
         edited = {**self.BASE,
                   "edits": [{"edit": "set_exec_time", "node": 3, "time": 2}]}
         assert fp_of(direct) == fp_of(edited)
+
+    def test_warm_parse_builds_no_engine(self, monkeypatch):
+        # Applying edits needs the session's edit protocol only; the
+        # fingerprint equals the one a flat-engine session gives.
+        from repro.core.flat import engine as flat_engine
+        from repro.core.session import MutableSchedulingSession
+        from repro.suite.registry import get_benchmark
+
+        edits = [{"edit": "set_delay", "src": 8, "dst": 10, "delay": 2},
+                 {"edit": "add_edge", "src": 4, "dst": 9, "delay": 2},
+                 {"edit": "set_resource_counts", "counts": {"adder": 3}}]
+        session = MutableSchedulingSession(get_benchmark("diffeq"), parse_model("2A1M"),
+                                           backend="flat")
+        for op in edits:
+            session.apply_edit(op)
+        want = fingerprint(canonical_request(
+            SolveRequest(session.graph, session.model, parse_options(None))))
+
+        built = []
+        real_init = flat_engine.FlatEngine.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(flat_engine.FlatEngine, "__init__", counting)
+        assert fp_of({**self.BASE, "base": "0" * 64, "edits": edits}) == want
+        assert built == []
 
     def test_simulation_only_attrs_do_not_move_the_hash(self):
         # funcs / edge inits / graph name are simulation semantics, not

@@ -248,8 +248,46 @@ class TestTracing:
             if ev.parent != -1:
                 assert ev.depth == tr.events[ev.parent].depth + 1
 
+    def test_one_store_span_per_miss_and_none_per_hit(self, tmp_path):
+        store = str(tmp_path / "artifacts")
+        svc = build_service(inline=True, artifacts=store)
+        with tracing() as tr:
+            run(svc.solve(DIFFEQ))                                     # miss
+            run(svc.solve(DIFFEQ))                                     # memory
+            run(svc.solve({**DIFFEQ, "options": {"heuristic": "h1"}}))  # miss
+        svc.close()
+        names = [e.name for e in tr.events]
+        assert names.count("serve.request") == 3
+        assert names.count("serve.store") == 2
+        solves = {e.index for e in tr.events if e.name == "serve.solve"}
+        assert all(e.parent in solves for e in tr.events if e.name == "serve.store")
+
+        restarted = build_service(inline=True, artifacts=store)
+        with tracing() as tr:
+            out = run(restarted.solve(DIFFEQ))
+        restarted.close()
+        assert out["cache"] == "disk"
+        assert "serve.store" not in [e.name for e in tr.events]
+
 
 class TestWarmPath:
+    def test_fallback_is_counted(self, service):
+        _SESSIONS.clear()
+        base = run(service.solve(DIFFEQ))
+        edits1 = [{"edit": "set_delay", "src": 8, "dst": 10, "delay": 2}]
+        # The base was a cold solve, which keeps no session: a fallback.
+        warm1 = run(service.solve({**DIFFEQ, "base": base["fingerprint"], "edits": edits1}))
+        assert warm1["result"]["session"] == {"repaired": False}
+        assert service.stats()["metrics"]["counters"]["warm_fallbacks"] == 1
+        edits2 = edits1 + [{"edit": "add_edge", "src": 4, "dst": 9, "delay": 2}]
+        warm2 = run(service.solve({**DIFFEQ, "base": warm1["fingerprint"], "edits": edits2}))
+        assert warm2["result"]["session"]["repaired"] is True
+        counters = service.stats()["metrics"]["counters"]
+        assert counters["warm_solves"] == 2 and counters["warm_fallbacks"] == 1
+        # three solved dispatches (one cold, two warm) and no hit yet
+        run(service.solve(DIFFEQ))
+        assert service.stats()["hit_rate"] == 0.25
+
     def test_edit_chain_repairs_in_place(self, service):
         _SESSIONS.clear()
         base = run(service.solve(DIFFEQ))

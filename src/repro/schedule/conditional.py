@@ -12,7 +12,10 @@ data-flow graphs with resource sharing*).  The model implemented here:
   control step;
 * the conditional list scheduler is the ordinary one with an
   exclusivity-aware occupancy grid, and the rotation recipe applies
-  unchanged (:class:`ConditionalRotationState`).
+  unchanged (:class:`ConditionalRotationState`).  Greedy list scheduling
+  is not monotone (a looser constraint can lengthen its result), so the
+  scheduler also runs the sharing-blind pass and keeps the shorter
+  schedule: guarding a graph never lengthens its schedule.
 
 Guards compose: ``(("c", True), ("d", False))`` is the then-branch of
 ``c`` intersected with the else-branch of ``d``.
@@ -62,11 +65,15 @@ def are_exclusive(graph: DFG, u: NodeId, v: NodeId) -> bool:
 
 
 class ExclusiveOccupancyGrid:
-    """Occupancy grid where mutually exclusive ops may share an instance."""
+    """Occupancy grid where mutually exclusive ops may share an instance.
 
-    def __init__(self, graph: DFG, model: ResourceModel):
+    With ``share=False`` no two ops share a slot (the ordinary grid).
+    """
+
+    def __init__(self, graph: DFG, model: ResourceModel, share: bool = True):
         self.graph = graph
         self.model = model
+        self.share = share
         # (unit, cs, instance) -> nodes currently holding the slot
         self._slots: Dict[Tuple[str, int, int], List[NodeId]] = {}
 
@@ -78,7 +85,10 @@ class ExclusiveOccupancyGrid:
             ok = True
             for off in offsets:
                 occupants = self._slots.get((unit.name, cs + off, k), [])
-                if any(not are_exclusive(self.graph, node, w) for w in occupants):
+                if any(
+                    not (self.share and are_exclusive(self.graph, node, w))
+                    for w in occupants
+                ):
                     ok = False
                     break
             if ok:
@@ -148,11 +158,30 @@ def conditional_full_schedule(
 ) -> ConditionalSchedule:
     """Exclusivity-aware list scheduling (full, or partial via ``fixed``).
 
-    ``fixed`` maps frozen nodes to ``(cs, instance)`` placements.
+    ``fixed`` maps frozen nodes to ``(cs, instance)`` placements.  When
+    any node is guarded, the sharing-blind schedule is computed as well
+    and the shorter of the two is returned (the sharing one on a tie).
     """
     prio = get_priority(priority)(graph, model.timing(), r)
+    sched = _list_schedule(graph, model, r, prio, fixed, floor_cs, share=True)
+    if any(guard_of(graph, v) for v in graph.nodes):
+        blind = _list_schedule(graph, model, r, prio, fixed, floor_cs, share=False)
+        if blind.length < sched.length:
+            return blind
+    return sched
+
+
+def _list_schedule(
+    graph: DFG,
+    model: ResourceModel,
+    r: Optional[Retiming],
+    prio: Mapping[NodeId, Tuple],
+    fixed: Optional[Mapping[NodeId, Tuple[int, int]]],
+    floor_cs: int,
+    share: bool,
+) -> ConditionalSchedule:
     node_index = {v: i for i, v in enumerate(graph.nodes)}
-    grid = ExclusiveOccupancyGrid(graph, model)
+    grid = ExclusiveOccupancyGrid(graph, model, share)
     start: Dict[NodeId, int] = {}
     instance: Dict[NodeId, int] = {}
     for v, (cs, k) in (fixed or {}).items():

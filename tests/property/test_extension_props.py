@@ -3,7 +3,7 @@ unfolding, chaining and conditional scheduling."""
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.dfg import Timing, iteration_bound
 from repro.dfg.unfold import unfold
@@ -110,6 +110,8 @@ class TestChainedProps:
 
 class TestConditionalProps:
     @given(seeds)
+    @example(1921)  # greedy anomalies: the sharing pass alone is one CS longer
+    @example(3434)
     @settings(max_examples=25, deadline=None)
     def test_guarding_never_lengthens(self, seed):
         """Adding exclusivity can only help: the guarded schedule is never

@@ -456,10 +456,13 @@ def cmd_gate(args: argparse.Namespace) -> int:
         return 1
     print(f"gate: trace smoke: {len(tr.events)} events, schema valid")
 
-    print("gate: explore smoke (fixed diffeq+biquad grid, explore == exhaustive)")
+    print("gate: explore smoke (fixed diffeq+biquad+lattice grid, explore == exhaustive)")
     from repro.explore import build_grid, explore
 
-    grid = build_grid(["diffeq", "biquad"], ["1A1M", "2A2M"], clocks=[40, 100])
+    # lattice x5 (130 nodes) keeps the bounds honest on large unfoldings
+    grid = build_grid(["diffeq", "biquad"], ["1A1M", "2A2M"], clocks=[40, 100]) + build_grid(
+        ["lattice"], ["6A8Mp"], clocks=[40], unfolds=[1, 5]
+    )
     # round_size below the grid size so the second prune pass actually runs
     fast = explore(grid, mode="explore", round_size=4)
     full = explore(grid, mode="exhaustive")
@@ -509,23 +512,24 @@ def cmd_explore(args: argparse.Namespace) -> int:
     import json
     from contextlib import nullcontext
 
+    from repro.errors import ReproError
     from repro.explore import build_grid, explore
     from repro.explore.runner import ServeCellSolver
     from repro.obs import tracing, write_trace
 
-    cells = build_grid(
-        args.benchmarks,
-        args.configs,
-        clocks=args.clocks,
-        unfolds=args.unfolds,
-        heuristics=args.heuristics,
-        sigmas=args.sigmas if args.sigmas else [None],
-    )
     serve_solver = None
-    if args.via == "serve":
-        serve_solver = ServeCellSolver(args.host, args.port)
-    meta = {"command": "explore", "mode": args.mode, "cells": len(cells), "workers": args.workers}
     try:
+        cells = build_grid(
+            args.benchmarks,
+            args.configs,
+            clocks=args.clocks,
+            unfolds=args.unfolds,
+            heuristics=args.heuristics,
+            sigmas=args.sigmas if args.sigmas else [None],
+        )
+        if args.via == "serve":
+            serve_solver = ServeCellSolver(args.host, args.port)
+        meta = {"command": "explore", "mode": args.mode, "cells": len(cells), "workers": args.workers}
         with tracing(meta=meta) if args.trace else nullcontext() as tr:
             report = explore(
                 cells,
@@ -535,6 +539,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 round_size=args.round_size,
                 serve_solver=serve_solver,
             )
+    except ReproError as exc:
+        print(f"explore: {exc}")
+        return 1
     finally:
         if serve_solver is not None:
             serve_solver.close()

@@ -22,7 +22,6 @@ from repro.dfg.analysis import (
 )
 from repro.dfg.iteration_bound import (
     critical_cycle,
-    cycle_ratios,
     iteration_bound,
     iteration_bound_ceil,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "critical_cycle",
     "critical_path_length",
     "critical_path_nodes",
-    "cycle_ratios",
     "descendant_counts",
     "fold_node",
     "height_times",

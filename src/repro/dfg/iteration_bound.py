@@ -16,11 +16,8 @@ iff the integer edge weights ``p * d(e) - q * t(src)`` admit a negative
 cycle.  Bellman–Ford with predecessors finds one, ``lam`` becomes that
 cycle's exact ``t(C)/d(C)``, and the loop ends when Bellman–Ford converges.
 Every round strictly raises ``lam`` over finitely many cycles, and all
-arithmetic is on integers.
-
-Cycle enumeration (:func:`cycle_delays`, :func:`cycle_ratios`,
-:func:`critical_cycle`) serves the explorer's register bound and
-critical-cycle ranking, and is the tests' reference for the bound.
+arithmetic is on integers.  The last improving cycle is a maximum-ratio
+cycle: :func:`critical_cycle` returns it, so no cycle is ever enumerated.
 """
 
 from __future__ import annotations
@@ -31,10 +28,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.dfg.graph import DFG, NodeId, Timing
 from repro.dfg.analysis import topological_order  # validates zero-delay acyclicity
-from repro.errors import GraphError
 
 
-#: graph -> (graph epoch, src index, dst index, delay, {node times: bound}).
+#: graph -> (graph epoch, src index, dst index, delay,
+#: {node times: (bound, witness edge indices)}).
 #: The per-edge columns are compiled once per epoch; the bound is memoized
 #: by the node-time vector's value, so a fresh but equal ``Timing`` (one
 #: per ``ResourceModel.timing()`` call) hits.  An in-place mutation (DFG
@@ -62,7 +59,8 @@ def _columns(graph: DFG) -> tuple:
 def _beating_cycle(
     n: int, esrc: Sequence[int], edst: Sequence[int], weight: Sequence[int]
 ) -> Optional[List[int]]:
-    """Edge indices of a negative cycle under ``weight``, or None.
+    """Edge indices of a negative cycle under ``weight``, in path order,
+    or None.
 
     Bellman–Ford from a virtual source joined to every node, stopping at
     the first cycle on the predecessor chain of a pass's last relaxed
@@ -94,22 +92,34 @@ def _beating_cycle(
                 cycle.append(pred[u])
                 u = esrc[pred[u]]
                 if u == v:
-                    return cycle
+                    return cycle[::-1]
 
 
 def _max_cycle_ratio(
     times: Sequence[int], esrc: Sequence[int], edst: Sequence[int], edelay: Sequence[int]
-) -> Fraction:
-    """``max t(C)/d(C)`` by cycle improvement (0 when acyclic)."""
+) -> Tuple[Fraction, Tuple[int, ...]]:
+    """``max t(C)/d(C)`` by cycle improvement, with the edge indices of the
+    last improving cycle (``(0, ())`` when no cycle has positive time)."""
     tsrc = [times[u] for u in esrc]
-    bound = Fraction(0)
+    bound, witness = Fraction(0), ()
     while True:
         p, q = bound.numerator, bound.denominator
         weight = [p * d - q * t for d, t in zip(edelay, tsrc)]
         cycle = _beating_cycle(len(times), esrc, edst, weight)
         if cycle is None:
-            return bound
+            return bound, witness
         bound = Fraction(sum(tsrc[k] for k in cycle), sum(edelay[k] for k in cycle))
+        witness = tuple(cycle)
+
+
+def _solve(graph: DFG, timing: Optional[Timing]) -> Tuple[Fraction, Tuple[int, ...]]:
+    """The memoized ``(bound, witness)`` of ``graph`` under ``timing``."""
+    _, esrc, edst, edelay, memo = _columns(graph)
+    times = tuple(graph.time(v, timing) for v in graph.nodes)
+    got = memo.get(times)
+    if got is None:
+        got = memo[times] = _max_cycle_ratio(times, esrc, edst, edelay)
+    return got
 
 
 def iteration_bound(graph: DFG, timing: Optional[Timing] = None) -> Fraction:
@@ -120,12 +130,22 @@ def iteration_bound(graph: DFG, timing: Optional[Timing] = None) -> Fraction:
         graph: the DFG (must have no zero-delay cycle).
         timing: op-type timing model; defaults to per-node times.
     """
-    _, esrc, edst, edelay, memo = _columns(graph)
-    times = tuple(graph.time(v, timing) for v in graph.nodes)
-    bound = memo.get(times)
-    if bound is None:
-        bound = memo[times] = _max_cycle_ratio(times, esrc, edst, edelay)
-    return bound
+    return _solve(graph, timing)[0]
+
+
+def critical_cycle(graph: DFG, timing: Optional[Timing] = None) -> Tuple[Fraction, List[NodeId]]:
+    """A maximum-ratio cycle: ``(bound, nodes in path order)``; ``(0, [])``
+    when no cycle has positive time.
+
+    The witness is the cycle-improvement loop's last improving cycle.
+    Among tied maximum-ratio cycles that is the first one Bellman–Ford
+    closes while relaxing edges in ``graph.edges`` order, so it depends on
+    the graph's edge order alone, never on ``PYTHONHASHSEED``.
+    """
+    bound, witness = _solve(graph, timing)
+    nodes = graph.nodes
+    esrc = _columns(graph)[1]
+    return bound, [nodes[esrc[k]] for k in witness]
 
 
 def fraction_ceil(x: Fraction) -> int:
@@ -136,81 +156,3 @@ def fraction_ceil(x: Fraction) -> int:
 def iteration_bound_ceil(graph: DFG, timing: Optional[Timing] = None) -> int:
     """The integer bound quoted in the paper's Table 1: ``ceil(IB)``."""
     return fraction_ceil(iteration_bound(graph, timing))
-
-
-#: graph -> (graph epoch, [(cycle nodes, d(C))]): neither depends on the
-#: timing, so one enumeration serves every timing.  Same staleness rule
-#: as :data:`_COLUMNS`.
-_CYCLES_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _cycle_digraph(graph: DFG):
-    """Simple digraph with min-delay parallel-edge collapse, for enumeration.
-
-    When maximizing ``t(C)/d(C)``, a cycle always prefers the minimum-delay
-    edge between any ordered node pair (node times are fixed), so parallel
-    edges collapse without losing the maximum.
-    """
-    import networkx as nx
-
-    g = nx.DiGraph()
-    g.add_nodes_from(graph.nodes)
-    for e in graph.edges:
-        if not g.has_edge(e.src, e.dst) or e.delay < g[e.src][e.dst]["delay"]:
-            g.add_edge(e.src, e.dst, delay=e.delay)
-    return g
-
-
-def cycle_delays(graph: DFG, limit: int = 100_000) -> List[Tuple[List[NodeId], int]]:
-    """Every simple cycle with its delay sum ``d(C)``, enumerated once per
-    graph epoch (parallel edges count with their minimum delay).
-
-    Raises :class:`GraphError` if more than ``limit`` cycles exist.
-    """
-    entry = _CYCLES_CACHE.get(graph)
-    if entry is None or entry[0] != graph.epoch:
-        import networkx as nx
-
-        topological_order(graph)  # raises ZeroDelayCycleError on illegal graphs
-        g = _cycle_digraph(graph)
-        cycles: List[Tuple[List[NodeId], int]] = []
-        for cycle in nx.simple_cycles(g):
-            if len(cycles) == limit:
-                raise GraphError(f"more than {limit} simple cycles; iteration_bound does not enumerate")
-            cycles.append((cycle, sum(
-                g[u][v]["delay"] for u, v in zip(cycle, cycle[1:] + cycle[:1])
-            )))
-        entry = _CYCLES_CACHE[graph] = (graph.epoch, cycles)
-    if len(entry[1]) > limit:
-        raise GraphError(f"more than {limit} simple cycles; iteration_bound does not enumerate")
-    return entry[1]
-
-
-def cycle_ratios(graph: DFG, timing: Optional[Timing] = None, limit: int = 100_000) -> List[Tuple[Fraction, List[NodeId]]]:
-    """All simple-cycle ratios ``t(C)/d(C)`` with their node sequences.
-
-    Raises :class:`GraphError` if more than ``limit`` cycles are found
-    (:func:`iteration_bound` gives the maximum without enumerating).
-    """
-    return [
-        (Fraction(sum(graph.time(v, timing) for v in cycle), d), list(cycle))
-        for cycle, d in cycle_delays(graph, limit)
-    ]
-
-
-def critical_cycle(graph: DFG, timing: Optional[Timing] = None) -> Tuple[Fraction, List[NodeId]]:
-    """The maximum-ratio cycle (bound, node sequence); ``(0, [])`` if acyclic.
-
-    Ties between maximum-ratio cycles are broken by the lexicographically
-    smallest sorted node-name sequence — ``nx.simple_cycles`` iterates
-    hash-ordered sets, so without an explicit tie-break the winner would
-    vary run to run with ``PYTHONHASHSEED``.
-    """
-    ratios = cycle_ratios(graph, timing)
-    if not ratios:
-        return Fraction(0), []
-    best = max(r for r, _ in ratios)
-    return min(
-        ((r, c) for r, c in ratios if r == best),
-        key=lambda rc: tuple(sorted(str(v) for v in rc[1])),
-    )

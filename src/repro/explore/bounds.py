@@ -21,8 +21,13 @@ maximum live count is at least the average ``d(C) - t(C)/P``, and it is
 an integer.  The bound grows with ``P`` (slower schedules hold values
 longer), so evaluating it at the *period lower bound* — the smallest
 achievable ``P`` — keeps it valid for every period the cell can reach.
-Vertex-disjoint cycles occupy
-disjoint registers, so a greedy disjoint packing sums their bounds.
+Vertex-disjoint cycles occupy disjoint registers, so the bounds of any
+vertex-disjoint set of cycles add up.  The set comes from peeling, with
+no enumeration: a cycle with ``d(C) - floor(t(C)/P) > 0``, i.e.
+``P * d(C) > t(C)``, is a negative cycle under the integer edge weights
+``t(src) - P * d(e)``; Bellman–Ford (the iteration bound's own
+``_beating_cycle``) finds one among the nodes still alive, its term is
+added, its nodes are dropped, and the search repeats until none is left.
 
 All bound math is solver-free and memoized per process — probing a cell
 costs microseconds against the milliseconds-to-seconds of solving it.
@@ -32,17 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.dfg.graph import DFG, Timing
-from repro.dfg.iteration_bound import critical_cycle, cycle_delays
+from repro.dfg.iteration_bound import _beating_cycle, _columns, critical_cycle
 from repro.dfg.unfold import fold_node
 from repro.bounds.lower_bounds import combined_lower_bound
 from repro.explore.space import CellSpec, Point, cell_cost, cell_graph, cell_model
-
-#: The explorer's own cutoff: above this node count only the critical
-#: cycle feeds the register bound (the period bound never enumerates).
-ENUMERATE_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -60,46 +61,33 @@ class CellBound:
         return self.lb_point.period_ns
 
 
-def _cycle_terms(graph: DFG, timing: Timing) -> List[Tuple[Tuple[str, ...], int, int]]:
-    """``(nodes, d(C), t(C))`` for the cycles the register bound sums over
-    (cycles and ``d(C)`` come enumerated once per graph; ``t(C)`` is summed here)."""
-    cycles = cycle_delays(graph)
-    if graph.num_nodes > ENUMERATE_LIMIT:
-        _, critical = critical_cycle(graph, timing)
-        cycles = [(nodes, d) for nodes, d in cycles if nodes == critical][:1]
-    return [
-        (tuple(nodes), d, sum(graph.time(v, timing) for v in nodes))
-        for nodes, d in cycles
-    ]
-
-
 def register_lower_bound(graph: DFG, timing: Timing, period: int) -> int:
-    """Cycle-packing lower bound on the steady-state register requirement
+    """Cycle-peeling lower bound on the steady-state register requirement
     of *any* legal wrapped schedule of ``graph`` at period ``period``."""
     if period <= 0:
         return 0
-    scored = []
-    for nodes, d, t in _cycle_terms(graph, timing):
-        bound = d - (t // period)
-        if bound > 0:
-            scored.append((bound, nodes))
-    # Greedy vertex-disjoint packing, strongest cycles first (canonical
-    # tie-break on the node tuple keeps the bound deterministic).
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    taken: set = set()
+    _, esrc, edst, edelay, _ = _columns(graph)
+    times = [graph.time(v, timing) for v in graph.nodes]
+    alive = range(len(esrc))  # edges whose endpoints are both still alive
     total = 0
-    for bound, nodes in scored:
-        if taken.isdisjoint(nodes):
-            total += bound
-            taken.update(nodes)
-    return total
+    while True:
+        cycle = _beating_cycle(
+            len(times),
+            [esrc[k] for k in alive],
+            [edst[k] for k in alive],
+            [times[esrc[k]] - period * edelay[k] for k in alive],
+        )
+        if cycle is None:
+            return total
+        cycle = [alive[k] for k in cycle]
+        total += sum(edelay[k] for k in cycle) - sum(times[esrc[k]] for k in cycle) // period
+        dropped = {esrc[k] for k in cycle}
+        alive = [k for k in alive if esrc[k] not in dropped and edst[k] not in dropped]
 
 
 # -- per-process memos --------------------------------------------------
 _GRAPH_CACHE: Dict[Tuple[str, int], DFG] = {}
 _BOUND_CACHE: Dict[Tuple, CellBound] = {}
-_REG_CACHE: Dict[Tuple, int] = {}
-_CRIT_CACHE: Dict[Tuple, FrozenSet[str]] = {}
 
 
 def bound_graph(spec: CellSpec, base: Optional[DFG] = None) -> DFG:
@@ -139,23 +127,14 @@ def cell_bound(spec: CellSpec, base: Optional[DFG] = None) -> CellBound:
     model = cell_model(spec)
     timing = model.timing()
     lb_cycles = combined_lower_bound(graph, model, timing).combined
-    reg_key = (spec.bench, spec.unfold, spec.add_latency, spec.mult_latency, lb_cycles)
-    reg_lb = _REG_CACHE.get(reg_key)
-    if reg_lb is None:
-        reg_lb = _REG_CACHE[reg_key] = register_lower_bound(graph, timing, lb_cycles)
-    crit_key = (spec.bench, spec.unfold, spec.add_latency, spec.mult_latency)
-    crit = _CRIT_CACHE.get(crit_key)
-    if crit is None:
-        _, nodes = critical_cycle(graph, timing)
-        crit = _CRIT_CACHE[crit_key] = _folded(tuple(nodes))
     bound = CellBound(
         lb_cycles=lb_cycles,
         lb_point=Point(
             period_ns=Fraction(lb_cycles * spec.clock_ns, spec.unfold),
             cost=cell_cost(spec),
-            registers=Fraction(reg_lb, spec.unfold),
+            registers=Fraction(register_lower_bound(graph, timing, lb_cycles), spec.unfold),
         ),
-        critical_nodes=crit,
+        critical_nodes=_folded(tuple(critical_cycle(graph, timing)[1])),
     )
     _BOUND_CACHE[cache_key] = bound
     return bound
@@ -173,5 +152,3 @@ def clear_caches() -> None:
     """Drop the per-process memos (tests that mutate suite graphs)."""
     _GRAPH_CACHE.clear()
     _BOUND_CACHE.clear()
-    _REG_CACHE.clear()
-    _CRIT_CACHE.clear()

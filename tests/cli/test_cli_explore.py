@@ -46,3 +46,29 @@ def test_trace_then_profile(tmp_path, capsys):
     assert "explore.fold" in out
     assert "kernel." in out  # the lanes' core spans came back from the workers
 
+
+
+def test_large_unfoldings_match_the_exhaustive_frontier(tmp_path):
+    # lattice unfolded x5 has 130 nodes and more simple cycles than any
+    # enumeration budget; the bounds must still come back, and prune soundly
+    reports = {}
+    for mode in ("explore", "exhaustive"):
+        out = tmp_path / f"{mode}.json"
+        assert main([
+            "explore", "lattice", "-c", "6A8Mp", "--unfolds", "1", "2", "3", "4", "5",
+            "--workers", "1", "--mode", mode, "--json", str(out),
+        ]) == 0
+        reports[mode] = json.loads(out.read_text())
+    assert reports["explore"]["counters"]["pruned_bound"] > 0
+    points = {
+        mode: [point for point, _labels in report["frontiers"]["lattice"]]
+        for mode, report in reports.items()
+    }
+    assert points["explore"] == points["exhaustive"]
+
+
+def test_bad_arguments_exit_with_a_message(capsys):
+    assert main(["explore", "diffeq", "-c", "1A1M", "--round-size", "0"]) == 1
+    assert capsys.readouterr().out.strip() == "explore: round_size must be >= 1, got 0"
+    assert main(["explore", "diffeq", "-c", "1A1M", "--clocks", "0"]) == 1
+    assert capsys.readouterr().out.startswith("explore: clock_ns and unfold must be >= 1")

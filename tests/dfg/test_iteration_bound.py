@@ -1,19 +1,18 @@
 """Unit tests for the iteration bound, against cycle enumeration."""
 
 import importlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from repro.dfg import DFG, Timing, critical_cycle, cycle_ratios, iteration_bound, iteration_bound_ceil
+import repro
+from repro.dfg import DFG, Timing, critical_cycle, iteration_bound, iteration_bound_ceil
 from repro.suite import all_benchmarks, PAPER_TIMING
 from repro.errors import ZeroDelayCycleError
-
-
-def enumerated_bound(g, timing=None):
-    """The reference bound: the largest enumerated cycle ratio (0 when
-    the graph is acyclic)."""
-    return max((r for r, _ in cycle_ratios(g, timing)), default=Fraction(0))
+from tests.cycle_reference import cycle_ratios, enumerated_bound
 
 
 #: the two ways to the bound that must agree: enumeration, and the
@@ -258,68 +257,69 @@ class TestArraysCacheEpoch:
         assert before != after  # the extra registers loosened the bound
 
 
-class TestCycleCache:
-    """Cycles and their delays are enumerated once per graph epoch; only
-    ``t(C)`` is summed per timing."""
-
-    TIMINGS = [
-        None,
-        PAPER_TIMING,
-        Timing({"add": 1, "sub": 1, "cmp": 1, "mul": 1}),
-        Timing({"add": 2, "sub": 2, "cmp": 2, "mul": 3}),
-        Timing({"add": 1, "sub": 1, "cmp": 1, "mul": 5}),
-    ]
+class TestCriticalCycle:
+    """The witness is the cycle-improvement loop's last improving cycle: a
+    real cycle of the graph whose ratio is the bound."""
 
     @staticmethod
-    def _uncached(g, timing):
-        ib_mod = _ib_mod()
-        ib_mod._CYCLES_CACHE.pop(g, None)
-        out = (
-            enumerated_bound(g, timing),
-            sorted(cycle_ratios(g, timing)),
-            critical_cycle(g, timing),
-        )
-        ib_mod._CYCLES_CACHE.pop(g, None)
-        return out
+    def _closes_at_ratio(g, timing, ratio, cycle):
+        # consecutive nodes are joined by edges, and the best delays
+        # around the cycle give exactly the bound
+        delays = {}
+        for e in g.edges:
+            key = (e.src, e.dst)
+            delays[key] = min(delays.get(key, e.delay), e.delay)
+        hops = list(zip(cycle, cycle[1:] + cycle[:1]))
+        assert len(set(cycle)) == len(cycle) and all(h in delays for h in hops)
+        t = sum(g.time(v, timing) for v in cycle)
+        assert Fraction(t, sum(delays[h] for h in hops)) == ratio
 
-    def test_cached_equals_uncached_on_paper_graphs(self):
-        for g in all_benchmarks():
-            enumerated_bound(g, PAPER_TIMING)  # warm the cache
-            for timing in self.TIMINGS:
-                cached = (
-                    enumerated_bound(g, timing),
-                    sorted(cycle_ratios(g, timing)),
-                    critical_cycle(g, timing),
-                )
-                assert cached == self._uncached(g, timing), (g.name, timing)
-                assert cached[0] == iteration_bound(g, timing), g.name
-                enumerated_bound(g, PAPER_TIMING)  # re-warm
+    def test_witness_on_paper_graphs_and_unfoldings(self):
+        from repro.dfg import unfold
 
-    def test_one_enumeration_serves_every_timing(self, monkeypatch):
-        from repro.explore.bounds import register_lower_bound
-        from repro.suite import elliptic
+        for base in all_benchmarks():
+            for g in (base, unfold(base, 2)):
+                ratio, cycle = critical_cycle(g, PAPER_TIMING)
+                assert ratio == iteration_bound(g, PAPER_TIMING), g.name
+                self._closes_at_ratio(g, PAPER_TIMING, ratio, cycle)
 
-        ib_mod = _ib_mod()
-        calls = []
-        real = ib_mod._cycle_digraph
-        monkeypatch.setattr(ib_mod, "_cycle_digraph", lambda g: calls.append(1) or real(g))
-        g = elliptic()
-        for timing in self.TIMINGS:
-            iteration_bound(g, timing)
-            critical_cycle(g, timing)
-            register_lower_bound(g, timing or PAPER_TIMING, 20)
-        assert len(calls) == 1
+    def test_acyclic_graph_has_no_witness(self, diamond):
+        assert critical_cycle(diamond, Timing.unit()) == (0, [])
 
-    def test_mutation_invalidates_the_entry(self):
+    def test_witness_follows_the_mutated_graph(self):
         from repro.suite import diffeq
 
         g = diffeq()
-        before = cycle_ratios(g, PAPER_TIMING)
         _, cycle = critical_cycle(g, PAPER_TIMING)
-        # a back edge between the first two nodes of the critical cycle
-        # closes at least one new cycle
-        g.add_edge(cycle[1], cycle[0], 5)
-        after = cycle_ratios(g, PAPER_TIMING)
-        assert len(after) > len(before)
-        assert sorted(after) == sorted(cycle_ratios(g.copy(), PAPER_TIMING))
-        assert iteration_bound(g, PAPER_TIMING) == enumerated_bound(g, PAPER_TIMING)
+        # one more delay on every edge of the witness: the old witness
+        # cannot come back at the old ratio
+        for e in g.edges:
+            if e.src in cycle and e.dst in cycle:
+                g.set_delay(e, e.delay + 1)
+        ratio, fresh = critical_cycle(g, PAPER_TIMING)
+        assert (ratio, fresh) == critical_cycle(g.copy(), PAPER_TIMING)
+        assert ratio == enumerated_bound(g, PAPER_TIMING)
+        self._closes_at_ratio(g, PAPER_TIMING, ratio, fresh)
+
+    def test_witness_ignores_the_hash_seed(self):
+        """The tie-break reads edge order only: two interpreters with
+        different string hashing name the same witness on every paper
+        graph and its 2-unfolding."""
+        script = (
+            "from repro.dfg import critical_cycle, unfold\n"
+            "from repro.suite import PAPER_TIMING, all_benchmarks\n"
+            "for g in all_benchmarks():\n"
+            "    for h in (g, unfold(g, 2)):\n"
+            "        print(h.name, critical_cycle(h, PAPER_TIMING))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outs.append(run.stdout)
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 2 * len(all_benchmarks())

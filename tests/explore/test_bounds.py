@@ -1,11 +1,14 @@
 """Solver-free lower bounds: cycles, registers, and their cell points."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.scheduler import rotation_schedule
 from repro.binding.lifetimes import register_requirement
-from repro.explore import CellSpec, cell_bound, cell_cost, cell_model
+from repro.explore import CellSpec, cell_bound, cell_cost, cell_model, register_lower_bound
 from repro.explore.bounds import bound_graph, clear_caches
+from repro.schedule.resources import ResourceModel
+from repro.suite import random_dfg, unfolded_dfg
 
 
 GRID = [
@@ -13,6 +16,10 @@ GRID = [
     CellSpec("diffeq", 2, 2, clock_ns=100),
     CellSpec("biquad", 2, 1, clock_ns=40),
     CellSpec("biquad", 1, 1, clock_ns=50, unfold=2),
+    CellSpec("elliptic", 2, 1, clock_ns=50),
+    CellSpec("allpole", 2, 1, pipelined=True, clock_ns=50),
+    # 78 nodes: above any size where enumerating cycles stays cheap
+    CellSpec("lattice", 6, 8, pipelined=True, clock_ns=40, unfold=3),
 ]
 
 
@@ -30,6 +37,18 @@ def test_bound_never_exceeds_achieved(spec):
     achieved_period = spec.clock_ns * result.length / spec.unfold
     assert bound.lb_point.period_ns <= achieved_period
     assert bound.lb_point.registers <= registers / spec.unfold
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_register_bound_at_the_achieved_length(seed, unfolded):
+    """Soundness on random graphs: the peeled register bound at the length
+    a solve achieves never exceeds that schedule's registers."""
+    graph = unfolded_dfg(5, seed=seed) if unfolded else random_dfg(10, seed=seed)
+    model = ResourceModel.adders_mults(2, 1)
+    result = rotation_schedule(graph, model, heuristic="h2")
+    registers = register_requirement(result.schedule, result.retiming, result.length)
+    assert register_lower_bound(graph, model.timing(), result.length) <= registers
 
 
 def test_critical_nodes_name_base_nodes():

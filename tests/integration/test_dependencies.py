@@ -1,10 +1,12 @@
-"""Dependency footprint: the serve and explore paths never import numpy,
-and the lower bound never imports networkx.
+"""Dependency footprint: the package has no runtime dependency.  The
+serve and explore paths never import numpy, and no bound, the explorer's
+included, imports networkx (only ``DFG.to_networkx``/``from_networkx``
+and the tests' cycle enumerator do).
 
 Every serve worker and explore process is a fresh interpreter, so one
 stray import costs each of them its resident memory.  The check runs in
-a subprocess because the test process itself may already hold numpy
-(pytest plugins, hypothesis).
+a subprocess because the test process itself may already hold numpy and
+networkx (pytest plugins, hypothesis, the tests' reference enumerator).
 """
 
 import os
@@ -82,3 +84,43 @@ def test_every_bound_in_a_solve_leaves_networkx_unimported():
     QA oracle and the modulo baseline; none of them may pull in networkx,
     which costs each serve worker its resident memory."""
     assert run_fresh(BOUNDS_SCRIPT) == "False"
+
+
+LANES_SCRIPT = """
+import sys
+
+
+class Refuse:
+    \"\"\"Fail any numpy or networkx import, here and in every forked lane.\"\"\"
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("numpy", "networkx"):
+            raise ImportError("explore imported " + name)
+
+
+sys.meta_path.insert(0, Refuse())
+
+from repro.explore import build_grid, explore
+
+cells = build_grid(["diffeq", "biquad"], ("1A1M", "2A2M"), clocks=(40, 100), unfolds=(1, 2))
+report = explore(cells, workers=2)
+assert sum(report.counters[k] for k in ("solved", "pruned_bound", "pruned_dominated")) == len(cells)
+assert set(report.frontiers) == {"diffeq", "biquad"}
+
+print("numpy" in sys.modules, "networkx" in sys.modules)
+"""
+
+
+def test_forked_explore_lanes_import_neither_numpy_nor_networkx():
+    """Two lanes on two forked workers compute every cell bound and
+    solve; an import hook inherited at fork fails any cell that reaches
+    for numpy or networkx, and the parent holds neither afterwards."""
+    assert run_fresh(LANES_SCRIPT) == "False False"
+
+
+def test_no_runtime_dependency():
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert "dependencies = []" in lines
+    test_extra = next(line for line in lines if line.startswith("test = "))
+    assert '"networkx>=3.0"' in test_extra

@@ -5,17 +5,13 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from repro.dfg import Timing, critical_path_length, cycle_ratios, iteration_bound
+from repro.dfg import Timing, critical_cycle, critical_path_length, iteration_bound
 from repro.dfg.iteration_bound import iteration_bound_ceil
 from repro.suite import random_chain_loop, random_dfg
+from tests.cycle_reference import cycle_ratios, enumerated_bound
 
 graph_seeds = st.integers(0, 10_000)
 timing = Timing({"add": 1, "mul": 2})
-
-
-def enumerated_bound(g, t):
-    """The reference: the largest enumerated cycle ratio (0 if acyclic)."""
-    return max((r for r, _ in cycle_ratios(g, t)), default=Fraction(0))
 
 
 class TestIterationBoundProps:
@@ -28,6 +24,19 @@ class TestIterationBoundProps:
         g = random_dfg(12, seed=seed)
         assert iteration_bound(g, timing) == enumerated_bound(g, timing)
         assert iteration_bound(g, Timing.unit()) == enumerated_bound(g, Timing.unit())
+
+    @given(graph_seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_critical_cycle_is_an_enumerated_maximum(self, seed):
+        """The witness is one of the enumerated cycles, and a maximal one."""
+        g = random_dfg(12, seed=seed)
+        ratio, cycle = critical_cycle(g, timing)
+        ratios = cycle_ratios(g, timing)
+        if not ratios:
+            assert (ratio, cycle) == (0, [])
+            return
+        rotations = {tuple(c[i:] + c[:i]): r for r, c in ratios for i in range(len(c))}
+        assert rotations[tuple(cycle)] == ratio == max(r for r, _ in ratios)
 
     @given(graph_seeds, st.integers(4, 24))
     @settings(max_examples=40, deadline=None)

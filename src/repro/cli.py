@@ -456,13 +456,15 @@ def cmd_gate(args: argparse.Namespace) -> int:
         return 1
     print(f"gate: trace smoke: {len(tr.events)} events, schema valid")
 
-    print("gate: explore smoke (fixed diffeq+biquad+lattice grid, explore == exhaustive)")
+    print("gate: explore smoke (fixed diffeq+lattice grid, explore == exhaustive)")
     from repro.explore import build_grid, explore
 
-    # lattice x5 (130 nodes) keeps the bounds honest on large unfoldings
-    grid = build_grid(["diffeq", "biquad"], ["1A1M", "2A2M"], clocks=[40, 100]) + build_grid(
-        ["lattice"], ["6A8Mp"], clocks=[40], unfolds=[1, 5]
-    )
+    # The diffeq cells prune by bound and by dominance (an unsound bound
+    # would lose a frontier point); lattice x5 (130 nodes) keeps the
+    # bounds honest on large unfoldings.
+    grid = build_grid(
+        ["diffeq"], ["1A1M", "2A2M", "3A2M"], clocks=[40, 100], unfolds=[1, 2]
+    ) + build_grid(["lattice"], ["6A8Mp"], clocks=[40], unfolds=[1, 5])
     # round_size below the grid size so the second prune pass actually runs
     fast = explore(grid, mode="explore", round_size=4)
     full = explore(grid, mode="exhaustive")
@@ -472,16 +474,17 @@ def cmd_gate(args: argparse.Namespace) -> int:
         if [p for p, _ in fast.frontiers.get(bench, [])]
         != [p for p, _ in full.frontiers.get(bench, [])]
     ]
+    counters = fast.counters
     print(f"  explore:    {fast.counter_line()}")
     print(f"  exhaustive: {full.counter_line()}")
-    if mismatched or fast.counters["solved"] + fast.counters["pruned_bound"] + (
-        fast.counters["pruned_dominated"]
-    ) != len(grid):
+    if mismatched or counters["solved"] + counters["pruned_bound"] + (
+        counters["pruned_dominated"]
+    ) != len(grid) or not (counters["pruned_bound"] and counters["pruned_dominated"]):
         for bench in mismatched:
             print(f"  FRONTIER MISMATCH: {bench}")
         print("gate: FAIL")
         return 1
-    print("  frontiers equal, every cell accounted for")
+    print("  frontiers equal, every cell accounted for, both prune rules ran")
 
     print("gate: serve smoke (golden requests, inline service, 2 rounds, artifact store)")
     import tempfile
@@ -502,6 +505,21 @@ def cmd_gate(args: argparse.Namespace) -> int:
     print(f"  {oracle.summary()}")
     hits = oracle.cache_levels.get("memory", 0) + oracle.cache_levels.get("disk", 0)
     if not oracle.ok or hits < oracle.requests // 2 or not oracle.cache_levels.get("disk"):
+        print("gate: FAIL")
+        return 1
+
+    print("gate: warm chain smoke (stored base -> first edit -> second edit, one at a time)")
+    from repro.qa import check_warm_chain
+
+    service = build_service(inline=True)
+    try:
+        paths, faults = check_warm_chain(service)
+    finally:
+        service.close()
+    print(f"  warm paths {paths}, {len(faults)} fault(s)")
+    for fault in faults:
+        print(f"  {fault}")
+    if faults or not paths or not all(p in ("seeded", "resident") for p in paths):
         print("gate: FAIL")
         return 1
     print("gate: PASS")

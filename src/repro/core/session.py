@@ -53,6 +53,7 @@ from repro.dfg.analysis import topological_order
 from repro.schedule.resources import ResourceModel, UnitSpec
 from repro.schedule.schedule import Schedule
 from repro.schedule.list_scheduler import _list_schedule
+from repro.schedule.verify import check_schedule
 from repro.core.engine import check_config, make_engine
 from repro.core.phases import HEURISTICS, BestTracker, rotation_phase
 from repro.core.rotation import RotationState
@@ -94,6 +95,29 @@ def _legalize_retiming(graph: DFG, seed_values: Dict[NodeId, int]) -> Retiming:
     raise SchedulingError(
         "retiming legalization failed to converge — negative-delay cycle?"
     )  # pragma: no cover - impossible with nonnegative edge delays
+
+
+def _instance_problems(schedule: Schedule) -> List[str]:
+    """Recorded unit instances out of range or double-booked (the class
+    counts :func:`check_schedule` checks do not see instances)."""
+    graph, model = schedule.graph, schedule.model
+    held: Dict[Tuple[str, int, int], NodeId] = {}
+    out: List[str] = []
+    for v in graph.nodes:
+        inst = schedule.unit_index(v)
+        if inst is None:
+            continue
+        op = graph.op(v)
+        unit = model.unit_for_op(op)
+        if not 0 <= inst < unit.count:
+            out.append(f"{v!r}: {unit.name} instance {inst} of {unit.count}")
+            continue
+        for off in model.busy_offsets(op):
+            key = (unit.name, inst, schedule.start(v) + off)
+            if key in held:
+                out.append(f"{v!r} and {held[key]!r} share {unit.name} {inst} at CS {key[2]}")
+            held[key] = v
+    return out
 
 
 class MutableSchedulingSession:
@@ -353,6 +377,28 @@ class MutableSchedulingSession:
         self._adopt_seed(seed)
         self.metrics["full_solves"] += 1
         return result
+
+    def seed(self, schedule: Schedule, retiming: Retiming) -> None:
+        """Adopt a schedule of the current state, found elsewhere (a stored
+        answer, say), as the repair seed: the next :meth:`resolve` repairs
+        it as if this session had found it.
+
+        Call it before any edit.  Raises :class:`SchedulingError`, and
+        leaves the session as it was, unless the schedule places exactly
+        the session's nodes, each recorded unit instance exists and is
+        held by one node at a time, and
+        :func:`~repro.schedule.verify.check_schedule` passes under
+        ``retiming``.
+        """
+        edits = self.graph.edits_since(self._epoch)
+        if edits is None or edits or self._model_dirty:
+            raise SchedulingError("seed() needs a session with no pending edits")
+        sched = Schedule(self.graph, self.model, schedule.start_map, schedule.unit_map)
+        problems = check_schedule(sched, retiming) or _instance_problems(sched)
+        if problems:
+            raise SchedulingError(f"seed rejected: {problems[0]}")
+        self._seed = (sched, Retiming({v: retiming[v] for v in self.graph.nodes}))
+        self._result = None
 
     def _adopt_seed(self, wrapped) -> None:
         self._seed = (wrapped.schedule, wrapped.retiming)

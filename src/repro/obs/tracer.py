@@ -181,6 +181,16 @@ class Tracer:
         self.begin(name, **attrs)
         return self._closer
 
+    def annotate(self, **attrs: Any) -> None:
+        """Add attributes to this context's innermost open span of this
+        tracer (facts known only once the span's work has returned)."""
+        link = _get_open()
+        while link is not None and link[0] is not self:
+            link = link[2]
+        if link is None:
+            raise IndexError("annotate() without an open span")
+        link[1].attrs.update(attrs)
+
     def graft(self, other: "Tracer") -> None:
         """Append ``other``'s spans under this context's innermost open span
         of this tracer (as roots when none is open).
@@ -241,6 +251,9 @@ class NullTracer:
 
     def span(self, name: str, **attrs: Any) -> "_NullSpan":
         return _NULL_SPAN
+
+    def annotate(self, **attrs: Any) -> None:
+        pass
 
     @property
     def open_spans(self) -> int:

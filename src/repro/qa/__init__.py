@@ -37,7 +37,9 @@ from repro.qa.serve import (
     GOLDEN_REQUESTS,
     ServeOracleReport,
     check_envelope,
+    check_repaired,
     check_serve_differential,
+    check_warm_chain,
 )
 from repro.qa.runner import (
     DEFAULT_CONFIGS,
@@ -69,9 +71,11 @@ __all__ = [
     "check_envelope",
     "check_incremental_session",
     "check_serve_differential",
+    "check_warm_chain",
     "check_lower_bound",
     "check_modulo",
     "check_parity",
+    "check_repaired",
     "check_retiming",
     "check_roundtrip",
     "check_semantics",

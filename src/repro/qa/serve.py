@@ -18,14 +18,17 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.qa.oracles import check_lower_bound, check_modulo
+from repro.schedule.verify import check_schedule
 from repro.serve.protocol import (
     canonical_request,
     fingerprint,
     parse_request,
     request_fingerprint,
     schedule_bits,
+    schedule_from_payload,
     solve_canonical,
 )
 
@@ -48,6 +51,17 @@ GOLDEN_REQUESTS: List[Dict[str, Any]] = [
      "graph": {"benchmark": "lattice"}},
     {**_DIFFEQ, "base": request_fingerprint(_DIFFEQ),
      "edits": [{"edit": "set_delay", "src": 8, "dst": 10, "delay": 2}]},
+]
+
+
+#: A sequential edit chain from a stored base: the first edit's repair is
+#: seeded from the base's stored answer, the second repairs the session
+#: the first left resident (one ``set_resource_counts`` edit: the model is
+#: an edit like any other).
+WARM_CHAIN_BASE: Dict[str, Any] = {"graph": {"benchmark": "elliptic"}, "config": "3A2M"}
+WARM_CHAIN_EDITS: List[Dict[str, Any]] = [
+    {"edit": "set_delay", "src": "c12", "dst": "h1", "delay": 1},
+    {"edit": "set_resource_counts", "counts": {"mult": 1}},
 ]
 
 
@@ -120,3 +134,53 @@ def check_serve_differential(
 
     asyncio.run(sweep())
     return report
+
+
+def check_repaired(payload: Mapping[str, Any], envelope: Mapping[str, Any]) -> Optional[str]:
+    """One warm answer certified by legality, not bits (a repair need not
+    equal a fresh solve): :func:`~repro.schedule.verify.check_schedule`
+    under the returned retiming, modulo legality at the returned length,
+    and length >= the combined lower bound (skipped once an edit sets an
+    explicit node time, as :mod:`repro.qa.incremental` does); a fault
+    string or ``None``."""
+    if "error" in envelope:
+        return f"error envelope: {envelope['error']}"
+    request = parse_request(payload)
+    graph, model, result = request.graph, request.model, envelope["result"]
+    schedule, retiming = schedule_from_payload(graph, model, result)
+    problems = check_schedule(schedule, retiming)
+    if not any(graph.explicit_time(v) is not None for v in graph.nodes):
+        problems += [str(f) for f in check_lower_bound(graph, model, result["length"])]
+    problems += [
+        str(f) for f in check_modulo(graph, model, schedule.start_map, result["length"], retiming)
+    ]
+    if problems:
+        return f"illegal warm answer for {envelope.get('fingerprint', '?')[:12]}: {problems[0]}"
+    return None
+
+
+def check_warm_chain(service) -> Tuple[List[str], List[str]]:
+    """Solve :data:`WARM_CHAIN_BASE`, then each cumulative prefix of
+    :data:`WARM_CHAIN_EDITS` naming the previous answer as ``base``, one
+    request at a time; ``(warm paths, faults)``, certifying every warm
+    answer with :func:`check_repaired`."""
+    paths: List[str] = []
+    faults: List[str] = []
+
+    async def chain() -> None:
+        envelope = await service.solve(WARM_CHAIN_BASE)
+        if "error" in envelope:
+            faults.append(f"base: error envelope: {envelope['error']}")
+            return
+        for k in range(1, len(WARM_CHAIN_EDITS) + 1):
+            payload = {**WARM_CHAIN_BASE, "base": envelope["fingerprint"],
+                       "edits": WARM_CHAIN_EDITS[:k]}
+            envelope = await service.solve(payload)
+            fault = check_repaired(payload, envelope)
+            if fault is not None:
+                faults.append(f"edit {k}: {fault}")
+                return
+            paths.append(envelope["result"]["session"]["warm"])
+
+    asyncio.run(chain())
+    return paths, faults

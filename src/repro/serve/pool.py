@@ -12,10 +12,15 @@ shard is rebuilt for the next request.
 Two worker entry points, both pure functions of their payloads:
 
 * :func:`solve_one` — a single canonical request;
-* :func:`solve_warm` — a warm re-solve of an edited graph through a
-  worker-resident :class:`~repro.core.session.MutableSchedulingSession`
-  (repair, not re-search); the session store is keyed by fingerprint so
-  an edit chain keeps hitting its own session.
+* :func:`solve_warm` — a warm re-solve of an edited graph that repairs
+  a schedule of its base instead of re-searching: the worker-resident
+  :class:`~repro.core.session.MutableSchedulingSession` stored under the
+  base's fingerprint (an edit chain keeps hitting its own session), or,
+  for a chain's first edit, a fresh session seeded from the base's stored
+  answer.  The store is keyed on the options alone: the model is an edit
+  like any other, checked against the request after the replay.  Any
+  failed check — options, edit prefix, model, a rejected seed — falls
+  back to a cold build, and the answer says which path it took.
 
 :class:`InlinePool` runs the same entry points in-process — the gate
 smoke tier and the tests use it to avoid fork costs.
@@ -27,11 +32,11 @@ import asyncio
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 
-#: Worker-resident sessions: fingerprint -> (session, applied_edits, cfg_key).
+#: Worker-resident sessions: fingerprint -> (session, applied_edits, options).
 #: Bounded LRU; lives in the worker process (one per shard).
 _SESSIONS: "OrderedDict[str, Any]" = OrderedDict()
 SESSION_CAP = 32
@@ -43,17 +48,6 @@ SESSION_CAP = 32
 #: cells' single-edit chains is 1.13 bare, 1.09 after four rotations and
 #: 1.06 cold.  The rotations are cheap on the memoized engine.
 WARM_POLISH = 4
-
-
-def _session_cfg_key(canonical: Mapping[str, Any]) -> str:
-    """Everything besides the graph that a resident session bakes in."""
-    import json
-
-    return json.dumps(
-        {"model": canonical["model"], "options": canonical["options"]},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
 
 
 def _error_payload(kind: str, exc: BaseException) -> Dict[str, Any]:
@@ -72,65 +66,117 @@ def solve_one(fp: str, canonical: Mapping[str, Any]) -> Dict[str, Any]:
         return _error_payload("InternalError", exc)
 
 
+def _open_session(canonical: Mapping[str, Any], options: Mapping[str, Any]):
+    """A fresh session on ``canonical``'s graph and model."""
+    from repro.core.session import MutableSchedulingSession
+    from repro.serve.protocol import graph_from_canonical, model_from_canonical
+
+    return MutableSchedulingSession(
+        graph_from_canonical(canonical),
+        model_from_canonical(canonical),
+        heuristic=options["heuristic"],
+        beta=options["beta"],
+        sigma=options["sigma"],
+        priority=options["priority"],
+        cap=options["cap"],
+        backend=options["backend"] if options["backend"] != "naive" else "flat",
+        copy_graph=False,
+    )
+
+
+def _resident(base_fp: Optional[str], options, edits) -> Tuple[Any, Optional[str]]:
+    """``(session, None)``: the session resident under ``base_fp`` with
+    ``edits``' suffix replayed; or ``(None, reason)``.  A mismatched
+    session stays resident for a later request that matches it."""
+    entry = _SESSIONS.get(base_fp) if base_fp else None
+    if entry is None:
+        return None, "no_session"
+    session, applied, base_options = entry
+    if base_options != options:
+        return None, "options"
+    if edits[: len(applied)] != applied:
+        return None, "prefix"
+    del _SESSIONS[base_fp]  # the replay moves it on; it returns under fp
+    for op in edits[len(applied):]:
+        session.apply_edit(op)
+    return session, None
+
+
+def _seeded(seed, options, edits) -> Tuple[Any, Optional[str]]:
+    """``(session, None)``: a session on the stored base answer ``seed``
+    (its canonical form and result payload) with every edit applied; or
+    ``(None, "seed_rejected")`` when the answer is not a legal schedule of
+    the base."""
+    from repro.serve.protocol import schedule_from_payload
+
+    base_canonical, answer = seed
+    session = _open_session(base_canonical, options)
+    try:
+        session.seed(*schedule_from_payload(session.graph, session.model, answer))
+    except ReproError:
+        return None, "seed_rejected"
+    for op in edits:
+        session.apply_edit(op)
+    return session, None
+
+
 def solve_warm(
     fp: str,
     canonical: Mapping[str, Any],
     base_fp: Optional[str],
     edits: Sequence[Mapping[str, Any]],
+    seed: Optional[Tuple[Mapping[str, Any], Mapping[str, Any]]] = None,
 ) -> Dict[str, Any]:
-    """Warm re-solve: repair the base session instead of re-searching.
+    """Warm re-solve: repair a schedule of the base instead of re-searching.
 
     The canonical form already describes the *edited* graph, so a cold
-    build from it is always a correct fallback; a resident session for
-    ``base_fp`` just makes it cheap.  A chained request must send its
-    full edit list (graph spec + edits = final graph; ``base`` is only an
-    acceleration hint) — the session remembers which prefix it already
-    applied and replays just the suffix.  A prefix or model/options
-    mismatch silently falls back to the cold build.  The repaired session
-    is re-registered under ``fp`` so the next edit in the chain stays
-    warm.
+    build from it is always a correct fallback; a schedule of the base
+    just makes it cheap.  A chained request must send its full edit list
+    (graph spec + edits = final graph; ``base`` is only an acceleration
+    hint).  The repaired schedule comes from, in order:
+
+    * ``"resident"`` — the session resident under ``base_fp`` (keyed on
+      the options alone), replaying just the edit suffix beyond the prefix
+      it already applied;
+    * ``"seeded"`` — with none resident, a session on the base's stored
+      answer ``seed = (base canonical form, result payload)``, checked by
+      :meth:`~repro.core.session.MutableSchedulingSession.seed`, replaying
+      every edit;
+    * ``"cold"`` — a full solve of the canonical form, when neither
+      applies (``reason``: ``no_session``, ``options``, ``prefix``,
+      ``seed_rejected``) or the replayed session's graph or model is not
+      the canonical one (``model``).
+
+    The answer's ``session`` meta names the path (``warm``, plus
+    ``reason`` when cold); ``repaired`` is true unless it is cold.  The
+    session is registered under ``fp`` so the next edit in the chain
+    stays warm.
     """
-    from repro.serve.protocol import (
-        graph_from_canonical,
-        model_from_canonical,
-        result_payload,
-    )
+    from repro.serve.protocol import canonical_graph, canonical_model, result_payload
 
     try:
         edits = list(edits)
-        cfg_key = _session_cfg_key(canonical)
-        session = None
-        repaired = False
-        entry = _SESSIONS.pop(base_fp, None) if base_fp else None
-        if entry is not None:
-            base_session, applied, base_cfg = entry
-            if base_cfg == cfg_key and edits[: len(applied)] == applied:
-                session = base_session
-                for op in edits[len(applied):]:
-                    session.apply_edit(op)
-                repaired = True
-        opts = canonical["options"]
+        options = canonical["options"]
+        session, reason = _resident(base_fp, options, edits)
+        warm = "resident"
+        if session is None and reason == "no_session" and seed is not None:
+            session, reason = _seeded(seed, options, edits)
+            warm = "seeded"
+        if session is not None and (
+            canonical_model(session.model) != canonical["model"]
+            or canonical_graph(session.graph) != canonical["graph"]
+        ):
+            session, reason = None, "model"
         if session is None:
-            from repro.core.session import MutableSchedulingSession
-
-            session = MutableSchedulingSession(
-                graph_from_canonical(canonical),
-                model_from_canonical(canonical),
-                heuristic=opts["heuristic"],
-                beta=opts["beta"],
-                sigma=opts["sigma"],
-                priority=opts["priority"],
-                cap=opts["cap"],
-                backend=opts["backend"] if opts["backend"] != "naive" else "flat",
-                copy_graph=False,
-            )
+            session, warm = _open_session(canonical, options), "cold"
         result = session.resolve(polish=WARM_POLISH)
-        payload = result_payload(result)
-        payload_meta = {"repaired": repaired and session.metrics["repairs"] > 0}
-        _SESSIONS[fp] = (session, edits, cfg_key)
+        meta: Dict[str, Any] = {"repaired": warm != "cold", "warm": warm}
+        if warm == "cold":
+            meta["reason"] = reason
+        _SESSIONS[fp] = (session, edits, options)
         while len(_SESSIONS) > SESSION_CAP:
             _SESSIONS.popitem(last=False)
-        return {**payload, "session": payload_meta}
+        return {**result_payload(result), "session": meta}
     except ReproError as exc:
         return _error_payload("ReproError", exc)
     except Exception as exc:  # pragma: no cover - defensive

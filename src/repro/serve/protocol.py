@@ -43,7 +43,9 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.dfg.graph import DFG
 from repro.dfg.io import _decode_id, _encode_id, from_json_dict
 from repro.errors import ReproError
+from repro.dfg.retiming import Retiming
 from repro.schedule.resources import ResourceModel, UnitSpec
+from repro.schedule.schedule import Schedule
 from repro.core.engine import BACKENDS
 from repro.core.flat.graph import model_signature, structural_signature
 
@@ -81,7 +83,9 @@ class SolveRequest:
     ``graph`` is the *base* graph with any ``edits`` already applied (the
     canonical form always describes the state actually solved); ``base``
     and ``edits`` are kept so the pool can route warm re-solves to the
-    shard holding the base session.
+    shard holding the base session, and ``unedited`` (the graph and model
+    before the edits) so a chain's first edit can be seeded from the
+    base's stored answer.
     """
 
     graph: DFG
@@ -89,6 +93,7 @@ class SolveRequest:
     options: Dict[str, Any]
     base: Optional[str] = None
     edits: Tuple[Mapping[str, Any], ...] = ()
+    unedited: Optional[Tuple[DFG, ResourceModel]] = None
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +210,7 @@ def parse_request(payload: Mapping[str, Any]) -> SolveRequest:
     options = parse_options(payload.get("options"))
     base = payload.get("base")
     edits = tuple(payload.get("edits") or ())
+    unedited = None
     if edits:
         if options["unfold"] != 1 or options["clock"] is not None:
             raise ServeError("'edits' cannot combine with 'unfold' or 'clock'")
@@ -217,6 +223,7 @@ def parse_request(payload: Mapping[str, Any]) -> SolveRequest:
         session = MutableSchedulingSession(graph, model, copy_graph=True, backend="naive")
         for op in edits:
             session.apply_edit(op)
+        unedited = (graph, model)
         graph = session.graph
         model = session.model
     return SolveRequest(
@@ -225,6 +232,7 @@ def parse_request(payload: Mapping[str, Any]) -> SolveRequest:
         options=options,
         base=str(base) if base is not None else None,
         edits=edits,
+        unedited=unedited,
     )
 
 
@@ -237,23 +245,31 @@ def canonical_request(request: SolveRequest) -> Dict[str, Any]:
     Reuses the engine-layer signatures for the graph and model halves,
     then appends the full option surface in sorted key order.
     """
-    g_nodes, g_ops, g_times, g_edges = structural_signature(request.graph)
-    m_units, m_binding = model_signature(request.model)
     return {
         "protocol": PROTOCOL,
-        "graph": {
-            "nodes": [_encode_id(v) for v in g_nodes],
-            "ops": list(g_ops),
-            "times": list(g_times),
-            "edges": [
-                [_encode_id(s), _encode_id(d), delay] for s, d, delay in g_edges
-            ],
-        },
-        "model": {
-            "units": [list(u) for u in m_units],
-            "binding": [list(b) for b in m_binding],
-        },
+        "graph": canonical_graph(request.graph),
+        "model": canonical_model(request.model),
         "options": {k: request.options[k] for k in sorted(DEFAULT_OPTIONS)},
+    }
+
+
+def canonical_graph(graph: DFG) -> Dict[str, Any]:
+    """The graph half of a canonical form (:func:`structural_signature`)."""
+    g_nodes, g_ops, g_times, g_edges = structural_signature(graph)
+    return {
+        "nodes": [_encode_id(v) for v in g_nodes],
+        "ops": list(g_ops),
+        "times": list(g_times),
+        "edges": [[_encode_id(s), _encode_id(d), delay] for s, d, delay in g_edges],
+    }
+
+
+def canonical_model(model: ResourceModel) -> Dict[str, Any]:
+    """The model half of a canonical form (:func:`model_signature`)."""
+    m_units, m_binding = model_signature(model)
+    return {
+        "units": [list(u) for u in m_units],
+        "binding": [list(b) for b in m_binding],
     }
 
 
@@ -341,6 +357,22 @@ def result_payload(result) -> Dict[str, Any]:
             "rotations": result.rotations_performed,
         },
     }
+
+
+def schedule_from_payload(
+    graph: DFG, model: ResourceModel, payload: Mapping[str, Any]
+) -> Tuple[Schedule, Retiming]:
+    """The ``(schedule, retiming)`` a rotation-mode :func:`result_payload`
+    spells, rebuilt on ``graph`` and ``model`` (its inverse); raises a
+    :class:`ReproError` when the payload is malformed or does not place
+    exactly the graph's nodes."""
+    try:
+        starts = {_decode_id(v): int(s) for v, s in payload["starts"]}
+        units = {_decode_id(v): int(u) for v, u in payload["units"] if u is not None}
+        retiming = Retiming({_decode_id(v): int(r) for v, r in payload["retiming"]})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ServeError(f"malformed result payload: {exc!r}") from exc
+    return Schedule(graph, model, starts, units), retiming
 
 
 def chained_result_payload(state, best_len: int) -> Dict[str, Any]:

@@ -16,7 +16,9 @@ pipeline per request::
   shard of its own fingerprint; a warm request (``base`` + ``edits``)
   runs on the shard whose worker holds the base session and repairs
   instead of re-searching.  The service remembers which shard holds each
-  warm answer's session in an LRU sized to what the workers keep.
+  warm answer's session in an LRU sized to what the workers keep.  A
+  chain's first edit, whose base no shard holds, goes to the base's
+  shard with the base's stored answer, which seeds the repair.
 
 Every response envelope carries the fingerprint, the cache level
 (``"memory" | "disk" | "coalesced" | "solved"``) and the wall time;
@@ -46,6 +48,7 @@ from repro.serve.pool import SESSION_CAP, InlinePool, ShardedPool, solve_one, so
 from repro.serve.protocol import (
     PROTOCOL,
     ServeError,
+    SolveRequest,
     canonical_request,
     fingerprint,
     parse_request,
@@ -125,6 +128,9 @@ class SchedulingService:
             try:
                 with tr.span("serve.solve", fp=fp[:12]):
                     result = await self._dispatch(fp, canonical, request, future)
+                    if request.edits and "error" not in result:
+                        meta = result["session"]
+                        tr.annotate(**{k: meta[k] for k in ("warm", "reason") if k in meta})
             finally:
                 self._inflight.pop(fp, None)
             if "error" in result:
@@ -162,16 +168,20 @@ class SchedulingService:
                 # The session lands on the shard that runs this solve, so
                 # the next edit in the chain must be routed there too.
                 shard = self._residency.get(request.base) if request.base else None
+                seed = None
                 if shard is None:
                     shard = self.pool.shard_of(request.base or fp)
+                    seed = self._stored_base(request)
                 result = await self.pool.submit(
-                    shard, solve_warm, fp, canonical, request.base, list(request.edits)
+                    shard, solve_warm, fp, canonical, request.base, list(request.edits), seed
                 )
-                self._residency.put(fp, shard)
                 self.metrics.inc("warm_solves")
-                if "error" not in result and not result["session"]["repaired"]:
-                    # a cold session build (none resident, or a mismatch)
-                    self.metrics.inc("warm_fallbacks")
+                if "error" not in result:
+                    # an error registered no session: nothing to route to
+                    self._residency.put(fp, shard)
+                    warm = result["session"]["warm"]
+                    if warm != "resident":
+                        self.metrics.inc("warm_fallbacks" if warm == "cold" else "warm_seeded")
             else:
                 result = await self.pool.submit(self.pool.shard_of(fp), solve_one, fp, canonical)
             if "error" not in result:
@@ -184,6 +194,20 @@ class SchedulingService:
         if not future.done():
             future.set_result(result)
         return result
+
+    def _stored_base(self, request: SolveRequest):
+        """``(canonical form, answer)`` of a chain start's base, to seed its
+        repair: ``request.base`` must be the fingerprint of this very
+        request without ``base`` and ``edits``, and its answer a
+        rotation-mode one in a cache tier.  ``None`` otherwise."""
+        if request.base is None:
+            return None
+        answer, _level = self.cache.lookup(request.base)
+        if answer is None or answer.get("mode") != "rotation":
+            return None
+        graph, model = request.unedited
+        canonical = canonical_request(SolveRequest(graph, model, request.options))
+        return (canonical, answer) if fingerprint(canonical) == request.base else None
 
     # ------------------------------------------------------------------
     def _envelope(self, fp, cache_level, t0, result=None, error=None) -> Dict[str, Any]:

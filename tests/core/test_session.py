@@ -8,6 +8,8 @@ from repro.core.session import EDIT_KINDS, MutableSchedulingSession
 from repro.core.wrapping import _wrap_static
 from repro.errors import SchedulingError
 from repro.qa.oracles import check_parity
+from repro.schedule.schedule import Schedule
+from repro.schedule.verify import check_schedule
 
 
 def same_result(a, b, label):
@@ -191,6 +193,87 @@ class TestRepair:
         session.add_edge(session.graph.nodes[1], "qx0", 1)
         result = session.resolve()
         assert "qx0" in result.schedule.start_map
+
+
+class TestSeed:
+    """``seed()``: a schedule found elsewhere becomes the repair seed."""
+
+    EDITS = [
+        {"edit": "set_resource_counts", "counts": {"adder": 2}},
+        {"edit": "remove_node", "node": "M7"},
+    ]
+
+    def seeded(self, backend="flat"):
+        g = elliptic()
+        model = ResourceModel.adders_mults(3, 2)
+        found = rotation_schedule(g, model, heuristic="h2")
+        session = open_session(g, model, backend=backend)
+        session.seed(found.schedule, found.retiming)
+        return session, found
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_seeded_session_repairs_instead_of_searching(self, backend):
+        session, found = self.seeded(backend)
+        assert session.resolve().length == found.length
+        for op in self.EDITS:
+            session.apply_edit(op)
+            result = session.resolve()
+            assert not check_schedule(result.schedule, result.retiming)
+        assert session.metrics["full_solves"] == 0
+        assert session.metrics["repairs"] == 1 + len(self.EDITS)
+
+    def test_seeded_repairs_agree_across_backends(self):
+        results = {}
+        for backend in BACKENDS:
+            session, _ = self.seeded(backend)
+            for op in self.EDITS:
+                session.apply_edit(op)
+            results[backend] = session.resolve()
+        same_result(results["flat"], results["naive"], "seeded repair")
+
+    def test_illegal_start_is_rejected_and_the_session_kept(self):
+        g = elliptic()
+        model = ResourceModel.adders_mults(3, 2)
+        found = rotation_schedule(g, model, heuristic="h2")
+        sched, r = found.schedule, found.retiming
+        edge = next(e for e in g.edges if r.dr(e) == 0)
+        start = dict(sched.start_map)
+        start[edge.dst] = start[edge.src]
+        bad = Schedule(g, model, start, sched.unit_map)
+        session = open_session(g, model)
+        with pytest.raises(SchedulingError, match="seed rejected"):
+            session.seed(bad, r)
+        session.resolve()  # no seed was adopted: a full search
+        assert session.metrics["full_solves"] == 1
+
+    def test_double_booked_instance_is_rejected(self):
+        g = elliptic()
+        model = ResourceModel.adders_mults(3, 2)
+        found = rotation_schedule(g, model, heuristic="h2")
+        sched = found.schedule
+        # two adders in one control step, moved onto one instance: the
+        # class count is unchanged, so only the instance check sees it
+        u, v = next(
+            (a, b) for a in g.nodes for b in g.nodes
+            if g.op(a) == g.op(b) == "add" and a != b
+            and sched.start(a) == sched.start(b)
+        )
+        units = dict(sched.unit_map)
+        units[v] = units[u]
+        with pytest.raises(SchedulingError, match="share adder"):
+            open_session(g, model).seed(Schedule(g, model, sched.start_map, units), found.retiming)
+        units[v] = 3
+        with pytest.raises(SchedulingError, match="adder instance 3 of 3"):
+            open_session(g, model).seed(Schedule(g, model, sched.start_map, units), found.retiming)
+
+    def test_seed_needs_no_pending_edits(self):
+        g = elliptic()
+        model = ResourceModel.adders_mults(3, 2)
+        found = rotation_schedule(g, model, heuristic="h2")
+        session = open_session(g, model)
+        session.apply_edit(self.EDITS[0])
+        with pytest.raises(SchedulingError, match="no pending edits"):
+            session.seed(found.schedule, found.retiming)
 
 
 class TestEditProtocol:

@@ -50,6 +50,16 @@ class TestTracer:
         with pytest.raises(Exception):
             tr.end()
 
+    def test_annotate_sets_attributes_of_the_innermost_open_span(self):
+        tr = Tracer()
+        with tr.span("outer", k=1):
+            with tr.span("inner"):
+                pass
+            tr.annotate(warm="seeded")
+        assert [ev.attrs for ev in tr.events] == [{"k": 1, "warm": "seeded"}, {}]
+        with pytest.raises(IndexError):
+            tr.annotate(late=True)
+
     def test_concurrent_tasks_keep_their_own_parents(self):
         tr = Tracer()
 
@@ -172,6 +182,7 @@ class TestNullTracer:
         nt = NullTracer()
         assert nt.enabled is False
         nt.begin("x", a=1)
+        nt.annotate(b=2)
         nt.end()
         with nt.span("y"):
             pass

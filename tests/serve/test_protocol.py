@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dfg.graph import DFG
+from repro.errors import ReproError
 from repro.schedule.resources import ResourceModel
 from repro.serve.protocol import (
     DEFAULT_OPTIONS,
@@ -221,6 +222,34 @@ class TestCanonicalRoundTrip:
             {**base, "options": {"unfold": 2}}
         )))
         assert len(unfolded["starts"]) == 22  # 11 diffeq nodes x 2
+
+    def test_schedule_from_payload_inverts_result_payload(self):
+        from repro import rotation_schedule
+        from repro.serve.protocol import result_payload, schedule_from_payload
+
+        request = parse_request({"graph": {"benchmark": "elliptic"}, "config": "3A2M"})
+        result = rotation_schedule(request.graph, request.model)
+        payload = result_payload(result)
+        schedule, retiming = schedule_from_payload(request.graph, request.model, payload)
+        assert schedule.start_map == result.schedule.start_map
+        assert schedule.unit_map == result.schedule.unit_map
+        assert retiming == result.retiming
+        with pytest.raises(ServeError, match="malformed result payload"):
+            schedule_from_payload(request.graph, request.model, {**payload, "starts": [[1]]})
+        with pytest.raises(ReproError, match="misses nodes"):
+            schedule_from_payload(request.graph, request.model,
+                                  {**payload, "starts": payload["starts"][1:]})
+
+    def test_edited_request_keeps_its_unedited_graph_and_model(self):
+        base = {"graph": {"benchmark": "diffeq"}, "config": "2A1M"}
+        request = parse_request({**base, "edits": [
+            {"edit": "set_resource_counts", "counts": {"adder": 1}},
+            {"edit": "set_delay", "src": 8, "dst": 10, "delay": 2},
+        ]})
+        graph, model = request.unedited
+        assert fingerprint(canonical_request(SolveRequest(graph, model, request.options))) \
+            == request_fingerprint(base)
+        assert parse_request(base).unedited is None
 
     def test_schedule_bits_strips_trajectory(self):
         payload = {"graph": {"benchmark": "diffeq"}, "config": "2A1M"}

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from repro.obs import tracing
-from repro.qa import GOLDEN_REQUESTS, check_serve_differential
+from repro.qa import GOLDEN_REQUESTS, check_repaired, check_serve_differential
 from repro.serve import build_service, schedule_bits
 from repro.serve import server as server_mod
 from repro.serve.pool import _SESSIONS, SESSION_CAP, InlinePool, ShardedPool
@@ -273,18 +273,21 @@ class TestTracing:
 class TestWarmPath:
     def test_fallback_is_counted(self, service):
         _SESSIONS.clear()
-        base = run(service.solve(DIFFEQ))
         edits1 = [{"edit": "set_delay", "src": 8, "dst": 10, "delay": 2}]
-        # The base was a cold solve, which keeps no session: a fallback.
-        warm1 = run(service.solve({**DIFFEQ, "base": base["fingerprint"], "edits": edits1}))
-        assert warm1["result"]["session"] == {"repaired": False}
+        # No answer is stored under this base, so nothing seeds a repair.
+        warm1 = run(service.solve({**DIFFEQ, "base": "0" * 64, "edits": edits1}))
+        assert warm1["result"]["session"] == {
+            "repaired": False, "warm": "cold", "reason": "no_session",
+        }
         assert service.stats()["metrics"]["counters"]["warm_fallbacks"] == 1
         edits2 = edits1 + [{"edit": "add_edge", "src": 4, "dst": 9, "delay": 2}]
         warm2 = run(service.solve({**DIFFEQ, "base": warm1["fingerprint"], "edits": edits2}))
-        assert warm2["result"]["session"]["repaired"] is True
+        assert warm2["result"]["session"] == {"repaired": True, "warm": "resident"}
         counters = service.stats()["metrics"]["counters"]
         assert counters["warm_solves"] == 2 and counters["warm_fallbacks"] == 1
-        # three solved dispatches (one cold, two warm) and no hit yet
+        assert "warm_seeded" not in counters
+        # three solved dispatches (two warm, one cold) and one hit
+        run(service.solve(DIFFEQ))
         run(service.solve(DIFFEQ))
         assert service.stats()["hit_rate"] == 0.25
 
@@ -292,22 +295,30 @@ class TestWarmPath:
         _SESSIONS.clear()
         base = run(service.solve(DIFFEQ))
         edits1 = [{"edit": "set_delay", "src": 8, "dst": 10, "delay": 2}]
-        warm1 = run(service.solve({**DIFFEQ, "base": base["fingerprint"],
-                                   "edits": edits1}))
-        assert warm1["result"]["session"] == {"repaired": False}  # cold build
+        payload1 = {**DIFFEQ, "base": base["fingerprint"], "edits": edits1}
+        warm1 = run(service.solve(payload1))
+        # the first edit repairs the stored base answer
+        assert warm1["result"]["session"] == {"repaired": True, "warm": "seeded"}
         edits2 = edits1 + [{"edit": "add_edge", "src": 4, "dst": 9, "delay": 2}]
-        warm2 = run(service.solve({**DIFFEQ, "base": warm1["fingerprint"],
-                                   "edits": edits2}))
-        assert warm2["result"]["session"]["repaired"] is True
+        payload2 = {**DIFFEQ, "base": warm1["fingerprint"], "edits": edits2}
+        warm2 = run(service.solve(payload2))
+        assert warm2["result"]["session"] == {"repaired": True, "warm": "resident"}
+        assert check_repaired(payload1, warm1) is None
+        assert check_repaired(payload2, warm2) is None
+        # on this chain the repairs also equal a fresh solve
         fresh = solve_canonical(canonical_request(parse_request(
             {**DIFFEQ, "edits": edits2}
         )))
         assert schedule_bits(warm2["result"]) == schedule_bits(fresh)
+        counters = service.stats()["metrics"]["counters"]
+        assert counters["warm_solves"] == 2 and counters["warm_seeded"] == 1
+        assert "warm_fallbacks" not in counters
 
     def test_edit_chain_repairs_across_shards(self):
-        """On a real two-shard pool, the second edit of a chain repairs on
-        the worker that holds the session, even when the first edit's
-        fingerprint hashes to the other shard."""
+        """On a real two-shard pool, the first edit of a chain is seeded on
+        its base's shard and the second repairs on the worker that holds
+        the session, even when the first edit's fingerprint hashes to the
+        other shard."""
         from repro.serve.pool import ShardedPool
 
         shard_of = ShardedPool(workers=2).shard_of
@@ -327,19 +338,111 @@ class TestWarmPath:
                 base = await svc.solve(DIFFEQ)
                 warm1 = await svc.solve({**DIFFEQ, "base": base["fingerprint"],
                                          "edits": edits1})
-                warm2 = await svc.solve({**DIFFEQ, "base": warm1["fingerprint"],
-                                         "edits": edits2})
-                return warm1, warm2
+                payload2 = {**DIFFEQ, "base": warm1["fingerprint"], "edits": edits2}
+                warm2 = await svc.solve(payload2)
+                return warm1, payload2, warm2
             finally:
                 svc.close()
 
-        warm1, warm2 = run(main())
-        assert warm1["result"]["session"] == {"repaired": False}  # first edit: cold
-        assert warm2["result"]["session"]["repaired"] is True
+        warm1, payload2, warm2 = run(main())
+        assert warm1["result"]["session"] == {"repaired": True, "warm": "seeded"}
+        assert warm2["result"]["session"] == {"repaired": True, "warm": "resident"}
+        assert check_repaired(payload2, warm2) is None
         fresh = solve_canonical(canonical_request(parse_request(
             {**DIFFEQ, "edits": edits2}
         )))
         assert schedule_bits(warm2["result"]) == schedule_bits(fresh)
+
+    def test_mismatched_branch_keeps_the_base_session(self, service):
+        """A request whose edits do not extend the resident session's
+        leaves it resident, so a later branch that does extend it repairs."""
+        _SESSIONS.clear()
+        base = run(service.solve(DIFFEQ))
+        edits1 = [{"edit": "set_delay", "src": 8, "dst": 10, "delay": 2}]
+        warm1 = run(service.solve({**DIFFEQ, "base": base["fingerprint"], "edits": edits1}))
+        other = run(service.solve({
+            **DIFFEQ, "base": warm1["fingerprint"],
+            "edits": [{"edit": "set_exec_time", "node": 3, "time": 3}],
+        }))
+        assert other["result"]["session"] == {
+            "repaired": False, "warm": "cold", "reason": "prefix",
+        }
+        edits2 = edits1 + [{"edit": "add_edge", "src": 4, "dst": 9, "delay": 2}]
+        payload2 = {**DIFFEQ, "base": warm1["fingerprint"], "edits": edits2}
+        warm2 = run(service.solve(payload2))
+        assert warm2["result"]["session"] == {"repaired": True, "warm": "resident"}
+        assert check_repaired(payload2, warm2) is None
+
+    def test_resource_count_edit_and_its_undo_stay_warm(self, service):
+        """Sessions are keyed on the options alone: a ``set_resource_counts``
+        edit, and the edit that undoes it, repair like any other edit."""
+        _SESSIONS.clear()
+        base = run(service.solve(DIFFEQ))
+        chain = [
+            {"edit": "set_resource_counts", "counts": {"adder": 1}},
+            {"edit": "set_delay", "src": 8, "dst": 10, "delay": 2},
+            {"edit": "set_resource_counts", "counts": {"adder": 2}},
+        ]
+        fp, paths = base["fingerprint"], []
+        for k in range(1, len(chain) + 1):
+            payload = {**DIFFEQ, "base": fp, "edits": chain[:k]}
+            warm = run(service.solve(payload))
+            assert warm["cache"] == "solved"
+            assert check_repaired(payload, warm) is None
+            paths.append(warm["result"]["session"]["warm"])
+            fp = warm["fingerprint"]
+        assert paths == ["seeded", "resident", "resident"]
+        assert "warm_fallbacks" not in service.stats()["metrics"]["counters"]
+
+    def test_corrupted_stored_base_is_rejected(self, service):
+        """A stored base answer that is not a legal schedule of the base
+        never seeds a repair: the request is built cold, bit for bit a
+        fresh solve."""
+        from repro.dfg.io import _decode_id
+        from repro.serve.protocol import schedule_from_payload
+
+        _SESSIONS.clear()
+        base = run(service.solve(DIFFEQ))
+        answer = dict(base["result"])
+        request = parse_request(DIFFEQ)
+        schedule, retiming = schedule_from_payload(request.graph, request.model, answer)
+        edge = next(
+            e for e in request.graph.edges
+            if retiming.dr(e) == 0 and schedule.start(e.src) != schedule.start(e.dst)
+        )
+        # start the edge's head with its tail, before the tail's result exists
+        answer["starts"] = [
+            [v, schedule.start(edge.src) if _decode_id(v) == edge.dst else s]
+            for v, s in answer["starts"]
+        ]
+        service.cache.memory.put(base["fingerprint"], answer)
+        edits = [{"edit": "set_delay", "src": 8, "dst": 10, "delay": 2}]
+        warm = run(service.solve({**DIFFEQ, "base": base["fingerprint"], "edits": edits}))
+        assert warm["result"]["session"] == {
+            "repaired": False, "warm": "cold", "reason": "seed_rejected",
+        }
+        fresh = solve_canonical(canonical_request(parse_request({**DIFFEQ, "edits": edits})))
+        assert schedule_bits(warm["result"]) == schedule_bits(fresh)
+
+    def test_warm_spans_name_their_path(self, service):
+        _SESSIONS.clear()
+        edits1 = [{"edit": "set_delay", "src": 8, "dst": 10, "delay": 2}]
+        edits2 = edits1 + [{"edit": "add_edge", "src": 4, "dst": 9, "delay": 2}]
+        with tracing() as tr:
+            base = run(service.solve(DIFFEQ))
+            warm1 = run(service.solve({**DIFFEQ, "base": base["fingerprint"], "edits": edits1}))
+            run(service.solve({**DIFFEQ, "base": warm1["fingerprint"], "edits": edits2}))
+            run(service.solve({**DIFFEQ, "base": "0" * 64, "edits": edits2[1:]}))
+        attrs = [
+            {k: v for k, v in ev.attrs.items() if k != "fp"}
+            for ev in tr.events if ev.name == "serve.solve"
+        ]
+        assert attrs == [
+            {},
+            {"warm": "seeded"},
+            {"warm": "resident"},
+            {"warm": "cold", "reason": "no_session"},
+        ]
 
     def test_residency_is_bounded_and_chains_still_repair(self):
         """The shard map of warm sessions is an LRU of what the workers
@@ -402,7 +505,9 @@ class TestWarmPath:
             **DIFFEQ, "base": warm1["fingerprint"],
             "edits": [{"edit": "set_exec_time", "node": 3, "time": 3}],
         }))
-        assert warm2["result"]["session"] == {"repaired": False}
+        assert warm2["result"]["session"] == {
+            "repaired": False, "warm": "cold", "reason": "prefix",
+        }
         fresh = solve_canonical(canonical_request(parse_request({
             **DIFFEQ,
             "edits": [{"edit": "set_exec_time", "node": 3, "time": 3}],
@@ -458,6 +563,15 @@ class TestDifferentialOracle:
         service.cache.memory.put(first["fingerprint"], poisoned)
         report = check_serve_differential(service, payloads=[DIFFEQ], rounds=1)
         assert not report.ok and report.mismatches
+
+
+    def test_check_repaired_catches_an_illegal_warm_answer(self, service):
+        edits = [{"edit": "set_delay", "src": 8, "dst": 10, "delay": 2}]
+        payload = {**DIFFEQ, "base": "0" * 64, "edits": edits}
+        warm = run(service.solve(payload))
+        assert check_repaired(payload, warm) is None
+        short = {**warm, "result": {**warm["result"], "length": 1}}
+        assert "illegal warm answer" in check_repaired(payload, short)
 
 
 class TestStats:

@@ -7,8 +7,9 @@ rotated set ``X`` — "no graphs or weights on graph edges are modified".
 Two backends exist:
 
 * ``flat`` (the default) — :class:`repro.core.flat.engine.FlatEngine`:
-  integer kernels over an integer-array snapshot of the graph,
-  delta-maintained occupancy grids and rotation transition memos;
+  integer kernels over an integer-array snapshot of the graph, each
+  rotation deriving only its moved subgraph, a delta-maintained
+  occupancy grid, lap replay and wrap/realize memos;
 * ``naive`` — no engine: every rotation recomputes priorities,
   adjacency and occupancy from scratch.  It is the oracle the golden
   parity suite pins ``flat`` against bit for bit.
@@ -28,8 +29,8 @@ from repro.errors import SchedulingError
 #: priorities run on the naive path, which calls them directly.
 _STRUCTURAL_PRIORITIES = {"descendants", "height", "combined", "mobility"}
 
-#: Selectable backends: ``flat`` = integer kernels + rotation transition
-#: memos over integer-array snapshots (repro.core.flat), ``naive`` = recompute
+#: Selectable backends: ``flat`` = integer kernels over integer-array
+#: snapshots, local per rotation (repro.core.flat), ``naive`` = recompute
 #: everything (no engine).
 BACKENDS = ("flat", "naive")
 

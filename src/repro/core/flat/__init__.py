@@ -16,7 +16,6 @@ from repro.core.flat.graph import (
 from repro.core.flat.kernels import (
     FlatGrid,
     flat_heights,
-    flat_latest_fit,
     flat_list_schedule,
     flat_mobility,
     flat_priority_columns,
@@ -36,7 +35,6 @@ __all__ = [
     "FlatGrid",
     "FlatModel",
     "flat_heights",
-    "flat_latest_fit",
     "flat_list_schedule",
     "flat_mobility",
     "flat_priority_columns",

@@ -1,4 +1,4 @@
-"""The flat rotation engine: memoized rotations over integer arrays.
+"""The flat rotation engine: local rotations over integer arrays.
 
 :class:`FlatEngine` is the ``flat`` backend (see
 :func:`repro.core.engine.make_engine`): it drives
@@ -13,20 +13,21 @@ and the occupancy grid stores instance bitmasks.  Node ids only reappear
 at the boundary — error messages and the lazily materialized
 :class:`~repro.schedule.schedule.Schedule` / ``Retiming`` dicts.
 
-The optimization that pays on the paper-sized graphs is that *rotation
-outcomes are pure functions of* ``(starts, units, dr, size)``.  The
-placement kernels are deterministic given the occupancy and the sort keys
-(a function of ``dr``), and rotation-count vectors only shift the key
-space (``rv`` enters through ``dr``, never directly), so a rotation seen
-once replays as a tuple lookup.  Most repeats come in whole laps: a
-phase returns to a state it has been in and cycles from there, so
-:meth:`FlatEngine.replay_lap` finishes the phase without rotating (976
-of the 1156 rotations of Heuristic 2's full search on the elliptic filter
-at 3A 2M, 54 of the 65 its default search runs before the certified
-stop).  The same argument memoizes the wrap-period search (a function of
-``(starts, dr)``), the re-seeding initial schedules (a function of ``dr``
-alone) and depth reduction's realizing retimings (a function of
-``(starts, period)``).
+A rotation is a local edit (paper Section 2): only the edges crossing the
+moved set change ``dr``, so :meth:`FlatEngine.down_rotate` derives the
+moved nodes' adjacency and keys in one pass over their incident edges and
+re-places them on the chain tip's occupancy grid, freed and shifted in
+place.  On top of that, three caches rest on one purity argument: a
+rotation's outcome is a function of ``(starts, units, dr, size)`` alone —
+the placement kernel is deterministic given the occupancy and the sort
+keys (a function of ``dr``), and rotation counts only shift the key space
+(``rv`` enters through ``dr``, never directly).  So a phase that returns
+to a configuration it has been in cycles from there, and
+:meth:`FlatEngine.replay_lap` finishes it without rotating (54 of the 65
+rotations Heuristic 2's default search runs on the elliptic filter at
+3A 2M before the certified stop).  The same argument memoizes the
+wrap-period search (a function of ``(starts, dr)``) and depth reduction's
+realizing retimings (a function of ``(starts, period)``).
 
 Schedules and retimings are materialized lazily (:class:`_LazySchedule`,
 :class:`_LazyRetiming`): the hot loop only ever needs the tuple records,
@@ -49,7 +50,6 @@ from repro.core.wrapping import WrappedSchedule
 from repro.core.flat.graph import FlatGraph, FlatModel
 from repro.core.flat.kernels import (
     FlatGrid,
-    flat_latest_fit,
     flat_list_schedule,
     flat_priority_columns,
     flat_topological_order,
@@ -160,8 +160,8 @@ def _rot_classes():
 class _Key:
     """Memo-key tuple with its hash computed once.
 
-    The rotation and wrap memos key on large int tuples; plain tuple keys
-    re-hash every element on every lookup *and* every insert.  Records
+    Lap detection and the wrap memo key on large int tuples; plain tuple
+    keys re-hash every element on every lookup *and* every insert.  Records
     cache one ``_Key`` per memo and the dicts hash it in O(1) afterwards
     (bucket collisions still compare the underlying tuples, which is
     cheap: memo hits share the element tuples, so equality short-circuits
@@ -184,8 +184,8 @@ class _Key:
 class _VecState:
     """Tuple record of one engine-produced state (all normalized).
 
-    ``hk`` / ``wk`` lazily cache the rotation-memo and wrap-memo keys
-    (see :class:`_Key`).
+    ``hk`` / ``wk`` lazily cache the lap key and the wrap-memo key (see
+    :class:`_Key`).
     """
 
     __slots__ = ("starts", "units", "dr", "rv", "last", "phantom", "hk", "wk")
@@ -199,14 +199,6 @@ class _VecState:
         self.phantom: dict = phantom
         self.hk = None
         self.wk = None
-
-
-def _rot_key(rec: _VecState) -> _Key:
-    """The record's rotation-memo key ``(starts, units, dr)``, cached."""
-    hk = rec.hk
-    if hk is None:
-        hk = rec.hk = _Key((rec.starts, rec.units, rec.dr))
-    return hk
 
 
 class _StructView:
@@ -229,7 +221,7 @@ class _StructView:
 
 
 # Backstop bound for the per-engine memos.  A single solve stays far
-# below it (a few hundred distinct transitions); only a very long-lived
+# below it (a few thousand distinct states); only a very long-lived
 # session could accumulate enough to matter, and clearing is always safe —
 # any state rebuilds cold from its schedule.
 _MEMO_LIMIT = 1 << 17
@@ -238,7 +230,7 @@ _MAX_VIEWS = 4096
 
 
 class FlatEngine:
-    """Array-backed, transition-memoized rotation engine (``backend="flat"``).
+    """Array-backed rotation engine (``backend="flat"``).
 
     One engine serves one ``(graph, model, priority)`` triple; the graph is
     snapshotted once into a :class:`FlatGraph` and the snapshot's epoch is
@@ -275,9 +267,8 @@ class FlatEngine:
         # metrics schema (repro.obs.metrics) — they have no counterpart in
         # the shared EngineStats semantics.
         self._extras: Dict[str, int] = dict.fromkeys((
-            "chain_tip_reuses", "rotation_memo_hits",
-            "rotation_memo_misses", "wrap_memo_hits", "initial_memo_hits",
-            "struct_view_builds", "lap_replays", "rotations_replayed",
+            "chain_tip_reuses", "wrap_memo_hits", "realize_memo_hits",
+            "lap_replays", "rotations_replayed",
         ), 0)
         self._reset_caches()
 
@@ -290,13 +281,12 @@ class FlatEngine:
         self._svs: Dict[Tuple[int, ...], _StructView] = {}
         # engine_token -> _VecState for every state this engine produced.
         self._vstates: Dict[int, _VecState] = {}
-        # Transition memos (see module docstring for the purity argument).
-        self._rot_memo: Dict[tuple, tuple] = {}
+        # Wrap-period and realizing-retiming memos (see the module
+        # docstring for the purity argument).
         self._wrap_memo: Dict[_Key, int] = {}
-        self._init_memo: Dict[tuple, tuple] = {}
         self._realize_memo: Dict[tuple, Retiming] = {}
-        # Live chain-tip occupancy grid: a rotation miss whose parent is
-        # the last-placed state frees the moved slots and O(1)-shifts
+        # Live chain-tip occupancy grid: a rotation whose parent is the
+        # last-placed state frees the moved slots and O(1)-shifts
         # instead of reseeding from scratch.
         self._tip_grid: Optional[FlatGrid] = None
         self._tip_gtoken: Optional[int] = None
@@ -311,8 +301,8 @@ class FlatEngine:
 
     def metrics(self) -> Dict[str, object]:
         """The :data:`repro.obs.metrics.METRICS_SCHEMA` snapshot: the shared
-        engine counters plus this backend's extras (memo hits, struct-view
-        builds, chain-tip reuse, wrap-interval collapses)."""
+        engine counters plus this backend's extras (chain-tip reuse, wrap
+        and realize memo hits, lap replays)."""
         return engine_metrics(
             self.stats(), self.backend_name, type(self).__module__,
             extras=dict(self._extras),
@@ -458,7 +448,6 @@ class FlatEngine:
         try:
             self._stats.view_builds += 1
             self._stats.edges_rescanned += self.fg.m
-            self._extras["struct_view_builds"] += 1
             zsucc, zpred = zero_delay_lists(self.fg, dr_key)
             order = flat_topological_order(zsucc)
             if order is None:
@@ -479,26 +468,24 @@ class FlatEngine:
                 tr.end()
         return self._sv_store(dr_key, _StructView(zsucc, zpred, skey))
 
-    def _moved_subgraph(self, rec: _VecState, moved_idx, step: int, error, r_factory):
+    def _moved_subgraph(self, rec: _VecState, moved_idx, error, r_factory):
         """One pass over the moved nodes' incident edges: the rotated ``dr``
         tuple, plus ``zsucc`` / ``zpred`` / ``skey`` n-long lists filled for
         the moved nodes only (``None`` elsewhere).
 
-        Bumping the moved set by ``step`` changes exactly the edges between
-        a moved and an unmoved node (``+step`` leaving the set, ``-step``
-        entering it); a negative result raises :class:`RotationError`
-        (message from ``error()``).  The placement kernels read adjacency
-        and keys of their ``todo`` nodes alone, so nothing else is derived:
-
-        * down (earliest-fit): every edge leaving the moved set gains a
-          delay, so a moved node's zero-delay descendants are all moved and
-          its priority depends on the moved subgraph alone.  Edges inside
-          it keep their ``dr`` and latencies are >= 1, so decreasing start
-          in the (legal) parent schedule is a reverse topological order.
-          Mobility depends on the whole graph's deadline: its keys come
-          from the full :meth:`_sv_for` build (``r_factory`` gives the
-          retiming a zero-delay cycle is reported against).
-        * up (latest-fit) reads no keys; ``skey`` is ``None``.
+        Bumping the moved set by one changes exactly the edges between a
+        moved and an unmoved node (``+1`` leaving the set, ``-1`` entering
+        it); a negative result raises :class:`RotationError` (message from
+        ``error()``).  The placement kernel reads adjacency and keys of its
+        ``todo`` nodes alone, so nothing else is derived.  Every edge
+        leaving the moved set gains a delay, so a moved node's zero-delay
+        descendants are all moved and its priority depends on the moved
+        subgraph alone.  Edges inside it keep their ``dr`` and latencies
+        are >= 1, so decreasing start in the (legal) parent schedule is a
+        reverse topological order.  Mobility depends on the whole graph's
+        deadline: its keys come from the full :meth:`_sv_for` build
+        (``r_factory`` gives the retiming a zero-delay cycle is reported
+        against).
         """
         fg = self.fg
         esrc, edst, out_at, in_at = fg.esrc, fg.edst, fg.out_at, fg.in_at
@@ -518,7 +505,7 @@ class FlatEngine:
                 if w in moved:
                     d = old[k]
                 else:
-                    d = dr_l[k] = old[k] + step
+                    d = dr_l[k] = old[k] + 1
                     if d < 0:
                         raise RotationError(error())
                 if not d and w not in lst:
@@ -530,7 +517,7 @@ class FlatEngine:
                 if u in moved:
                     d = old[k]
                 else:
-                    d = dr_l[k] = old[k] - step
+                    d = dr_l[k] = old[k] - 1
                     if d < 0:
                         raise RotationError(error())
                 if not d and u not in lst:
@@ -538,8 +525,6 @@ class FlatEngine:
             zpred[i] = lst
         self._stats.edges_rescanned += scanned
         dr = tuple(dr_l)
-        if step < 0:
-            return dr, zsucc, zpred, None
         priority = self.priority
         if priority == "mobility":
             return dr, zsucc, zpred, self._sv_for(dr, r_factory).skey
@@ -589,50 +574,26 @@ class FlatEngine:
                 start, units, todo, 0, grid,
             )
 
-    def _place_latest(self, zsucc, zpred, start, units, todo, ceiling, grid) -> None:
-        """Latest-fit rescheduling of ``todo`` below ``ceiling`` (traced)."""
-        tr = _obs.active
-        if tr.enabled:
-            tr.begin("kernel.latest_fit", todo=len(todo))
-            try:
-                flat_latest_fit(
-                    self.fg, self.fm, zsucc, zpred,
-                    start, units, todo, ceiling, grid,
-                )
-            finally:
-                tr.end()
-        else:
-            flat_latest_fit(
-                self.fg, self.fm, zsucc, zpred,
-                start, units, todo, ceiling, grid,
-            )
-
     def _wrap_period(self, starts, dr) -> int:
         return flat_wrap_period(self.fg, self.fm, starts, dr)
 
     # -- engine-backed RotationState operations ------------------------
     def initial_state(self, retiming: Optional[Retiming] = None):
-        """Engine-backed ``RotationState.initial`` — memoized on ``dr``."""
+        """Engine-backed ``RotationState.initial``: a whole-graph placement
+        over the ``dr``-keyed struct view (a re-seed of a structure seen
+        before reuses its view)."""
         r = retiming if retiming is not None else Retiming.zero()
         rv, phantom = self._rv_phantom(r)
         dr = self._dr_of(rv)
         self._stats.initial_schedules += 1
-        hit = self._init_memo.get(dr)
-        if hit is not None:
-            self._extras["initial_memo_hits"] += 1
-            starts, units, last = hit
-        else:
-            # Raises ZeroDelayCycleError like full_schedule.
-            sv = self._sv_for(dr, lambda: r)
-            n = self.fg.n
-            start: List[Optional[int]] = [None] * n
-            units_l: List[Optional[int]] = [None] * n
-            grid = FlatGrid(self.fm)
-            self._place(sv.zsucc, sv.zpred, sv.skey, start, units_l, range(n), grid)
-            starts, units, last = self._settle(start, units_l, grid)
-            if len(self._init_memo) > _MEMO_LIMIT:  # pragma: no cover - backstop
-                self._init_memo.clear()
-            self._init_memo[dr] = (starts, units, last)
+        # Raises ZeroDelayCycleError like full_schedule.
+        sv = self._sv_for(dr, lambda: r)
+        n = self.fg.n
+        start: List[Optional[int]] = [None] * n
+        units_l: List[Optional[int]] = [None] * n
+        grid = FlatGrid(self.fm)
+        self._place(sv.zsucc, sv.zpred, sv.skey, start, units_l, range(n), grid)
+        starts, units, last = self._settle(start, units_l, grid)
         return self._mint(starts, units, dr, rv, last, phantom, r, None, None)
 
     def repair(self, fixed_start, fixed_units, todo, r: Retiming):
@@ -664,19 +625,9 @@ class FlatEngine:
         return self._mint(starts, units_t, dr, rv, last, phantom, r, None, None)
 
     def down_rotate(self, state, size: int):
-        """Engine-backed ``DownRotate(G, s, i)`` — one tuple lookup when the
-        transition has been seen before, flat placement when not."""
-        return self._rotate(state, size, 1)
-
-    def up_rotate(self, state, size: int):
-        """Engine-backed up-rotation (latest-fit), same memo discipline."""
-        return self._rotate(state, size, -1)
-
-    def _rotate(self, state, size: int, step: int):
-        """Rotate ``size`` control steps down (``step=1``: the prefix moves
-        to the end, earliest-fit) or up (``step=-1``: the suffix moves to
-        the front, latest-fit) — behaviorally identical to the naive
-        ``RotationState`` paths."""
+        """Engine-backed ``DownRotate(G, s, i)``: the prefix moves to the
+        end and is placed earliest-fit over the flat columns —
+        behaviorally identical to the naive ``RotationState`` path."""
         if size < 1:
             raise RotationError(f"rotation size must be >= 1, got {size}")
         rec = self._rec_for(state)
@@ -684,87 +635,64 @@ class FlatEngine:
             raise RotationError(
                 f"rotation of size {size} is illegal on a schedule of length {rec.last + 1}"
             )
-        key = (step, _rot_key(rec), size)
         self._stats.rotations += 1
-        hit = self._rot_memo.get(key)
-        if hit is not None:
-            self._extras["rotation_memo_hits"] += 1
-            moved_idx, moved_nodes, starts, units, dr, last = hit
-        else:
-            self._extras["rotation_memo_misses"] += 1
-            fg = self.fg
-            down = step > 0
-            if down:
-                lo, hi = 0, size - 1
-            else:
-                lo, hi = rec.last - size + 1, rec.last
-            moved_idx = tuple([i for i, s in enumerate(rec.starts) if lo <= s <= hi])
-            moved_list = [fg.nodes[i] for i in moved_idx]
-            if down:
-                error = lambda: (
-                    f"schedule prefix {moved_list!r} is not down-rotatable — "
-                    "the current schedule is not a legal DAG schedule of G_R"
-                )
-            else:
-                error = lambda: f"suffix {moved_list!r} is not up-rotatable"
-            r_factory = lambda: state.retiming.bumped(moved_list, step)
-            tr = _obs.active
-            if tr.enabled:
-                tr.begin("flat.derive", moved=len(moved_idx))
-                try:
-                    dr, zsucc, zpred, skey = self._moved_subgraph(
-                        rec, moved_idx, step, error, r_factory
-                    )
-                finally:
-                    tr.end()
-            else:
+        fg = self.fg
+        moved_idx = [i for i, s in enumerate(rec.starts) if s < size]
+        moved_nodes = tuple([fg.nodes[i] for i in moved_idx])
+        error = lambda: (
+            f"schedule prefix {list(moved_nodes)!r} is not down-rotatable — "
+            "the current schedule is not a legal DAG schedule of G_R"
+        )
+        r_factory = lambda: state.retiming.bumped(moved_nodes, 1)
+        tr = _obs.active
+        if tr.enabled:
+            tr.begin("flat.derive", moved=len(moved_idx))
+            try:
                 dr, zsucc, zpred, skey = self._moved_subgraph(
-                    rec, moved_idx, step, error, r_factory
+                    rec, moved_idx, error, r_factory
                 )
-            start: List[Optional[int]] = (
-                [s - size for s in rec.starts] if down else list(rec.starts)
+            finally:
+                tr.end()
+        else:
+            dr, zsucc, zpred, skey = self._moved_subgraph(
+                rec, moved_idx, error, r_factory
             )
-            units_l: List[Optional[int]] = list(rec.units)
-            for i in moved_idx:
-                start[i] = None
-                units_l[i] = None
-            if self._tip_grid is not None and state.engine_token == self._tip_gtoken:
-                # Delta path: free the rotated slots, O(1)-shift the rest.
-                grid = self._tip_grid
-                self._tip_grid = None
-                grid.release_many(moved_idx, rec.starts, rec.units)
-                self._stats.grid_released_slots += len(moved_idx)
-                if down:
-                    grid.shift(-size)
-                self._stats.grid_delta_rotations += 1
-                self._extras["chain_tip_reuses"] += 1
-            else:
-                grid = seed_grid(fg, self.fm, start, units_l)
-                self._stats.grid_reseeds += 1
-            if down:
-                self._place(zsucc, zpred, skey, start, units_l, list(moved_idx), grid)
-            else:
-                self._place_latest(zsucc, zpred, start, units_l, list(moved_idx), hi, grid)
-            starts, units, last = self._settle(start, units_l, grid)
-            moved_nodes = tuple(moved_list)
-            if len(self._rot_memo) > _MEMO_LIMIT:  # pragma: no cover - backstop
-                self._rot_memo.clear()
-            self._rot_memo[key] = (moved_idx, moved_nodes, starts, units, dr, last)
+        start: List[Optional[int]] = [s - size for s in rec.starts]
+        units_l: List[Optional[int]] = list(rec.units)
+        for i in moved_idx:
+            start[i] = None
+            units_l[i] = None
+        if self._tip_grid is not None and state.engine_token == self._tip_gtoken:
+            # Delta path: free the rotated slots, O(1)-shift the rest.
+            grid = self._tip_grid
+            self._tip_grid = None
+            grid.release_many(moved_idx, rec.starts, rec.units)
+            self._stats.grid_released_slots += len(moved_idx)
+            grid.shift(-size)
+            self._stats.grid_delta_rotations += 1
+            self._extras["chain_tip_reuses"] += 1
+        else:
+            grid = seed_grid(fg, self.fm, start, units_l)
+            self._stats.grid_reseeds += 1
+        self._place(zsucc, zpred, skey, start, units_l, moved_idx, grid)
+        starts, units, last = self._settle(start, units_l, grid)
         new_rv = list(rec.rv)
         for i in moved_idx:
-            new_rv[i] += step
+            new_rv[i] += 1
         rv = tuple(new_rv)
         new_r = _LazyRetiming(self._node_list, rv, rec.phantom)
-        rstep = _rot_classes()[1](
-            "down" if step > 0 else "up", size, moved_nodes, rec.last + 1, last + 1
-        )
+        rstep = _rot_classes()[1]("down", size, moved_nodes, rec.last + 1, last + 1)
         return self._mint(starts, units, dr, rv, last, rec.phantom, new_r, state, rstep)
 
     def lap_key(self, state) -> _Key:
-        """A state's rotation-memo key ``(starts, units, dr)``: everything
+        """A state's lap key ``(starts, units, dr)``: everything
         a rotation's outcome depends on, rotation counts left out.
         :func:`repro.core.phases.rotation_phase` detects laps on it."""
-        return _rot_key(self._rec_for(state))
+        rec = self._rec_for(state)
+        hk = rec.hk
+        if hk is None:
+            hk = rec.hk = _Key((rec.starts, rec.units, rec.dr))
+        return hk
 
     def replay_lap(self, anchor, lap, remaining: int, best):
         """Finish a phase that is back in ``anchor``'s configuration.
@@ -895,6 +823,7 @@ class FlatEngine:
             rk = (starts, period)
             r = self._realize_memo.get(rk)
             if r is not None:
+                self._extras["realize_memo_hits"] += 1
                 return _mk_wrapped(sched, r, period)
             fg, fm = self.fg, self.fm
             lat = fm.node_latency

@@ -11,7 +11,6 @@ rewritten to index contiguous arrays instead of hashing node ids:
 :func:`flat_reach` / :func:`flat_heights` / :func:`flat_mobility`
                           priority intermediates (descendants/height/mobility)
 :func:`flat_list_schedule`  :func:`repro.schedule.list_scheduler._list_schedule`
-:func:`flat_latest_fit`   :func:`repro.core.rotation._latest_fit_reschedule`
 :func:`flat_wrap_period`  the period search of :func:`repro.core.wrapping.wrap`
 :class:`FlatGrid`         :class:`repro.schedule.list_scheduler.OccupancyGrid`
                           with per-slot instance *bitmasks*
@@ -27,7 +26,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import RotationError, SchedulingError
+from repro.errors import SchedulingError
 
 
 # ----------------------------------------------------------------------
@@ -517,85 +516,6 @@ def flat_list_schedule(
                 f"list scheduler failed to converge (placed "
                 f"{len(todo) - left}/{len(todo)} nodes)"
             )  # pragma: no cover - defensive
-
-
-# ----------------------------------------------------------------------
-# kernel 4b: the latest-fit (up-rotation) inner loop
-# ----------------------------------------------------------------------
-def flat_latest_fit(
-    fg,
-    fm,
-    zsucc: List[List[int]],
-    zpred: List[List[int]],
-    start: List[Optional[int]],
-    units: List[Optional[int]],
-    moved: Sequence[int],
-    ceiling: int,
-    grid: FlatGrid,
-) -> None:
-    """Place ``moved`` as late as possible before their zero-delay succs.
-
-    Exact mirror of ``_latest_fit_reschedule``: reverse-topological order
-    within the moved set via a min-heap of node indices, then a greedy
-    downward probe per node.
-    """
-    moved_set = set(moved)
-    pending: Dict[int, int] = {}
-    for v in moved_set:
-        pending[v] = sum(1 for w in zsucc[v] if w in moved_set)
-    ready = [v for v in moved_set if pending[v] == 0]
-    heapq.heapify(ready)
-    order: List[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for u in zpred[v]:
-            if u in moved_set and pending[u] > 0:
-                pending[u] -= 1
-                if pending[u] == 0:
-                    heapq.heappush(ready, u)
-    if len(order) != len(moved_set):
-        raise RotationError("cyclic zero-delay dependences inside the rotated suffix")
-
-    lat = fm.node_latency
-    # grid.place() inlined, as in flat_list_schedule's probe loop.
-    busy_all = grid._busy
-    offset = grid._offset
-    node_unit = fm.node_unit
-    node_offsets = fm.node_offsets
-    unit_count = fm.unit_count
-    for v in order:
-        lat_v = lat[v]
-        latest = ceiling - lat_v + 1
-        for w in zsucc[v]:
-            sw = start[w]
-            if sw is not None:
-                c = sw - lat_v
-                if c < latest:
-                    latest = c
-        uid = node_unit[v]
-        busy = busy_all[uid]
-        offs = node_offsets[v]
-        cap = unit_count[uid]
-        get = busy.get
-        cs = latest
-        while True:
-            base = cs - offset
-            mask = 0
-            for off in offs:
-                m = get(base + off)
-                if m:
-                    mask |= m
-            inst = (~mask & (mask + 1)).bit_length() - 1
-            if inst < cap:
-                bit = 1 << inst
-                for off in offs:
-                    key = base + off
-                    busy[key] = (get(key) or 0) | bit
-                start[v] = cs
-                units[v] = inst
-                break
-            cs -= 1
 
 
 # ----------------------------------------------------------------------

@@ -19,10 +19,12 @@ can keep several candidate schedules (the paper's set ``Q``) without
 copying anything by hand.
 
 By default a state carries a :class:`~repro.core.flat.engine.FlatEngine`
-that accelerates rotations with integer kernels, occupancy deltas and
-transition memos; the engine is pure acceleration — pass ``engine=False`` to
-:meth:`RotationState.initial` for the recompute-everything path, which the
-parity suite pins bit for bit against the engine.
+that accelerates down-rotations with integer kernels over the moved
+subgraph, occupancy deltas and lap replay; the engine is pure acceleration —
+pass ``engine=False`` to :meth:`RotationState.initial` for the
+recompute-everything path, which the parity suite pins bit for bit against
+the engine.  Up-rotation always runs that path; the engine picks the state
+it returns back up by rebuilding its record from the schedule.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ class RotationState:
         The nodes starting in the *last* ``size`` control steps are rotated
         up (their ``R`` decreases by one) and rescheduled as late as
         possible before the remaining schedule, extending it at the front
-        when needed.
+        when needed.  No search calls it, so it has no engine path.
         """
         if size < 1:
             raise RotationError(f"rotation size must be >= 1, got {size}")
@@ -281,9 +283,6 @@ class RotationState:
         return self._up_rotate(size)
 
     def _up_rotate(self, size: int) -> "RotationState":
-        eng = self.engine
-        if eng is not None and eng.compatible_with(self):
-            return eng.up_rotate(self, size)
         sched = self.schedule.normalized()
         last = sched.last_cs
         moved = sched.nodes_starting_in(last - size + 1, last)

@@ -3,7 +3,7 @@
 The public API so far was solve-from-scratch: every call to
 :func:`repro.core.scheduler.rotation_schedule` recompiles the graph,
 rebuilds every cache, and runs the full rotation heuristic.  Yet the whole
-machinery underneath — transition memos, reusable occupancy grids,
+machinery underneath — local rotations, reusable occupancy grids,
 interval-collapsed wrap search — is built for *small deltas*.  This
 module exposes that capability as a first-class session:
 

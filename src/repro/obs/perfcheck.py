@@ -102,7 +102,7 @@ _SOLVE_CELLS = [{"bench": b, "config": c, "heuristic": h} for b, c, h in (
     ("allpole", "2A2M", "h2"), ("biquad", "2A2M", "h1"), ("diffeq", "2A2M", "h1"))]
 #: Flat-engine counters the solve tier pins exactly, besides length and
 #: rotations (``engine_rotations`` is the engine's own rotation count).
-SOLVE_COUNTERS = ("grid_delta_rotations", "grid_reseeds", "rotation_memo_hits",
+SOLVE_COUNTERS = ("grid_delta_rotations", "grid_reseeds",
                   "lap_replays", "rotations_replayed")
 
 

@@ -1,8 +1,8 @@
 """Golden parity suite: the flat backend must be pure speed.
 
 Every ``(benchmark, resource config, heuristic)`` cell runs the full
-heuristic under both backends — ``flat`` (integer kernels and rotation
-memos over CSR snapshots) and ``naive`` (recompute everything) — and
+heuristic under both backends — ``flat`` (integer kernels over CSR
+snapshots, lap replay and memos) and ``naive`` (recompute everything) — and
 asserts the outcomes are identical down to the schedule bits, start
 maps, retimings and the set of tied-optimal schedules.  Any divergence
 means a cache leaked stale state into a decision.
@@ -85,8 +85,9 @@ def test_trace_parity_on_a_rotation_walk():
 
 
 def test_up_rotation_parity():
-    """The fast engines accelerate up_rotate (latest-fit); pin them
-    against the naive path on a down/up walk."""
+    """Up-rotation runs the naive latest-fit path on every backend; on a
+    down/up walk the fast engines pick up the states it returns and keep
+    matching the naive path."""
     from repro.core.engine import make_engine
     from repro.core.rotation import RotationState
 

@@ -5,7 +5,7 @@ Each flat kernel is pinned against its dict-based counterpart in
 including tuple-id unfolded graphs and multi-edges with distinct delays —
 plus a ``FlatGraph`` -> ``DFG`` round-trip identity and the compile of
 randomly edited benchmark graphs against the DFG's own incidence API.
-The engine's transition memos and lazy objects are pinned in
+The engine's determinism, struct views and lazy objects are pinned in
 ``test_vector.py``.
 """
 

@@ -123,15 +123,17 @@ def assert_same_search(graph, model, heuristic, monkeypatch, bounded=False):
     assert best.length == ref_best.length
     assert entry_bits(best) == entry_bits(ref_best)
     assert [state_bits(s) for s in finals] == [state_bits(s) for s in ref_finals]
-    # The logical rotation count is kept; replay answers its share.
+    # The logical rotation count is kept; replay answers its share, and
+    # every other rotation places on the chain-tip grid or a reseeded one.
     ref_stats, stats = ref.engine_metrics, got.engine_metrics
-    assert stats["counters"]["rotations"] == ref_stats["counters"]["rotations"]
+    counters = stats["counters"]
+    assert counters["rotations"] == ref_stats["counters"]["rotations"]
     extras = stats["extras"]
     assert ref_stats["extras"]["rotations_replayed"] == 0
     assert (
-        extras["rotation_memo_hits"] + extras["rotation_memo_misses"]
+        counters["grid_delta_rotations"] + counters["grid_reseeds"]
         + extras["rotations_replayed"]
-    ) == stats["counters"]["rotations"]
+    ) == counters["rotations"]
     return extras, best
 
 

@@ -102,8 +102,8 @@ class TestRepair:
                 same_result(results[b], results["naive"], f"{op['edit']}:{b}")
 
     def test_flat_memos_never_answer_for_an_edited_graph(self):
-        """Fill the flat engine's transition memos, then apply every edit
-        kind in turn: each repair matches a naive session with the same
+        """Fill the flat engine's wrap and realize memos, then apply every
+        edit kind in turn: each repair matches a naive session with the same
         history, and each full re-solve matches a fresh naive solve of the
         edited graph, bit for bit."""
         from repro.dfg.graph import _EDIT_LOG_CAP
@@ -118,16 +118,18 @@ class TestRepair:
         naive = open_session(g, model, backend="naive")
         assert bits(flat.resolve()) == bits(naive.resolve())
         # the unedited search filled the memos and repeated itself (lap
-        # replay or memo hits answered part of it)
+        # replay answered part of it)
         extras = flat._engine.metrics()["extras"]
-        assert extras["rotation_memo_hits"] + extras["rotations_replayed"] > 0
+        assert extras["rotations_replayed"] > 0
+        assert extras["wrap_memo_hits"] > 0
+        assert extras["realize_memo_hits"] > 0
         toggles = [
             {"edit": "set_delay", "src": "o", "dst": "h", "delay": 2 + i % 2}
             for i in range(_EDIT_LOG_CAP + 2)
         ]
         steps = [
             # first, while the memos hold the unedited search: the grown
-            # class lets replayed transitions place differently
+            # class places the same configurations differently
             ("grow_units", [{"edit": "set_resource_counts", "counts": {"adder": 3}}]),
             ("set_delay", [{"edit": "set_delay", "src": "s1b", "dst": "ma2_1", "delay": 3}]),
             ("add_edge", [{"edit": "add_edge", "src": "y2", "dst": "s1a", "delay": 2}]),

@@ -1,7 +1,7 @@
 """Solver-free lower bounds: cycles, registers, and their cell points."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.scheduler import rotation_schedule
 from repro.binding.lifetimes import register_requirement
@@ -39,13 +39,23 @@ def test_bound_never_exceeds_achieved(spec):
     assert bound.lb_point.registers <= registers / spec.unfold
 
 
-@given(st.integers(0, 10_000), st.booleans())
+BOUND_MODELS = {
+    "2A1M": ResourceModel.adders_mults(2, 1),
+    # Ample units: solves reach periods short enough that the bound's
+    # floor(t(C)/P) term is nonzero, so a bound that drops it overshoots.
+    "8A8M": ResourceModel.adders_mults(8, 8),
+}
+
+
+@given(st.integers(0, 10_000), st.booleans(), st.sampled_from(sorted(BOUND_MODELS)))
+@example(69, False, "8A8M")
+@example(163, True, "8A8M")
 @settings(max_examples=40, deadline=None)
-def test_register_bound_at_the_achieved_length(seed, unfolded):
+def test_register_bound_at_the_achieved_length(seed, unfolded, config):
     """Soundness on random graphs: the peeled register bound at the length
     a solve achieves never exceeds that schedule's registers."""
     graph = unfolded_dfg(5, seed=seed) if unfolded else random_dfg(10, seed=seed)
-    model = ResourceModel.adders_mults(2, 1)
+    model = BOUND_MODELS[config]
     result = rotation_schedule(graph, model, heuristic="h2")
     registers = register_requirement(result.schedule, result.retiming, result.length)
     assert register_lower_bound(graph, model.timing(), result.length) <= registers

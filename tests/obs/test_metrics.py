@@ -69,27 +69,24 @@ class TestEngineMetrics:
         assert snap["backend"] == "flat"
         assert snap["counters"] == result.engine_stats
         assert snap["counters"]["rotations"] > 0
-        # flat-only extras: chain tip, wrap search, transition memos, struct
-        # views and lap replay
+        # flat-only extras: chain tip, wrap and realize memos, lap replay
         extras = snap["extras"]
         assert set(extras) == {
-            "chain_tip_reuses", "rotation_memo_hits", "rotation_memo_misses", "wrap_memo_hits",
-            "initial_memo_hits", "struct_view_builds",
+            "chain_tip_reuses", "wrap_memo_hits", "realize_memo_hits",
             "lap_replays", "rotations_replayed",
         }
-        # h2 revisits transitions: lap replay or the memos must answer some
-        # of them, every rotation is answered exactly one of the three ways,
+        # h2 revisits configurations: lap replay answers some rotations,
+        # every other one places on the chain-tip grid or a reseeded one,
         # and only whole-graph placements (here: initial schedules) consult
-        # struct views; rotation misses derive from the moved subgraph
-        assert extras["rotation_memo_hits"] + extras["rotations_replayed"] > 0
+        # struct views; rotations derive from the moved subgraph
+        assert extras["rotations_replayed"] > 0
         assert extras["wrap_memo_hits"] > 0
         assert extras["lap_replays"] <= extras["rotations_replayed"]
-        assert (
-            extras["rotation_memo_hits"] + extras["rotation_memo_misses"]
-            + extras["rotations_replayed"]
-        ) == snap["counters"]["rotations"]
-        assert extras["struct_view_builds"] == snap["counters"]["view_builds"]
         counters = snap["counters"]
+        assert (
+            counters["grid_delta_rotations"] + counters["grid_reseeds"]
+            + extras["rotations_replayed"]
+        ) == counters["rotations"]
         assert 0 < counters["view_builds"] + counters["view_hits"] <= counters["initial_schedules"]
 
     def test_naive_backend_has_no_metrics(self):

@@ -16,123 +16,45 @@ Quickstart::
     print(result.render())
 """
 
-from repro.dfg import DFG, DFGBuilder, Edge, Retiming, Timing
-from repro.dfg import (
-    critical_path_length,
-    iteration_bound,
-    iteration_bound_ceil,
-    topological_order,
-)
-from repro.schedule import (
-    ResourceModel,
-    Schedule,
-    UnitSpec,
-    full_schedule,
-    partial_schedule,
-    realizing_retiming,
-)
-from repro.core import (
-    MutableSchedulingSession,
-    RotationResult,
-    RotationScheduler,
-    RotationState,
-    WrappedSchedule,
-    heuristic_1,
-    heuristic_2,
-    open_session,
-    reduce_depth,
-    rotation_schedule,
-    wrap,
-)
-from repro.bounds import combined_lower_bound, lower_bound
-from repro.binding import (
-    bind_schedule,
-    register_requirement,
-    select_schedule,
-)
-from repro.dfg.unfold import unfold
-from repro.baselines import (
-    dag_list_schedule,
-    modulo_schedule,
-    retime_then_schedule,
-)
-from repro.suite import (
-    BENCHMARKS,
-    PAPER_TIMING,
-    UNIT_TIMING,
-    allpole,
-    biquad,
-    diffeq,
-    elliptic,
-    get_benchmark,
-    lattice,
-)
-from repro.sim import reference_run, simulate_machine, verify_pipeline
-from repro.errors import (
-    GraphError,
-    IllegalScheduleError,
-    ReproError,
-    RetimingError,
-    RotationError,
-    SchedulingError,
-    SimulationError,
-)
+from repro._exports import export as _export
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BENCHMARKS",
-    "DFG",
-    "DFGBuilder",
-    "Edge",
-    "GraphError",
-    "IllegalScheduleError",
-    "MutableSchedulingSession",
-    "PAPER_TIMING",
-    "ReproError",
-    "ResourceModel",
-    "Retiming",
-    "RetimingError",
-    "RotationError",
-    "RotationResult",
-    "RotationScheduler",
-    "RotationState",
-    "Schedule",
-    "SchedulingError",
-    "SimulationError",
-    "Timing",
-    "UNIT_TIMING",
-    "UnitSpec",
-    "WrappedSchedule",
-    "allpole",
-    "bind_schedule",
-    "biquad",
-    "combined_lower_bound",
-    "critical_path_length",
-    "dag_list_schedule",
-    "diffeq",
-    "elliptic",
-    "full_schedule",
-    "get_benchmark",
-    "heuristic_1",
-    "heuristic_2",
-    "iteration_bound",
-    "iteration_bound_ceil",
-    "lattice",
-    "lower_bound",
-    "modulo_schedule",
-    "open_session",
-    "partial_schedule",
-    "realizing_retiming",
-    "register_requirement",
-    "reduce_depth",
-    "reference_run",
-    "retime_then_schedule",
-    "rotation_schedule",
-    "select_schedule",
-    "simulate_machine",
-    "topological_order",
-    "unfold",
-    "verify_pipeline",
-    "wrap",
-]
+__all__ = _export(__name__, {
+    ".dfg.graph": "DFG Edge Timing",
+    ".dfg.builder": "DFGBuilder",
+    ".dfg.retiming": "Retiming",
+    ".dfg.analysis": "critical_path_length topological_order",
+    ".dfg.iteration_bound": "iteration_bound iteration_bound_ceil",
+    ".dfg.unfold": "unfold",
+    ".schedule.resources": "ResourceModel UnitSpec",
+    ".schedule.schedule": "Schedule",
+    ".schedule.list_scheduler": "full_schedule partial_schedule",
+    ".schedule.verify": "realizing_retiming",
+    ".core.rotation": "RotationState",
+    ".core.phases": "heuristic_1 heuristic_2",
+    ".core.depth": "reduce_depth",
+    ".core.wrapping": "WrappedSchedule wrap",
+    ".core.scheduler": "RotationResult RotationScheduler rotation_schedule",
+    ".core.session": "MutableSchedulingSession open_session",
+    ".bounds.lower_bounds": "combined_lower_bound lower_bound",
+    ".binding.lifetimes": "register_requirement",
+    ".binding.left_edge": "bind_schedule",
+    ".binding.selection": "select_schedule",
+    ".baselines.dag_list": "dag_list_schedule",
+    ".baselines.modulo": "modulo_schedule",
+    ".baselines.retime_then_schedule": "retime_then_schedule",
+    ".suite.registry": "BENCHMARKS PAPER_TIMING UNIT_TIMING get_benchmark",
+    ".suite.allpole": "allpole",
+    ".suite.biquad": "biquad",
+    ".suite.diffeq": "diffeq",
+    ".suite.elliptic": "elliptic",
+    ".suite.lattice": "lattice",
+    ".sim.reference": "reference_run",
+    ".sim.executor": "verify_pipeline",
+    ".sim.machine": "simulate_machine",
+    ".errors": (
+        "GraphError IllegalScheduleError ReproError RetimingError RotationError "
+        "SchedulingError SimulationError"
+    ),
+})

@@ -1,40 +1,14 @@
 """Baseline schedulers the benches compare rotation scheduling against."""
 
-from repro.baselines.dag_list import DagListResult, dag_list_schedule
-from repro.baselines.exact import ExactResult, exact_modulo_schedule
-from repro.baselines.modulo import ModuloResult, min_initiation_interval, modulo_schedule
-from repro.baselines.retime_then_schedule import (
-    RetimeScheduleResult,
-    feas_retiming,
-    min_period_retiming,
-    retime_then_schedule,
-)
-from repro.baselines.asap_alap import (
-    MobilityReport,
-    alap_schedule,
-    asap_schedule,
-    mobility_report,
-    usage_profile,
-)
-from repro.baselines.force_directed import ForceDirectedResult, force_directed_schedule
+from repro._exports import export as _export
 
-__all__ = [
-    "DagListResult",
-    "ExactResult",
-    "ForceDirectedResult",
-    "MobilityReport",
-    "ModuloResult",
-    "RetimeScheduleResult",
-    "alap_schedule",
-    "asap_schedule",
-    "dag_list_schedule",
-    "exact_modulo_schedule",
-    "feas_retiming",
-    "force_directed_schedule",
-    "min_initiation_interval",
-    "min_period_retiming",
-    "mobility_report",
-    "modulo_schedule",
-    "retime_then_schedule",
-    "usage_profile",
-]
+__all__ = _export(__name__, {
+    ".dag_list": "DagListResult dag_list_schedule",
+    ".exact": "ExactResult exact_modulo_schedule",
+    ".modulo": "ModuloResult min_initiation_interval modulo_schedule",
+    ".retime_then_schedule": (
+        "RetimeScheduleResult feas_retiming min_period_retiming retime_then_schedule"
+    ),
+    ".asap_alap": "MobilityReport alap_schedule asap_schedule mobility_report usage_profile",
+    ".force_directed": "ForceDirectedResult force_directed_schedule",
+})

@@ -1,34 +1,11 @@
 """Downstream HLS stages: value lifetimes, register binding, selection."""
 
-from repro.binding.lifetimes import (
-    Lifetime,
-    LifetimeAnalyzer,
-    RegisterReport,
-    register_requirement,
-)
-from repro.binding.left_edge import RegisterBinding, bind_schedule, left_edge_binding
-from repro.binding.selection import SelectionReport, register_cost, select_schedule
-from repro.binding.datapath import DatapathReport, emit_datapath
-from repro.binding.interconnect import (
-    InterconnectReport,
-    interconnect_cost,
-    interconnect_report,
-)
+from repro._exports import export as _export
 
-__all__ = [
-    "DatapathReport",
-    "InterconnectReport",
-    "Lifetime",
-    "LifetimeAnalyzer",
-    "RegisterBinding",
-    "RegisterReport",
-    "SelectionReport",
-    "bind_schedule",
-    "emit_datapath",
-    "interconnect_cost",
-    "interconnect_report",
-    "left_edge_binding",
-    "register_cost",
-    "register_requirement",
-    "select_schedule",
-]
+__all__ = _export(__name__, {
+    ".lifetimes": "Lifetime LifetimeAnalyzer RegisterReport register_requirement",
+    ".left_edge": "RegisterBinding bind_schedule left_edge_binding",
+    ".selection": "SelectionReport register_cost select_schedule",
+    ".datapath": "DatapathReport emit_datapath",
+    ".interconnect": "InterconnectReport interconnect_cost interconnect_report",
+})

@@ -1,10 +1,7 @@
 """Lower bounds on resource-constrained loop schedules."""
 
-from repro.bounds.lower_bounds import (
-    LowerBoundReport,
-    combined_lower_bound,
-    lower_bound,
-    resource_bound,
-)
+from repro._exports import export as _export
 
-__all__ = ["LowerBoundReport", "combined_lower_bound", "lower_bound", "resource_bound"]
+__all__ = _export(__name__, {
+    ".lower_bounds": "LowerBoundReport combined_lower_bound lower_bound resource_bound",
+})

@@ -51,6 +51,7 @@ from repro.schedule.resources import ResourceModel
 from repro.core.engine import BACKENDS
 from repro.core.scheduler import rotation_schedule
 from repro.bounds.lower_bounds import combined_lower_bound
+from repro.errors import GraphError, ReproError
 from repro.suite.registry import BENCHMARKS, PAPER_TIMING, get_benchmark
 from repro.report.tables import render_results_table, render_schedule
 from repro.report.gantt import gantt
@@ -59,7 +60,12 @@ from repro.report.gantt import gantt
 def _load_graph(spec: str) -> DFG:
     if spec in BENCHMARKS:
         return get_benchmark(spec)
-    return dfg_io.load(spec)
+    try:
+        return dfg_io.load(spec)
+    except FileNotFoundError:
+        raise GraphError(
+            f"{spec!r} is neither a benchmark ({', '.join(BENCHMARKS)}) nor a file"
+        ) from None
 
 
 def parse_config(text: str) -> Tuple[ResourceModel, str]:
@@ -360,18 +366,13 @@ def cmd_session(args: argparse.Namespace) -> int:
 
 
 def cmd_perfcheck(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
     from repro.obs import record_perfcheck, run_perfcheck
 
-    try:
-        if args.record:
-            path = record_perfcheck(args.root, args.repeats)
-            print(f"perfcheck: pinned {path}")
-            return 0
-        report = run_perfcheck(args.root, args.tolerance, args.repeats, args.smoke)
-    except ReproError as exc:
-        print(f"perfcheck: {exc}")
-        return 1
+    if args.record:
+        path = record_perfcheck(args.root, args.repeats)
+        print(f"perfcheck: pinned {path}")
+        return 0
+    report = run_perfcheck(args.root, args.tolerance, args.repeats, args.smoke)
     print(report.render())
     return 0 if report.ok else 1
 
@@ -429,7 +430,6 @@ def cmd_gate(args: argparse.Namespace) -> int:
         print("gate: FAIL")
         return 1
 
-    from repro.errors import ReproError
     from repro.obs import Trace, run_perfcheck, tracing, validate_trace
 
     print("gate: perfcheck smoke tier (pinned cells in reference-ms)")
@@ -530,23 +530,20 @@ def cmd_explore(args: argparse.Namespace) -> int:
     import json
     from contextlib import nullcontext
 
-    from repro.errors import ReproError
     from repro.explore import build_grid, explore
     from repro.explore.runner import ServeCellSolver
     from repro.obs import tracing, write_trace
 
-    serve_solver = None
+    cells = build_grid(
+        args.benchmarks,
+        args.configs,
+        clocks=args.clocks,
+        unfolds=args.unfolds,
+        heuristics=args.heuristics,
+        sigmas=args.sigmas if args.sigmas else [None],
+    )
+    serve_solver = ServeCellSolver(args.host, args.port) if args.via == "serve" else None
     try:
-        cells = build_grid(
-            args.benchmarks,
-            args.configs,
-            clocks=args.clocks,
-            unfolds=args.unfolds,
-            heuristics=args.heuristics,
-            sigmas=args.sigmas if args.sigmas else [None],
-        )
-        if args.via == "serve":
-            serve_solver = ServeCellSolver(args.host, args.port)
         meta = {"command": "explore", "mode": args.mode, "cells": len(cells), "workers": args.workers}
         with tracing(meta=meta) if args.trace else nullcontext() as tr:
             report = explore(
@@ -557,9 +554,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 round_size=args.round_size,
                 serve_solver=serve_solver,
             )
-    except ReproError as exc:
-        print(f"explore: {exc}")
-        return 1
     finally:
         if serve_solver is not None:
             serve_solver.close()
@@ -588,7 +582,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import run_server
 
     mode = "inline" if args.inline else f"{args.workers} worker shard(s)"
-    print(
+    banner = (
         f"rotsched serve: http://{args.host}:{args.port} ({mode}, "
         f"memory cache {args.cache_size}, artifacts "
         f"{args.artifacts or 'disabled'})"
@@ -600,6 +594,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache_size=args.cache_size,
         artifacts=args.artifacts,
         inline=args.inline,
+        ready=lambda _server: print(banner, flush=True),
     )
     return 0
 
@@ -948,7 +943,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"{args.command}: {exc}")
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -244,35 +244,6 @@ class FlatGrid:
         inst = (~mask & (mask + 1)).bit_length() - 1
         return inst if inst < fm.unit_count[uid] else -1
 
-    def place(self, v: int, cs: int) -> int:
-        """Fused :meth:`find` + :meth:`occupy`: claim the lowest free
-        instance for ``v`` at ``cs`` and return it, or -1 (no mutation).
-
-        The inner loops call this once per probe; the separate find/occupy
-        pair would walk the busy offsets (and hash their keys) twice, and
-        re-check double-booking that the fused probe rules out by
-        construction.
-        """
-        fm = self._fm
-        uid = fm.node_unit[v]
-        busy = self._busy[uid]
-        base = cs - self._offset
-        offs = fm.node_offsets[v]
-        get = busy.get
-        mask = 0
-        for off in offs:
-            m = get(base + off)
-            if m:
-                mask |= m
-        inst = (~mask & (mask + 1)).bit_length() - 1
-        if inst >= fm.unit_count[uid]:
-            return -1
-        bit = 1 << inst
-        for off in offs:
-            key = base + off
-            busy[key] = (get(key) or 0) | bit
-        return inst
-
     def occupy(self, v: int, cs: int, inst: int) -> None:
         fm = self._fm
         uid = fm.node_unit[v]
@@ -288,22 +259,10 @@ class FlatGrid:
                 )
             busy[key] = m | bit
 
-    def release(self, v: int, cs: int, inst: int) -> None:
-        """Free the slots a node held; a no-op for never-occupied slots."""
-        fm = self._fm
-        busy = self._busy[fm.node_unit[v]]
-        base = cs - self._offset
-        bit = 1 << inst
-        for off in fm.node_offsets[v]:
-            key = base + off
-            m = busy.get(key)
-            if m is not None and m & bit:
-                busy[key] = m & ~bit
-
     def release_many(self, nodes: Sequence[int], start: Sequence[int], units: Sequence[int]) -> None:
-        """:meth:`release` for every node of ``nodes`` at its recorded
-        ``start``/``units`` slot — one call per rotation instead of one per
-        moved node (the engines free a whole rotated prefix at a time)."""
+        """Free the slots each node of ``nodes`` held at its recorded
+        ``start``/``units`` slot (a no-op for never-occupied slots) — one
+        call per rotation, which frees a whole rotated prefix at a time."""
         fm = self._fm
         busy_all = self._busy
         offset = self._offset
@@ -400,7 +359,7 @@ def flat_list_schedule(
         + floor_cs
         + 64
     )
-    # grid.place() inlined: this is the hottest loop in the scheduler.
+    # find() + occupy() inlined: this is the hottest loop in the scheduler.
     # ``heap`` holds ``(est, v)`` for nodes not yet arrived, ``waiting[uid]``
     # the arrived nodes of unit ``uid`` in skey order (total: every skey
     # ends in the node index).  A placement touches only its own unit and

@@ -20,6 +20,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+# The default backend.  ``make_engine`` imports it on first use (the two
+# modules import each other); importing it here too means a process that
+# forks workers after importing the scheduler (serve shards, explore
+# lanes, fuzz jobs) hands it down instead of each worker importing it.
+import repro.core.flat.engine  # noqa: F401
 from repro.dfg.graph import DFG
 from repro.dfg.retiming import Retiming
 from repro.schedule.resources import ResourceModel

@@ -11,47 +11,15 @@ that run on forked worker processes when asked.  See
 ``docs/exploration.md``.
 """
 
-from repro.explore.space import (
-    ADD_NS,
-    MULT_NS,
-    CellSpec,
-    Point,
-    build_grid,
-    cell_cost,
-    cell_graph,
-    cell_model,
-    family_key,
-    objective_point,
-    solve_key,
-)
-from repro.explore.bounds import CellBound, cell_bound, register_lower_bound
-from repro.explore.frontier import ParetoFrontier, dominates, strictly_dominates
-from repro.explore.runner import CellOutcome, CellSolver, ServeCellSolver, run_grid
-from repro.explore.explorer import ExploreReport, PrunedCell, explore
+from repro._exports import export as _export
 
-__all__ = [
-    "ADD_NS",
-    "MULT_NS",
-    "CellSpec",
-    "Point",
-    "build_grid",
-    "cell_cost",
-    "cell_graph",
-    "cell_model",
-    "family_key",
-    "objective_point",
-    "solve_key",
-    "CellBound",
-    "cell_bound",
-    "register_lower_bound",
-    "ParetoFrontier",
-    "dominates",
-    "strictly_dominates",
-    "CellOutcome",
-    "CellSolver",
-    "ServeCellSolver",
-    "run_grid",
-    "ExploreReport",
-    "PrunedCell",
-    "explore",
-]
+__all__ = _export(__name__, {
+    ".space": (
+        "ADD_NS MULT_NS CellSpec Point build_grid cell_cost cell_graph cell_model "
+        "family_key objective_point solve_key"
+    ),
+    ".bounds": "CellBound cell_bound register_lower_bound",
+    ".frontier": "ParetoFrontier dominates strictly_dominates",
+    ".runner": "CellOutcome CellSolver ServeCellSolver run_grid",
+    ".explorer": "ExploreReport PrunedCell explore",
+})

@@ -44,6 +44,7 @@ from repro.dfg.iteration_bound import _beating_cycle, _columns, critical_cycle
 from repro.dfg.unfold import fold_node
 from repro.bounds.lower_bounds import combined_lower_bound
 from repro.explore.space import CellSpec, Point, cell_cost, cell_graph, cell_model
+from repro.suite.registry import get_benchmark
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,6 @@ def bound_graph(spec: CellSpec, base: Optional[DFG] = None) -> DFG:
     got = _GRAPH_CACHE.get(key)
     if got is None:
         if base is None:
-            from repro.suite.registry import get_benchmark
-
             base = get_benchmark(spec.bench)
         got = _GRAPH_CACHE[key] = cell_graph(spec, base)
     return got

@@ -28,6 +28,8 @@ from dataclasses import dataclass, replace as _dc_replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.binding.lifetimes import register_requirement
+from repro.core.scheduler import rotation_schedule
+from repro.core.session import MutableSchedulingSession
 from repro.explore.space import (
     CellSpec,
     ExploreError,
@@ -117,8 +119,6 @@ class CellSolver:
     # -- the exhaustive baseline ---------------------------------------
     def solve_cold(self, spec: CellSpec) -> CellOutcome:
         """Fresh flat-backend solve, no reuse — the exhaustive-grid path."""
-        from repro.core.scheduler import rotation_schedule
-
         graph = bound_graph(spec)
         model = cell_model(spec)
         t0 = time.perf_counter()
@@ -147,8 +147,6 @@ class CellSolver:
                 elapsed=0.0,
                 source="memo",
             )
-        from repro.core.session import MutableSchedulingSession
-
         fam = family_key(spec)
         session = self._sessions.get(fam)
         t0 = time.perf_counter()

@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.dfg.graph import DFG
+from repro.dfg.unfold import unfold
 from repro.errors import ReproError
 from repro.schedule.resources import ResourceModel
 
@@ -164,8 +165,6 @@ def cell_graph(spec: CellSpec, base: DFG) -> DFG:
     """The graph a cell solves (the benchmark, unfolded when J > 1)."""
     if spec.unfold <= 1:
         return base
-    from repro.dfg.unfold import unfold
-
     return unfold(base, spec.unfold)
 
 

@@ -17,64 +17,17 @@ Four pieces, all stdlib-only:
   ``perfbench/common.py``); ``rotsched perfcheck --record`` rewrites it.
 """
 
-from repro.obs.export import Trace, TraceError, parse_trace, read_trace, validate_trace, write_trace
-from repro.obs.metrics import METRICS_SCHEMA, MetricsRegistry, engine_metrics, render_metrics
-from repro.obs.perfcheck import (
-    MIN_EXPLORE_SPEEDUP,
-    MIN_REPAIR_SPEEDUP,
-    MIN_SERVE_SPEEDUP,
-    PINS_FILE,
-    TIERS,
-    PerfReport,
-    Tier,
-    record_perfcheck,
-    run_perfcheck,
-)
-from repro.obs.profile import Profile, ProfileRow, aggregate, profile_of, render_profile
-from repro.obs.tracer import (
-    NULL,
-    TRACE_SCHEMA,
-    NullTracer,
-    SpanEvent,
-    Tracer,
-    activate,
-    current,
-    deactivate,
-    tracing,
-)
+from repro._exports import export as _export
 
-__all__ = [
-    "NULL",
-    "METRICS_SCHEMA",
-    "TRACE_SCHEMA",
-    "MIN_EXPLORE_SPEEDUP",
-    "MIN_REPAIR_SPEEDUP",
-    "MIN_SERVE_SPEEDUP",
-    "PINS_FILE",
-    "TIERS",
-    "Tier",
-    "MetricsRegistry",
-    "NullTracer",
-    "PerfReport",
-    "Profile",
-    "ProfileRow",
-    "SpanEvent",
-    "Trace",
-    "TraceError",
-    "Tracer",
-    "activate",
-    "aggregate",
-    "current",
-    "deactivate",
-    "engine_metrics",
-    "parse_trace",
-    "profile_of",
-    "read_trace",
-    "render_metrics",
-    "render_profile",
-    "record_perfcheck",
-    "run_perfcheck",
-    "tracing",
-    "validate_trace",
-    "write_trace",
-]
+__all__ = _export(__name__, {
+    ".export": "Trace TraceError parse_trace read_trace validate_trace write_trace",
+    ".metrics": "METRICS_SCHEMA MetricsRegistry engine_metrics render_metrics",
+    ".perfcheck": (
+        "MIN_EXPLORE_SPEEDUP MIN_REPAIR_SPEEDUP MIN_SERVE_SPEEDUP PINS_FILE TIERS "
+        "PerfReport Tier record_perfcheck run_perfcheck"
+    ),
+    ".profile": "Profile ProfileRow aggregate profile_of render_profile",
+    ".tracer": (
+        "NULL TRACE_SCHEMA NullTracer SpanEvent Tracer activate current deactivate tracing"
+    ),
+})

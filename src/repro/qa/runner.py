@@ -30,12 +30,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.baselines.dag_list import dag_list_schedule
+from repro.baselines.modulo import modulo_schedule
+from repro.baselines.retime_then_schedule import retime_then_schedule
 from repro.core.scheduler import rotation_schedule
 from repro.dfg.graph import DFG
 from repro.dfg.retiming import Retiming
 from repro.errors import ReproError
 from repro.schedule.resources import ResourceModel
 from repro.qa.bundle import write_bundle
+from repro.qa.incremental import check_incremental_session
 from repro.qa.oracles import (
     OracleFailure,
     certify_rotation,
@@ -168,14 +172,10 @@ def _run_path(graph: DFG, model: ResourceModel, path: str) -> List[OracleFailure
             failures += certify_rotation(graph, model, flat)
         return failures
     if path == "dag_list":
-        from repro.baselines.dag_list import dag_list_schedule
-
         result = dag_list_schedule(graph, model)
         sched = result.schedule
         return certify_wrapped(graph, model, sched, Retiming.zero(), sched.length)
     if path == "modulo":
-        from repro.baselines.modulo import modulo_schedule
-
         result = modulo_schedule(graph, model)
         failures = check_lower_bound(graph, model, result.ii)
         # flat form: starts encode the skew directly, no retiming
@@ -187,14 +187,10 @@ def _run_path(graph: DFG, model: ResourceModel, path: str) -> List[OracleFailure
             failures += check_semantics(kernel, r, ii)
         return failures
     if path == "retime_ls":
-        from repro.baselines.retime_then_schedule import retime_then_schedule
-
         result = retime_then_schedule(graph, model)
         w = result.wrapped
         return certify_wrapped(graph, model, w.schedule, w.retiming, w.period)
     if path == "incremental":
-        from repro.qa.incremental import check_incremental_session
-
         return check_incremental_session(graph, model)
     raise ReproError(f"unknown scheduler path {path!r}; choose from {PATHS}")
 

@@ -1,41 +1,13 @@
 """Reporting: paper-style tables, ASCII Gantt charts, CSV/JSON/Markdown."""
 
-from repro.report.tables import render_results_table, render_schedule, render_table1
-from repro.report.gantt import gantt, pipeline_gantt, retiming_stages
-from repro.report.svg import pipeline_svg, save_svg, schedule_svg
-from repro.report.convergence import (
-    ConvergenceCurve,
-    RecordingTracker,
-    convergence_svg,
-    heuristic_sweep,
-    phase_size_sweep,
-)
-from repro.report.export import (
-    schedule_records,
-    to_csv,
-    to_json_records,
-    to_markdown,
-    write_text,
-)
+from repro._exports import export as _export
 
-__all__ = [
-    "ConvergenceCurve",
-    "RecordingTracker",
-    "convergence_svg",
-    "gantt",
-    "heuristic_sweep",
-    "phase_size_sweep",
-    "pipeline_gantt",
-    "render_results_table",
-    "render_schedule",
-    "render_table1",
-    "pipeline_svg",
-    "save_svg",
-    "schedule_svg",
-    "retiming_stages",
-    "schedule_records",
-    "to_csv",
-    "to_json_records",
-    "to_markdown",
-    "write_text",
-]
+__all__ = _export(__name__, {
+    ".tables": "render_results_table render_schedule render_table1",
+    ".gantt": "gantt pipeline_gantt retiming_stages",
+    ".svg": "pipeline_svg save_svg schedule_svg",
+    ".convergence": (
+        "ConvergenceCurve RecordingTracker convergence_svg heuristic_sweep phase_size_sweep"
+    ),
+    ".export": "schedule_records to_csv to_json_records to_markdown write_text",
+})

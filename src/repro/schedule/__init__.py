@@ -1,71 +1,25 @@
 """Static-schedule substrate: resources, schedules, list scheduling, checks."""
 
-from repro.schedule.resources import ResourceModel, UnitSpec
-from repro.schedule.schedule import ResourceConflict, Schedule
-from repro.schedule.priorities import (
-    PRIORITIES,
-    combined_priority,
-    descendant_priority,
-    get_priority,
-    height_priority,
-    mobility_priority,
-)
-from repro.schedule.list_scheduler import OccupancyGrid, full_schedule, partial_schedule
-from repro.schedule.verify import (
-    check_schedule,
-    is_legal_modulo_schedule,
-    is_legal_static_schedule,
-    modulo_precedence_violations,
-    modulo_resource_conflicts,
-    realizing_retiming,
-)
-from repro.schedule.chaining import (
-    ChainedSchedule,
-    ChainedScheduleEntry,
-    chained_full_schedule,
-    paper_technology,
-)
-from repro.schedule.conditional import (
-    ConditionalRotationState,
-    ConditionalSchedule,
-    are_exclusive,
-    conditional_full_schedule,
-    guard_of,
-    set_guard,
-)
-from repro.schedule.unrolled import UnrolledEntry, UnrolledSchedule, unroll
+from repro._exports import export as _export
 
-__all__ = [
-    "ChainedSchedule",
-    "ConditionalRotationState",
-    "ConditionalSchedule",
-    "ChainedScheduleEntry",
-    "OccupancyGrid",
-    "PRIORITIES",
-    "ResourceConflict",
-    "ResourceModel",
-    "Schedule",
-    "UnitSpec",
-    "UnrolledEntry",
-    "UnrolledSchedule",
-    "are_exclusive",
-    "chained_full_schedule",
-    "conditional_full_schedule",
-    "check_schedule",
-    "combined_priority",
-    "descendant_priority",
-    "full_schedule",
-    "get_priority",
-    "guard_of",
-    "height_priority",
-    "is_legal_modulo_schedule",
-    "is_legal_static_schedule",
-    "mobility_priority",
-    "modulo_precedence_violations",
-    "modulo_resource_conflicts",
-    "paper_technology",
-    "partial_schedule",
-    "realizing_retiming",
-    "set_guard",
-    "unroll",
-]
+__all__ = _export(__name__, {
+    ".resources": "ResourceModel UnitSpec",
+    ".schedule": "ResourceConflict Schedule",
+    ".priorities": (
+        "PRIORITIES combined_priority descendant_priority get_priority "
+        "height_priority mobility_priority"
+    ),
+    ".list_scheduler": "OccupancyGrid full_schedule partial_schedule",
+    ".verify": (
+        "check_schedule is_legal_modulo_schedule is_legal_static_schedule "
+        "modulo_precedence_violations modulo_resource_conflicts realizing_retiming"
+    ),
+    ".chaining": (
+        "ChainedSchedule ChainedScheduleEntry chained_full_schedule paper_technology"
+    ),
+    ".conditional": (
+        "ConditionalRotationState ConditionalSchedule are_exclusive "
+        "conditional_full_schedule guard_of set_guard"
+    ),
+    ".unrolled": "UnrolledEntry UnrolledSchedule unroll",
+})

@@ -20,47 +20,15 @@ or in-process::
 See ``docs/serving.md`` for the protocol and the fingerprint contract.
 """
 
-from repro.serve.protocol import (
-    DEFAULT_OPTIONS,
-    PROTOCOL,
-    ServeError,
-    SolveRequest,
-    canonical_request,
-    fingerprint,
-    parse_request,
-    request_fingerprint,
-    result_payload,
-    schedule_bits,
-    solve_canonical,
-)
-from repro.serve.cache import ArtifactStore, LRUCache, TwoLevelCache
-from repro.serve.pool import InlinePool, ShardedPool
-from repro.serve.server import SchedulingService, build_service, run_server, start_server
-from repro.serve.client import LoadgenReport, ServeClient, demo_workload, run_loadgen
+from repro._exports import export as _export
 
-__all__ = [
-    "ArtifactStore",
-    "DEFAULT_OPTIONS",
-    "InlinePool",
-    "LRUCache",
-    "LoadgenReport",
-    "PROTOCOL",
-    "SchedulingService",
-    "ServeClient",
-    "ServeError",
-    "ShardedPool",
-    "SolveRequest",
-    "TwoLevelCache",
-    "build_service",
-    "canonical_request",
-    "demo_workload",
-    "fingerprint",
-    "parse_request",
-    "request_fingerprint",
-    "result_payload",
-    "run_loadgen",
-    "run_server",
-    "schedule_bits",
-    "solve_canonical",
-    "start_server",
-]
+__all__ = _export(__name__, {
+    ".protocol": (
+        "DEFAULT_OPTIONS PROTOCOL ServeError SolveRequest canonical_request fingerprint "
+        "parse_request request_fingerprint result_payload schedule_bits solve_canonical"
+    ),
+    ".cache": "ArtifactStore LRUCache TwoLevelCache",
+    ".pool": "InlinePool ShardedPool",
+    ".server": "SchedulingService build_service run_server start_server",
+    ".client": "LoadgenReport ServeClient demo_workload run_loadgen",
+})

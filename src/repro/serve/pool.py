@@ -34,7 +34,17 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.session import MutableSchedulingSession
 from repro.errors import ReproError
+from repro.serve.protocol import (
+    canonical_graph,
+    canonical_model,
+    graph_from_canonical,
+    model_from_canonical,
+    result_payload,
+    schedule_from_payload,
+    solve_canonical,
+)
 
 #: Worker-resident sessions: fingerprint -> (session, applied_edits, options).
 #: Bounded LRU; lives in the worker process (one per shard).
@@ -56,8 +66,6 @@ def _error_payload(kind: str, exc: BaseException) -> Dict[str, Any]:
 
 def solve_one(fp: str, canonical: Mapping[str, Any]) -> Dict[str, Any]:
     """Solve one canonical request; exceptions become structured errors."""
-    from repro.serve.protocol import solve_canonical
-
     try:
         return solve_canonical(canonical)
     except ReproError as exc:
@@ -68,9 +76,6 @@ def solve_one(fp: str, canonical: Mapping[str, Any]) -> Dict[str, Any]:
 
 def _open_session(canonical: Mapping[str, Any], options: Mapping[str, Any]):
     """A fresh session on ``canonical``'s graph and model."""
-    from repro.core.session import MutableSchedulingSession
-    from repro.serve.protocol import graph_from_canonical, model_from_canonical
-
     return MutableSchedulingSession(
         graph_from_canonical(canonical),
         model_from_canonical(canonical),
@@ -107,8 +112,6 @@ def _seeded(seed, options, edits) -> Tuple[Any, Optional[str]]:
     (its canonical form and result payload) with every edit applied; or
     ``(None, "seed_rejected")`` when the answer is not a legal schedule of
     the base."""
-    from repro.serve.protocol import schedule_from_payload
-
     base_canonical, answer = seed
     session = _open_session(base_canonical, options)
     try:
@@ -152,8 +155,6 @@ def solve_warm(
     session is registered under ``fp`` so the next edit in the chain
     stays warm.
     """
-    from repro.serve.protocol import canonical_graph, canonical_model, result_payload
-
     try:
         edits = list(edits)
         options = canonical["options"]

@@ -46,8 +46,13 @@ from repro.errors import ReproError
 from repro.dfg.retiming import Retiming
 from repro.schedule.resources import ResourceModel, UnitSpec
 from repro.schedule.schedule import Schedule
+from repro.core.chained_rotation import chained_rotation_schedule
 from repro.core.engine import BACKENDS
 from repro.core.flat.graph import model_signature, structural_signature
+from repro.core.scheduler import RotationScheduler
+from repro.core.session import MutableSchedulingSession
+from repro.dfg.unfold import unfold
+from repro.suite.registry import get_benchmark
 
 PROTOCOL = "repro.serve/v1"
 
@@ -143,8 +148,6 @@ def parse_graph(spec: Any) -> DFG:
             "graph must be a repro.dfg JSON dict, {'benchmark': key}, or a benchmark key"
         )
     if "benchmark" in spec:
-        from repro.suite.registry import get_benchmark
-
         try:
             return get_benchmark(str(spec["benchmark"]))
         except KeyError as exc:
@@ -218,8 +221,6 @@ def parse_request(payload: Mapping[str, Any]) -> SolveRequest:
         # fingerprint) describes the state actually solved.  Sessions are a
         # *worker-side acceleration*; correctness never depends on them.
         # Only the edit protocol is used here, so no engine is compiled.
-        from repro.core.session import MutableSchedulingSession
-
         session = MutableSchedulingSession(graph, model, copy_graph=True, backend="naive")
         for op in edits:
             session.apply_edit(op)
@@ -402,12 +403,8 @@ def solve_canonical(canonical: Mapping[str, Any]) -> Dict[str, Any]:
     model = model_from_canonical(canonical)
     opts = canonical["options"]
     if opts["unfold"] > 1:
-        from repro.dfg.unfold import unfold
-
         graph = unfold(graph, opts["unfold"])
     if opts["clock"] is not None:
-        from repro.core.chained_rotation import chained_rotation_schedule
-
         state, best_len = chained_rotation_schedule(
             graph,
             model.timing(),
@@ -418,8 +415,6 @@ def solve_canonical(canonical: Mapping[str, Any]) -> Dict[str, Any]:
             priority=opts["priority"],
         )
         return chained_result_payload(state, best_len)
-    from repro.core.scheduler import RotationScheduler
-
     result = RotationScheduler(
         model,
         heuristic=opts["heuristic"],

@@ -1,24 +1,9 @@
 """Execution simulators: reference loop, software pipeline, machine model."""
 
-from repro.sim.reference import ReferenceExecutor, reference_run, validate_edge_inits
-from repro.sim.executor import (
-    PipelineExecutor,
-    PipelineRunReport,
-    compare_streams,
-    verify_pipeline,
-)
-from repro.sim.machine import MachineReport, MachineSimulator, UnitUtilization, simulate_machine
+from repro._exports import export as _export
 
-__all__ = [
-    "MachineReport",
-    "MachineSimulator",
-    "PipelineExecutor",
-    "PipelineRunReport",
-    "ReferenceExecutor",
-    "UnitUtilization",
-    "compare_streams",
-    "reference_run",
-    "simulate_machine",
-    "validate_edge_inits",
-    "verify_pipeline",
-]
+__all__ = _export(__name__, {
+    ".reference": "ReferenceExecutor reference_run validate_edge_inits",
+    ".executor": "PipelineExecutor PipelineRunReport compare_streams verify_pipeline",
+    ".machine": "MachineReport MachineSimulator UnitUtilization simulate_machine",
+})

@@ -1,53 +1,19 @@
 """Benchmark DFGs: the paper's five filters plus synthetic generators."""
 
-from repro.suite.diffeq import diffeq
-from repro.suite.elliptic import elliptic
-from repro.suite.lattice import lattice
-from repro.suite.allpole import allpole
-from repro.suite.biquad import biquad
-from repro.suite.registry import (
-    BENCHMARKS,
-    PAPER_TIMING,
-    UNIT_TIMING,
-    BenchmarkInfo,
-    all_benchmarks,
-    data_path,
-    get_benchmark,
-    load_benchmark_json,
-)
-from repro.suite.random_graphs import (
-    GENERATORS,
-    attach_affine_funcs,
-    build_case_graph,
-    generator_grid,
-    random_chain_loop,
-    random_dfg,
-    random_dsp_kernel,
-    rebuild_funcs,
-    unfolded_dfg,
-)
+from repro._exports import export as _export
 
-__all__ = [
-    "BENCHMARKS",
-    "PAPER_TIMING",
-    "UNIT_TIMING",
-    "BenchmarkInfo",
-    "all_benchmarks",
-    "data_path",
-    "allpole",
-    "biquad",
-    "diffeq",
-    "elliptic",
-    "get_benchmark",
-    "load_benchmark_json",
-    "lattice",
-    "GENERATORS",
-    "attach_affine_funcs",
-    "build_case_graph",
-    "generator_grid",
-    "random_chain_loop",
-    "random_dfg",
-    "random_dsp_kernel",
-    "rebuild_funcs",
-    "unfolded_dfg",
-]
+__all__ = _export(__name__, {
+    ".diffeq": "diffeq",
+    ".elliptic": "elliptic",
+    ".lattice": "lattice",
+    ".allpole": "allpole",
+    ".biquad": "biquad",
+    ".registry": (
+        "BENCHMARKS PAPER_TIMING UNIT_TIMING BenchmarkInfo all_benchmarks data_path "
+        "get_benchmark load_benchmark_json"
+    ),
+    ".random_graphs": (
+        "GENERATORS attach_affine_funcs build_case_graph generator_grid random_chain_loop "
+        "random_dfg random_dsp_kernel rebuild_funcs unfolded_dfg"
+    ),
+})

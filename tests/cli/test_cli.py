@@ -28,6 +28,29 @@ class TestParseConfig:
             parse_config(bad)
 
 
+class TestErrors:
+    """Every library error ends as one ``<command>: <message>`` line and
+    exit status 1, never a traceback."""
+
+    def test_bad_unfold_factor(self, tmp_path, capsys):
+        target = tmp_path / "x.json"
+        assert main(["unfold", "diffeq", "--factor", "0", "-o", str(target)]) == 1
+        assert capsys.readouterr().out == "unfold: unfolding factor must be >= 1, got 0\n"
+        assert not target.exists()
+
+    def test_serve_without_workers_fails_before_binding_or_forking(self, monkeypatch, capsys):
+        import repro.serve.pool
+        import repro.serve.server
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("serve got past its worker count")
+
+        monkeypatch.setattr(repro.serve.server, "start_server", refuse)
+        monkeypatch.setattr(repro.serve.pool, "ProcessPoolExecutor", refuse)
+        assert main(["serve", "--workers", "0", "--port", "0"]) == 1
+        assert capsys.readouterr().out == "serve: worker count must be >= 1, got 0\n"
+
+
 class TestCommands:
     def test_inspect(self, capsys):
         assert main(["inspect", "diffeq"]) == 0
@@ -69,6 +92,8 @@ class TestCommands:
         assert main(["inspect", path]) == 0
         assert "16" in capsys.readouterr().out  # nodes
 
-    def test_unknown_benchmark_fails(self):
-        with pytest.raises(FileNotFoundError):
-            main(["inspect", "does-not-exist"])
+    def test_unknown_benchmark_fails(self, capsys):
+        assert main(["inspect", "does-not-exist"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("inspect: 'does-not-exist' is neither a benchmark (elliptic, ")
+        assert out.count("\n") == 1

@@ -1,7 +1,5 @@
 """Unit tests for the extended CLI commands (exact/emit/svg/unfold)."""
 
-import pytest
-
 from repro.cli import main
 
 
@@ -11,11 +9,9 @@ class TestExact:
         out = capsys.readouterr().out
         assert "optimal II = 6" in out and "proven" in out
 
-    def test_step_limit_flag(self):
-        from repro.errors import SchedulingError
-
-        with pytest.raises(SchedulingError):
-            main(["exact", "allpole", "-r", "2A1M", "--step-limit", "100"])
+    def test_step_limit_flag(self, capsys):
+        assert main(["exact", "allpole", "-r", "2A1M", "--step-limit", "100"]) == 1
+        assert capsys.readouterr().out == "exact: exact search exceeded 100 steps at II=8\n"
 
 
 class TestEmit:

@@ -274,13 +274,14 @@ def test_flat_grid_double_booking_raises():
     fg = FlatGraph(g)
     fm = FlatModel(fg, ResourceModel.adders_mults(1, 1))
     grid = FlatGrid(fm)
-    assert grid.place(0, 0) == 0
+    assert grid.find(0, 0) == 0
+    grid.occupy(0, 0, 0)
     assert grid.find(1, 0) == -1  # one adder, already taken
-    assert grid.place(1, 0) == -1
     with pytest.raises(SchedulingError):
         grid.occupy(1, 0, 0)
-    grid.release(0, 0, 0)
-    assert grid.place(1, 0) == 0
+    grid.release_many([0], [0, None], [0, None])
+    assert grid.find(1, 0) == 0
+    grid.occupy(1, 0, 0)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Dependency footprint: the package has no runtime dependency.  The
 serve and explore paths never import numpy, and no bound, the explorer's
 included, imports networkx (only ``DFG.to_networkx``/``from_networkx``
-and the tests' cycle enumerator do).
+and the tests' cycle enumerator do).  The ``repro`` modules a solve and
+the serve daemon load are pinned, and forked explore lanes and serve
+workers import nothing their parent had not.
 
 Every serve worker and explore process is a fresh interpreter, so one
 stray import costs each of them its resident memory.  The check runs in
@@ -124,3 +126,130 @@ def test_no_runtime_dependency():
     assert "dependencies = []" in lines
     test_extra = next(line for line in lines if line.startswith("test = "))
     assert '"networkx>=3.0"' in test_extra
+
+
+# ----------------------------------------------------------------------
+# Import closures: packages load their exports on first use, so a solve
+# imports the paper core and nothing else.
+# ----------------------------------------------------------------------
+LOADED = "\nprint(' '.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'repro')))\n"
+
+SOLVE_SCRIPT = """
+import sys
+
+from repro import ResourceModel, diffeq, rotation_schedule
+
+result = rotation_schedule(diffeq(), ResourceModel.adders_mults(2, 2), backend="flat")
+assert result.length == 6 and result.engine_stats is not None
+""" + LOADED
+
+#: What one flat-backend solve loads: the paper core, its graph and
+#: schedule substrate, the bound behind the certified stop, the tracer
+#: and the engine counters.
+SOLVE_CLOSURE = {
+    "repro", "repro._exports", "repro.errors",
+    "repro.bounds", "repro.bounds.lower_bounds",
+    "repro.core", "repro.core.depth", "repro.core.engine", "repro.core.phases",
+    "repro.core.rotation", "repro.core.scheduler", "repro.core.wrapping",
+    "repro.core.flat", "repro.core.flat.engine", "repro.core.flat.graph",
+    "repro.core.flat.kernels",
+    "repro.dfg", "repro.dfg.analysis", "repro.dfg.graph", "repro.dfg.iteration_bound",
+    "repro.dfg.retiming",
+    "repro.obs", "repro.obs.metrics", "repro.obs.tracer",
+    "repro.schedule", "repro.schedule.list_scheduler", "repro.schedule.priorities",
+    "repro.schedule.resources", "repro.schedule.schedule", "repro.schedule.verify",
+    "repro.suite", "repro.suite.diffeq",
+}
+
+#: No solve needs these: the gate, the extensions and every other front end.
+NOT_IN_A_SOLVE = (
+    "repro.obs.perfcheck", "repro.obs.export", "repro.obs.profile",
+    "repro.baselines", "repro.binding", "repro.sim", "repro.qa", "repro.serve",
+    "repro.explore", "repro.report", "repro.core.nested", "repro.core.session",
+    "repro.core.chained_rotation", "repro.schedule.chaining",
+    "repro.schedule.conditional", "repro.schedule.unrolled",
+)
+
+
+def test_a_flat_solve_imports_only_the_paper_core():
+    loaded = set(run_fresh(SOLVE_SCRIPT).split())
+    assert not {m for m in loaded if m.startswith(NOT_IN_A_SOLVE)}
+    assert loaded == SOLVE_CLOSURE
+
+
+#: What the serve daemon holds before its shard workers fork: the solve
+#: closure plus sessions, chained scheduling, unfolding and the registry.
+SERVER_CLOSURE = SOLVE_CLOSURE | {
+    "repro.core.chained_rotation", "repro.core.session",
+    "repro.dfg.io", "repro.dfg.unfold", "repro.schedule.chaining",
+    "repro.serve", "repro.serve.cache", "repro.serve.pool", "repro.serve.protocol",
+    "repro.serve.server",
+    "repro.suite.allpole", "repro.suite.biquad", "repro.suite.elliptic",
+    "repro.suite.lattice", "repro.suite.registry",
+}
+
+
+def test_the_serve_server_import_closure():
+    assert set(run_fresh("import sys\nimport repro.serve.server\n" + LOADED).split()) == (
+        SERVER_CLOSURE
+    )
+
+
+#: Fails, in a forked child only, any ``repro`` import its parent had not
+#: made: whatever a child imports first it pays again in every fork.
+REFUSE_IN_CHILD = """
+import os
+import sys
+
+PARENT = os.getpid()
+
+
+class RefuseInChild:
+    def find_spec(self, name, path=None, target=None):
+        if os.getpid() != PARENT and name.partition(".")[0] == "repro":
+            raise ImportError("forked child imported " + name)
+
+
+sys.meta_path.insert(0, RefuseInChild())
+"""
+
+
+def test_forked_explore_lanes_import_nothing_their_parent_lacks():
+    script = REFUSE_IN_CHILD + """
+from repro.explore import build_grid, explore
+
+cells = build_grid(["diffeq", "biquad"], ("1A1M", "2A2M"), clocks=(40, 100), unfolds=(1, 2))
+report = explore(cells, workers=2)
+assert set(report.frontiers) == {"diffeq", "biquad"}
+print("ok")
+"""
+    assert run_fresh(script) == "ok"
+
+
+def test_serve_workers_import_nothing_their_daemon_lacks():
+    script = REFUSE_IN_CHILD + """
+import asyncio
+
+from repro.serve.server import build_service
+
+DIFFEQ = {"graph": {"benchmark": "diffeq"}, "config": "2A1M"}
+EDITS = [{"edit": "set_delay", "src": 8, "dst": 10, "delay": 2}]
+
+
+async def main(service):
+    base = await service.solve(DIFFEQ)
+    unfolded = await service.solve({**DIFFEQ, "options": {"unfold": 2}})
+    warm = await service.solve({**DIFFEQ, "base": base["fingerprint"], "edits": EDITS})
+    return [base, unfolded, warm]
+
+
+service = build_service(workers=2)
+try:
+    answers = asyncio.run(main(service))
+finally:
+    service.close()
+assert not [a for a in answers if "error" in a], answers
+assert answers[2]["result"]["session"]["warm"] == "seeded", answers[2]
+print("ok")
+"""
+    assert run_fresh(script) == "ok"
